@@ -44,7 +44,6 @@ from .fullgraph import (
     find_fg_representation_bruteforce,
     is_fg_representation,
     is_full_graph,
-    overlaps,
     recognize_full_graph,
 )
 from .oeis import OeisCheck, OeisError, oeis_crosscheck
@@ -58,7 +57,7 @@ from .representation import (
     is_representation,
     structure_from_representation,
 )
-from .setfamily import SetFamily
+from .setfamily import SetFamily, overlaps
 from .verify import SuiteReport, run_theorem_suite
 
 __all__ = [

@@ -7,23 +7,31 @@ set family witnesses both sides, because disjointness and proper overlap
 partition the incomparable pairs once containment is pinned down.
 
 ``verify_bijection`` materialises both candidate sets for a given D and
-checks the complement map is a size-preserving bijection between them.
+checks the complement map is a size-preserving bijection between them;
+``bijection_report`` runs the same check on sets already materialised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .event_structure import (
-    EventStructure,
-    EventStructureError,
-    is_event_structure,
-)
+from .event_structure import EventStructure, is_event_structure
 from .fullgraph import FullGraph, FullGraphError, fg_failures, is_full_graph
 from .fullgraph import find_fg_representation_bruteforce
 from .relation import Relation, pairs_key
 from .representation import build_representation
+
+#: Largest event count the exhaustive enumerators accept.
+MAX_EVENTS = 5
+
+
+def check_size(n: int) -> None:
+    """Reject an event count the enumerators do not accept."""
+    if n < 0:
+        raise ValueError("n must be a natural number")
+    if n > MAX_EVENTS:
+        raise ValueError(f"n={n} exceeds the limit {MAX_EVENTS}")
 
 
 def incomparable_complement(base: Relation, rel: Relation) -> Relation:
@@ -36,11 +44,10 @@ def es_to_fg(structure: EventStructure) -> FullGraph:
 
     The undirected edges are the incomparable non-conflicts, and the
     attached certificate is the representation family built for the
-    structure; the ``FullGraph`` constructor re-validates that the same
-    family certifies the graph side.
+    structure (the builder rejects an invalid structure with
+    ``EventStructureError``); the ``FullGraph`` constructor re-validates
+    that the same family certifies the graph side.
     """
-    if not structure.is_valid:
-        raise EventStructureError(structure.failures)
     causality, conflict = structure.causality, structure.conflict
     certificate = build_representation(causality, conflict).family
     undirected = incomparable_complement(causality, conflict)
@@ -70,22 +77,14 @@ def _symmetric_subsets(base: Relation) -> Iterator[Relation]:
         yield Relation(base.universe, pairs)
 
 
-def _is_order(base: Relation) -> bool:
-    return (
-        base.is_transitive
-        and base.is_antisymmetric
-        and base.is_reflexive_over_field
-    )
-
-
 def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
     """All conflict relations U making (base, U) a valid event structure.
 
     Candidates range over symmetric subsets of the incomparability square
-    (nothing outside it can ever be admissible).  For a ``base`` that is
-    not an order the result is empty.
+    (nothing outside it can ever be admissible).  Sorted by pair list;
+    empty for a ``base`` that is not an order.
     """
-    if not _is_order(base):
+    if not base.is_partial_order:
         return ()
     found = [u for u in _symmetric_subsets(base) if is_event_structure(base, u)]
     found.sort(key=pairs_key)
@@ -99,9 +98,10 @@ def enumerate_fullgraph_edge_sets(
 
     Runs the graph-side recognition path; with ``oracle=True`` (test mode,
     desk scale only) each candidate is instead vetted by the exhaustive
-    search for an fg-representation, independent of recognition.
+    search for an fg-representation, independent of recognition.  Sorted
+    by pair list; empty for a ``base`` that is not an order.
     """
-    if not _is_order(base):
+    if not base.is_partial_order:
         return ()
     size = len(base.field)
     if oracle:
@@ -147,16 +147,23 @@ class BijectionReport:
         )
 
 
-def verify_bijection(base: Relation, *, max_events: int = 5) -> BijectionReport:
+def verify_bijection(base: Relation) -> BijectionReport:
     """Check that complementing within the incomparability square maps the
     full-graph edge sets onto the admissible conflicts and back,
     injectively both ways."""
-    if len(base.field) > max_events:
-        raise ValueError(
-            f"relation has {len(base.field)} vertices; limit is {max_events}"
-        )
-    x_side = set(enumerate_fullgraph_edge_sets(base))
-    y_side = set(enumerate_admissible_conflicts(base))
+    check_size(len(base.field))
+    return bijection_report(
+        base, enumerate_fullgraph_edge_sets(base), enumerate_admissible_conflicts(base)
+    )
+
+
+def bijection_report(
+    base: Relation, edge_sets: Iterable[Relation], conflicts: Iterable[Relation]
+) -> BijectionReport:
+    """The ``verify_bijection`` check on both sides as given: the
+    full-graph edge sets and the admissible conflicts of ``base``."""
+    x_side = set(edge_sets)
+    y_side = set(conflicts)
     forward = {incomparable_complement(base, t) for t in x_side}
     backward = {incomparable_complement(base, u) for u in y_side}
     return BijectionReport(

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bijection import es_to_fg, fg_to_es
+from .bijection import MAX_EVENTS, es_to_fg, fg_to_es
 from .documents import (
     DocumentError,
     StructureDocument,
@@ -23,9 +23,10 @@ from .documents import (
 )
 from .enumeration import count_es, count_fg, emit_structures
 from .event_structure import EventStructureError, es_failures
-from .fullgraph import FullGraphError, fg_failures, is_fg_representation
+from .fullgraph import FullGraphError, fg_failures
 from .oeis import OeisError, oeis_crosscheck
-from .representation import build_representation, is_representation
+from .representation import build_representation
+from .setfamily import family_failures
 from .verify import run_theorem_suite
 
 OK, VIOLATION, USAGE = 0, 1, 2
@@ -52,38 +53,25 @@ def _write_output(text_or_bytes: str | bytes, out: str | None) -> None:
 
 
 def _document_failures(doc: StructureDocument) -> tuple[str, ...]:
-    if doc.kind == "fg":
-        problems = list(fg_failures(doc.causality, doc.conflict))
-        if doc.family is not None:
-            if not is_fg_representation(doc.family, doc.causality, doc.conflict):
-                problems.append("family-is-not-an-fg-representation")
-            if not doc.family.is_injective():
-                problems.append("family-not-injective")
-            if frozenset() in set(doc.family.values()):
-                problems.append("family-contains-empty-set")
-            if doc.family.keys != doc.causality.field:
-                problems.append("family-keys-differ-from-vertices")
-        return tuple(problems)
-    problems = list(es_failures(doc.causality, doc.conflict))
-    if doc.kind == "representation" or doc.family is not None:
-        family = doc.family
-        if not is_representation(family, doc.causality, doc.conflict):
-            problems.append("family-is-not-a-representation")
-        if not family.is_injective():
-            problems.append("family-not-injective")
-        if frozenset() in set(family.values()):
-            problems.append("family-contains-empty-set")
-        if family.keys != doc.causality.field:
-            problems.append("family-keys-differ-from-events")
-    return tuple(problems)
+    overlap = doc.kind == "fg"
+    checks = fg_failures if overlap else es_failures
+    problems = checks(doc.causality, doc.conflict)
+    if doc.family is not None:
+        family = family_failures(doc.family, doc.causality, doc.conflict, overlap=overlap)
+        problems += tuple("family-" + problem for problem in family)
+    return problems
 
 
-def _gate_size(n: int, slow: bool) -> str | None:
-    if n > 5:
-        return f"n={n} exceeds the supported limit of 5"
-    if n == 5 and not slow:
-        return "n=5 is best-effort; pass --slow to run it"
-    return None
+def _refuse_size(n: int, slow: bool) -> bool:
+    """Whether n is out of bounds for this run; if so, says why on stderr."""
+    if n > MAX_EVENTS:
+        reason = f"n={n} exceeds the supported limit of {MAX_EVENTS}"
+    elif n == MAX_EVENTS and not slow:
+        reason = f"n={n} is best-effort; pass --slow to run it"
+    else:
+        return False
+    print(reason, file=sys.stderr)
+    return True
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -127,15 +115,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    gate = _gate_size(args.n, args.slow)
-    if gate:
-        print(gate, file=sys.stderr)
+    if _refuse_size(args.n, args.slow):
         return USAGE
-    limit = max(5, args.n)
     if args.count_only:
-        total = (
-            count_es(args.n, limit) if args.kind == "es" else count_fg(args.n, limit)
-        )
+        total = count_es(args.n) if args.kind == "es" else count_fg(args.n)
         print(total)
         return OK
     if args.emit:
@@ -148,22 +131,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             (directory / f"{args.kind}-n{args.n}-{index:06d}.json").write_bytes(data)
             index += 1
 
-        total = emit_structures(args.n, args.kind, write, limit)
+        total = emit_structures(args.n, args.kind, write)
         print(total)
         return OK
     total = emit_structures(
-        args.n, args.kind, lambda data: sys.stdout.buffer.write(data + b"\n"), limit
+        args.n, args.kind, lambda data: sys.stdout.buffer.write(data + b"\n")
     )
     print(total, file=sys.stderr)
     return OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    gate = _gate_size(args.n, args.slow)
-    if gate:
-        print(gate, file=sys.stderr)
+    if _refuse_size(args.n, args.slow):
         return USAGE
-    report = run_theorem_suite(args.n, limit=max(5, args.n))
+    report = run_theorem_suite(args.n)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{check.name}: {status} ({check.detail})")
@@ -177,13 +158,10 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
-    gate = _gate_size(args.upto, args.slow)
-    if gate:
-        print(gate, file=sys.stderr)
+    if _refuse_size(args.upto, args.slow):
         return USAGE
-    limit = max(5, args.upto)
     counter = count_es if args.kind == "es" else count_fg
-    local = [counter(k, limit) for k in range(args.upto + 1)]
+    local = [counter(k) for k in range(args.upto + 1)]
     check = oeis_crosscheck(
         args.sequence, local, cache_dir=args.cache, offline=args.offline
     )
@@ -230,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("es", "fg"), required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="DIR", default=None)
-    p.add_argument("--slow", action="store_true", help="allow the best-effort n=5")
+    p.add_argument(
+        "--slow", action="store_true", help=f"allow the best-effort n={MAX_EVENTS}"
+    )
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the verification suite up to size n")

@@ -159,7 +159,7 @@ def parse_document(data: bytes | str) -> StructureDocument:
         data = data.decode("utf-8", errors="replace")
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise DocumentError("syntax", str(exc)) from exc
     if not isinstance(obj, dict):
         raise DocumentError("syntax", "top-level value must be an object")
@@ -199,8 +199,6 @@ def parse_document(data: bytes | str) -> StructureDocument:
 
     causality = read_relation(first)
     conflict = read_relation(second)
-    if not conflict.is_symmetric:
-        raise DocumentError("symmetry", f"{second} list is not symmetric")
 
     family = None
     if "family" in obj:
@@ -230,8 +228,6 @@ def parse_document(data: bytes | str) -> StructureDocument:
                 raise DocumentError("bounds", "family labels must be naturals")
             entries[key] = frozenset(labels)
         family = SetFamily(entries)
-    elif kind == "representation":
-        raise DocumentError("schema", "representation documents need a family")
 
     return StructureDocument(kind, universe, causality, conflict, family)
 

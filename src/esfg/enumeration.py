@@ -5,6 +5,7 @@ isomorphism classes).  The two totals flow through different code paths:
 the event-structure count filters conflict candidates directly, while the
 full-graph count runs graph-side recognition per edge-set candidate, so
 their equality for every n is a real check rather than an identity.
+Every entry point rejects n above ``bijection.MAX_EVENTS``.
 """
 
 from __future__ import annotations
@@ -13,23 +14,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .bijection import enumerate_admissible_conflicts, enumerate_fullgraph_edge_sets
+from .bijection import (
+    check_size,
+    enumerate_admissible_conflicts,
+    enumerate_fullgraph_edge_sets,
+)
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Relation, pairs_key
-
-DEFAULT_LIMIT = 5
+from .relation import Relation
 
 
-def _check_size(n: int, limit: int) -> None:
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the configured limit {limit}")
-
-
-def enumerate_partial_orders(n: int, limit: int = DEFAULT_LIMIT) -> Iterator[Relation]:
+def enumerate_partial_orders(n: int) -> Iterator[Relation]:
     """Every reflexive, transitive, antisymmetric relation with field
     exactly {0..n-1}, each once, in a deterministic order.
 
@@ -37,7 +33,7 @@ def enumerate_partial_orders(n: int, limit: int = DEFAULT_LIMIT) -> Iterator[Rel
     closed subset of the existing vertices, deduplicating by exact pair
     set (the same order arises from every peeling sequence).
     """
-    _check_size(n, limit)
+    check_size(n)
     states: set[frozenset[tuple[int, int]]] = {frozenset()}
     for _ in range(n):
         grown: set[frozenset[tuple[int, int]]] = set()
@@ -62,21 +58,21 @@ def enumerate_partial_orders(n: int, limit: int = DEFAULT_LIMIT) -> Iterator[Rel
         yield Relation(n, pairs)
 
 
-def count_es(n: int, limit: int = DEFAULT_LIMIT) -> int:
+def count_es(n: int) -> int:
     """Number of labeled event structures on exactly n events."""
     return sum(
         len(enumerate_admissible_conflicts(order))
-        for order in enumerate_partial_orders(n, limit)
+        for order in enumerate_partial_orders(n)
     )
 
 
-def count_fg(n: int, limit: int = DEFAULT_LIMIT, *, oracle: bool = False) -> int:
+def count_fg(n: int, *, oracle: bool = False) -> int:
     """Number of labeled full graphs on exactly n vertices, via the
     graph-side path; ``oracle=True`` swaps in the brute-force
     fg-representation search (desk scale only)."""
     return sum(
         len(enumerate_fullgraph_edge_sets(order, oracle=oracle))
-        for order in enumerate_partial_orders(n, limit)
+        for order in enumerate_partial_orders(n)
     )
 
 
@@ -95,14 +91,14 @@ class CountReport:
             raise ValueError("per-order breakdown does not add up to es_count")
 
 
-def count_report(n: int, limit: int = DEFAULT_LIMIT) -> CountReport:
+def count_report(n: int) -> CountReport:
     started = time.perf_counter()
     breakdown = tuple(
         (order, len(enumerate_admissible_conflicts(order)))
-        for order in enumerate_partial_orders(n, limit)
+        for order in enumerate_partial_orders(n)
     )
     es_total = sum(c for _, c in breakdown)
-    fg_total = count_fg(n, limit)
+    fg_total = count_fg(n)
     return CountReport(
         n=n,
         es_count=es_total,
@@ -112,31 +108,24 @@ def count_report(n: int, limit: int = DEFAULT_LIMIT) -> CountReport:
     )
 
 
-def emit_structures(
-    n: int,
-    kind: str,
-    write: Callable[[bytes], None],
-    limit: int = DEFAULT_LIMIT,
-    *,
-    canonical: bool = True,
-) -> int:
+def emit_structures(n: int, kind: str, write: Callable[[bytes], None]) -> int:
     """Serialize every enumerated structure of the given kind to ``write``,
-    one document per call, in a deterministic order; returns how many."""
-    _check_size(n, limit)
+    one canonical document per call, in a deterministic order (orders as
+    enumerated, each order's relations sorted by pair list); returns how
+    many."""
+    check_size(n)
     if kind not in ("es", "fg"):
         raise ValueError(f"kind must be 'es' or 'fg', got {kind!r}")
     emitted = 0
-    for order in enumerate_partial_orders(n, limit):
+    for order in enumerate_partial_orders(n):
         if kind == "es":
-            for conflict in sorted(enumerate_admissible_conflicts(order), key=pairs_key):
+            for conflict in enumerate_admissible_conflicts(order):
                 doc = from_event_structure(EventStructure(order, conflict))
-                write(serialize_document(doc, canonical=canonical))
+                write(serialize_document(doc))
                 emitted += 1
         else:
-            for undirected in sorted(
-                enumerate_fullgraph_edge_sets(order), key=pairs_key
-            ):
+            for undirected in enumerate_fullgraph_edge_sets(order):
                 doc = from_full_graph(FullGraph(order, undirected))
-                write(serialize_document(doc, canonical=canonical))
+                write(serialize_document(doc))
                 emitted += 1
     return emitted

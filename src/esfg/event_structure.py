@@ -78,9 +78,7 @@ def es_failures(causality: Relation, conflict: Relation) -> tuple[str, ...]:
 def is_event_structure(causality: Relation, conflict: Relation) -> bool:
     """True when every validity conjunct holds (short-circuiting)."""
     return (
-        causality.is_reflexive_over_field
-        and causality.is_transitive
-        and causality.is_antisymmetric
+        causality.is_partial_order
         and conflict.is_symmetric
         and conflict.is_irreflexive
         and set(conflict.field) <= set(causality.field)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .event_structure import es_failures
 from .familysearch import causes_first_order, search_set_family
 from .relation import Relation
-from .setfamily import SetFamily
+from .setfamily import SetFamily, family_failures, represents
 
 
 class FullGraphError(ValueError):
@@ -29,28 +29,12 @@ class FullGraphError(ValueError):
         super().__init__("not a full graph: " + ", ".join(failures))
 
 
-def overlaps(a: frozenset[int] | set[int], b: frozenset[int] | set[int]) -> bool:
-    """Proper two-sided overlap: a nonempty intersection that is neither
-    whole set."""
-    inter = set(a) & set(b)
-    return bool(inter) and inter != set(a) and inter != set(b)
-
-
 def is_fg_representation(
     family: SetFamily, directed: Relation, undirected: Relation
 ) -> bool:
     """Containment matches the directed edges and overlap the undirected
     ones, over every ordered pair of keys."""
-    keys = family.keys
-    for x in keys:
-        fx = family.apply(x)
-        for y in keys:
-            fy = family.apply(y)
-            if ((x, y) in directed.pairs) != (fx >= fy):
-                return False
-            if ((x, y) in undirected.pairs) != overlaps(fx, fy):
-                return False
-    return True
+    return represents(family, directed, undirected, overlap=True)
 
 
 def fg_failures(directed: Relation, undirected: Relation) -> tuple[str, ...]:
@@ -115,18 +99,11 @@ class FullGraph:
         if not set(self.undirected.field) <= set(self.directed.field):
             raise ValueError("undirected edges mention unknown vertices")
         if self.certificate is not None:
-            cert = self.certificate
-            problems = []
-            if not is_fg_representation(cert, self.directed, self.undirected):
-                problems.append("certificate-is-not-an-fg-representation")
-            if not cert.is_injective():
-                problems.append("certificate-not-injective")
-            if frozenset() in set(cert.values()):
-                problems.append("certificate-contains-empty-set")
-            if cert.keys != self.directed.field:
-                problems.append("certificate-keys-differ-from-vertices")
+            problems = family_failures(
+                self.certificate, self.directed, self.undirected, overlap=True
+            )
             if problems:
-                raise FullGraphError(tuple(problems))
+                raise FullGraphError(tuple("certificate-" + p for p in problems))
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -137,19 +114,15 @@ class FullGraph:
         return is_full_graph(self.directed, self.undirected)
 
 
-def recognize_full_graph(
-    directed: Relation, undirected: Relation, *, certify: bool = True
-) -> FullGraph:
-    """Check (D, T) and return it as a ``FullGraph``, with a certificate
-    family when requested.  Raises ``FullGraphError`` with the recognition
-    diagnostics otherwise."""
+def recognize_full_graph(directed: Relation, undirected: Relation) -> FullGraph:
+    """Check (D, T) and return it as a ``FullGraph`` carrying the family
+    built for its complement conflict as certificate.  Raises
+    ``FullGraphError`` with the recognition diagnostics otherwise."""
+    from .representation import build_representation
+
     failures = fg_failures(directed, undirected)
     if failures:
         raise FullGraphError(failures)
-    certificate = None
-    if certify:
-        from .representation import build_representation
-
-        conflict = directed.sym_complement() - undirected
-        certificate = build_representation(directed, conflict).family
+    conflict = directed.sym_complement() - undirected
+    certificate = build_representation(directed, conflict).family
     return FullGraph(directed, undirected, certificate)

@@ -1,9 +1,9 @@
 """OEIS b-file client with a verbatim local cache.
 
 Fetches ``https://oeis.org/<ID>/b<digits>.txt``, stores the body exactly
-as received (sequences only ever grow, so there is no expiry), and
-compares a locally computed prefix against the published terms.  A
-mismatch is reported, never raised: the caller decides what a
+as received once it parses (sequences only ever grow, so there is no
+expiry), and compares a locally computed prefix against the published
+terms.  A mismatch is reported, never raised: the caller decides what a
 disagreement means.
 """
 
@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import requests
 
 _ID_PATTERN = re.compile(r"\AA\d{6,7}\Z")
 CACHE_ENV_VAR = "ESFG_CACHE"
@@ -60,9 +58,15 @@ def bfile_url(sequence_id: str) -> str:
 
 
 def _download(url: str) -> str:
-    response = requests.get(url, timeout=30)
-    response.raise_for_status()
-    return response.text
+    """The body at ``url``; every failure is raised as an ``OSError``."""
+    import http.client
+    import urllib.request  # here, so that ``import esfg`` does not pay for it
+
+    try:
+        with urllib.request.urlopen(url, timeout=30) as response:
+            return response.read().decode("utf-8", errors="replace")
+    except http.client.HTTPException as exc:  # a cut-off or garbled response
+        raise OSError(f"bad response: {exc!r}") from exc
 
 
 def parse_bfile(text: str) -> tuple[int, ...]:
@@ -91,10 +95,11 @@ def oeis_crosscheck(
 ) -> OeisCheck:
     """Compare ``local_terms`` against the sequence's published values.
 
-    Cache first: a hit is used verbatim; otherwise the b-file is fetched
-    and cached (``offline`` instead requires the hit).  The result
-    reports the longest matching prefix; disagreement is data, not an
-    error.
+    Cache first: a hit is used verbatim; otherwise the b-file is fetched,
+    parsed, and only then cached by an atomic rename, so a body that does
+    not parse is never kept (``offline`` instead requires the hit).  The
+    result reports the longest matching prefix; disagreement is data, not
+    an error.
     """
     if not _ID_PATTERN.match(sequence_id):
         raise OeisError("invalid-id", f"{sequence_id!r} is not an A-number")
@@ -102,18 +107,20 @@ def oeis_crosscheck(
     cache_file = directory / f"{sequence_id}.bfile.txt"
 
     if cache_file.exists():
-        text = cache_file.read_text()
+        fetched = parse_bfile(cache_file.read_text(encoding="utf-8"))
     elif offline:
         raise OeisError("cache-miss", f"no cached b-file for {sequence_id}")
     else:
         try:
             text = _download(bfile_url(sequence_id))
-        except requests.RequestException as exc:
+        except OSError as exc:
             raise OeisError("network", f"fetching {sequence_id}: {exc}") from exc
+        fetched = parse_bfile(text)
         directory.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(text)
+        partial = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, cache_file)
 
-    fetched = parse_bfile(text)
     local = tuple(int(v) for v in local_terms)
     matched = 0
     for ours, theirs in zip(local, fetched):

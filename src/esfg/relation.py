@@ -168,11 +168,7 @@ class Relation:
         Only defined for inputs that are transitive, antisymmetric and
         reflexive over their field; anything else is rejected.
         """
-        if not (
-            self.is_transitive
-            and self.is_antisymmetric
-            and self.is_reflexive_over_field
-        ):
+        if not self.is_partial_order:
             raise ValueError(
                 "transitive reduction requires a transitive, antisymmetric "
                 "relation that is reflexive over its field"
@@ -221,6 +217,15 @@ class Relation:
     @cached_property
     def is_reflexive_over_field(self) -> bool:
         return all((v, v) in self.pairs for v in self.field)
+
+    @cached_property
+    def is_partial_order(self) -> bool:
+        """Reflexive over its field, transitive and antisymmetric."""
+        return (
+            self.is_reflexive_over_field
+            and self.is_transitive
+            and self.is_antisymmetric
+        )
 
     @cached_property
     def is_right_unique(self) -> bool:

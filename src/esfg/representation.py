@@ -24,21 +24,12 @@ from dataclasses import dataclass
 from .event_structure import EventStructureError, es_failures, terminal_events
 from .familysearch import causes_first_order, search_set_family
 from .relation import Relation
-from .setfamily import SetFamily
+from .setfamily import SetFamily, family_failures, represents
 
 
 def is_representation(family: SetFamily, causality: Relation, conflict: Relation) -> bool:
     """Both biconditionals, evaluated over every ordered pair of keys."""
-    keys = family.keys
-    for x in keys:
-        fx = family.apply(x)
-        for y in keys:
-            fy = family.apply(y)
-            if ((x, y) in causality.pairs) != (fx >= fy):
-                return False
-            if ((x, y) in conflict.pairs) != (not fx & fy):
-                return False
-    return True
+    return represents(family, causality, conflict, overlap=False)
 
 
 def extend_with_terminal(
@@ -113,14 +104,11 @@ class RepresentationCertificate:
     fresh_label_bound: int
 
     def __post_init__(self) -> None:
-        if not is_representation(self.family, self.for_causality, self.for_conflict):
-            raise ValueError("family is not a representation of the given pair")
-        if self.family.keys != self.for_causality.field:
-            raise ValueError("family keys differ from the event set")
-        if not self.family.is_injective():
-            raise ValueError("family is not injective")
-        if frozenset() in set(self.family.values()):
-            raise ValueError("family maps some event to the empty set")
+        failures = family_failures(
+            self.family, self.for_causality, self.for_conflict, overlap=False
+        )
+        if failures:
+            raise ValueError("family is not a certificate: " + ", ".join(failures))
         if any(v >= self.fresh_label_bound for v in self.family.union_of_range()):
             raise ValueError("family uses labels at or above the stated bound")
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
+from .relation import Relation
+
 _EMPTY: frozenset[int] = frozenset()
 
 
@@ -101,3 +103,48 @@ class SetFamily:
         for value in self._entries.values():
             out |= value
         return frozenset(out)
+
+
+def overlaps(a: frozenset[int] | set[int], b: frozenset[int] | set[int]) -> bool:
+    """Proper two-sided overlap: a nonempty intersection that is neither
+    whole set."""
+    inter = a & b
+    return bool(inter) and inter != a and inter != b
+
+
+def represents(
+    family: SetFamily, containment: Relation, second: Relation, *, overlap: bool
+) -> bool:
+    """Over every ordered pair of keys: (x, y) in ``containment`` iff
+    f(x) >= f(y), and (x, y) in ``second`` iff f(x) and f(y) are disjoint
+    (properly overlap, with ``overlap``)."""
+    contains, related = containment.pairs, second.pairs
+    items = family.items()
+    for x, fx in items:
+        for y, fy in items:
+            if ((x, y) in contains) != (fx >= fy):
+                return False
+            holds = overlaps(fx, fy) if overlap else not fx & fy
+            if ((x, y) in related) != holds:
+                return False
+    return True
+
+
+def family_failures(
+    family: SetFamily, containment: Relation, second: Relation, *, overlap: bool
+) -> tuple[str, ...]:
+    """Every way ``family`` falls short of certifying the pair: it must
+    satisfy ``represents``, be injective and empty-free, and have exactly
+    the vertices of ``containment`` as keys.  Empty when it certifies."""
+    failed = []
+    if not represents(family, containment, second, overlap=overlap):
+        failed.append(
+            "is-not-an-fg-representation" if overlap else "is-not-a-representation"
+        )
+    if not family.is_injective():
+        failed.append("not-injective")
+    if frozenset() in set(family.values()):
+        failed.append("contains-empty-set")
+    if family.keys != containment.field:
+        failed.append("keys-differ-from-vertices")
+    return tuple(failed)

@@ -16,20 +16,18 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bijection import (
+    bijection_report,
+    check_size,
     enumerate_admissible_conflicts,
+    enumerate_fullgraph_edge_sets,
     es_to_fg,
     fg_to_es,
-    verify_bijection,
 )
-from .enumeration import DEFAULT_LIMIT, count_es, count_fg, enumerate_partial_orders
+from .enumeration import enumerate_partial_orders
 from .event_structure import EventStructure, is_event_structure
-from .fullgraph import is_fg_representation
+from .fullgraph import FullGraphError, is_fg_representation
 from .relation import Relation
-from .representation import (
-    build_representation,
-    find_representation_bruteforce,
-    is_representation,
-)
+from .representation import find_representation_bruteforce, is_representation
 
 
 @dataclass(frozen=True)
@@ -59,11 +57,11 @@ def _all_relations(universe: int) -> list[Relation]:
     return out
 
 
-def run_theorem_suite(
-    n: int, limit: int = DEFAULT_LIMIT, *, oracle_depth: int = 2
-) -> SuiteReport:
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the configured limit {limit}")
+def run_theorem_suite(n: int) -> SuiteReport:
+    """Run every check on all instances of sizes 0..n, in one pass over
+    the orders: each order's conflicts and edge sets are enumerated once
+    and feed the structure checks, the bijection check and both counts."""
+    check_size(n)
 
     build_bad: list[str] = []
     witness_bad: list[str] = []
@@ -74,21 +72,28 @@ def run_theorem_suite(
     orders = 0
 
     for k in range(n + 1):
-        for order in enumerate_partial_orders(k, limit):
+        es_total = fg_total = 0
+        for order in enumerate_partial_orders(k):
             orders += 1
-            report = verify_bijection(order, max_events=limit)
+            conflicts = enumerate_admissible_conflicts(order)
+            edge_sets = enumerate_fullgraph_edge_sets(order)
+            es_total += len(conflicts)
+            fg_total += len(edge_sets)
+            report = bijection_report(order, edge_sets, conflicts)
             if not report.all_hold or report.x_size != report.y_size:
                 bijection_bad.append(f"order {sorted(order.pairs)}")
-            for conflict in enumerate_admissible_conflicts(order):
+            for conflict in conflicts:
                 structures += 1
                 tag = f"D={sorted(order.pairs)} U={sorted(conflict.pairs)}"
                 structure = EventStructure(order, conflict)
                 try:
-                    build_representation(order, conflict)
+                    graph = es_to_fg(structure)
+                except FullGraphError as exc:
+                    witness_bad.append(f"{tag}: {exc}")
+                    continue
                 except ValueError as exc:
                     build_bad.append(f"{tag}: {exc}")
                     continue
-                graph = es_to_fg(structure)
                 family = graph.certificate
                 if family is None or not (
                     is_representation(family, order, conflict)
@@ -102,14 +107,12 @@ def run_theorem_suite(
                     forward_again.undirected,
                 ) != (graph.directed, graph.undirected):
                     roundtrip_bad.append(tag)
-        es_total = count_es(k, limit)
-        fg_total = count_fg(k, limit)
         if es_total != fg_total:
             count_bad.append(f"n={k}: es={es_total} fg={fg_total}")
 
     oracle_bad: list[str] = []
     scanned = 0
-    for k in range(min(n, oracle_depth) + 1):
+    for k in range(min(n, 2) + 1):  # 2^(2k^2) relation pairs on k points
         relations = _all_relations(k)
         for base, conflict in product(relations, relations):
             if not set(conflict.field) <= set(base.field):

@@ -118,7 +118,7 @@ def test_verify_bijection_examples():
 def test_verify_bijection_enforces_the_size_limit():
     wide = Relation(6, {(v, v) for v in range(6)})
     with pytest.raises(ValueError):
-        verify_bijection(wide, max_events=5)
+        verify_bijection(wide)
 
 
 @given(posets(), st.integers(0, 63))

@@ -39,6 +39,65 @@ def test_check_malformed(capsys, tmp_path):
     assert "bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document, lines",
+    [
+        (  # equal sets for two events: only a cyclic causality matches them
+            '{"kind":"es","universe":2,"causality":[[0,0],[0,1],[1,0],[1,1]],'
+            '"conflict":[],"family":[[0,[1]],[1,[1]]]}',
+            ["causality-not-antisymmetric", "family-not-injective"],
+        ),
+        (
+            '{"kind":"representation","universe":1,"causality":[[0,0]],'
+            '"conflict":[[0,0]],"family":[[0,[]]]}',
+            ["conflict-not-irreflexive", "family-contains-empty-set"],
+        ),
+        (
+            '{"kind":"es","universe":2,"causality":[[0,0],[1,1]],'
+            '"conflict":[],"family":[[0,[0]]]}',
+            ["family-keys-differ-from-vertices"],
+        ),
+        (
+            '{"kind":"representation","universe":2,"causality":[[0,0],[1,1]],'
+            '"conflict":[],"family":[[0,[0]],[1,[1]]]}',
+            ["family-is-not-a-representation"],
+        ),
+        (
+            '{"kind":"fg","universe":2,"directed":[[0,0],[0,1],[1,0],[1,1]],'
+            '"undirected":[],"family":[[0,[1]],[1,[1]]]}',
+            ["complement-causality-not-antisymmetric", "family-not-injective"],
+        ),
+        (
+            '{"kind":"fg","universe":1,"directed":[[0,0]],"undirected":[],'
+            '"family":[[0,[]]]}',
+            ["family-contains-empty-set"],
+        ),
+        (
+            '{"kind":"fg","universe":2,"directed":[[0,0],[1,1]],'
+            '"undirected":[[0,1],[1,0]],"family":[[0,[0]]]}',
+            ["family-keys-differ-from-vertices"],
+        ),
+        (
+            '{"kind":"fg","universe":2,"directed":[[0,0],[1,1]],'
+            '"undirected":[[0,1],[1,0]],"family":[[0,[0]],[1,[1]]]}',
+            ["family-is-not-an-fg-representation"],
+        ),
+    ],
+)
+def test_check_prints_every_family_failure(capsys, tmp_path, document, lines):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_check_rejects_deep_nesting_as_syntax(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["check", str(path)]) == 2
+    assert "input error: syntax:" in capsys.readouterr().err
+
+
 def test_represent_outputs_a_checked_family(capsys, es_file):
     assert main(["represent", str(es_file)]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -87,8 +87,22 @@ def test_recognize_attaches_a_checked_certificate():
 def test_constructor_rejects_bad_certificates():
     discrete = Relation(2, {(0, 0), (1, 1)})
     touch = Relation(2, {(0, 1), (1, 0)})
-    with pytest.raises(FullGraphError):
+    with pytest.raises(FullGraphError) as err:
         FullGraph(discrete, touch, SetFamily({0: {1}, 1: {2}}))  # disjoint, no overlap
+    assert err.value.failures == ("certificate-is-not-an-fg-representation",)
+    with pytest.raises(FullGraphError) as err:
+        FullGraph(discrete, Relation(2), SetFamily({0: set(), 1: set()}))
+    assert err.value.failures == (
+        "certificate-is-not-an-fg-representation",
+        "certificate-not-injective",
+        "certificate-contains-empty-set",
+    )
+    with pytest.raises(FullGraphError) as err:
+        FullGraph(discrete, touch, SetFamily({0: {0, 1}, 1: {1, 2}, 2: {3}}))
+    assert err.value.failures == (
+        "certificate-is-not-an-fg-representation",
+        "certificate-keys-differ-from-vertices",
+    )
     with pytest.raises(ValueError):
         FullGraph(discrete, Relation(2, {(0, 1)}))  # one-sided undirected edge
 

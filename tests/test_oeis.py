@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 import esfg.oeis as oeis_mod
@@ -66,12 +69,33 @@ def test_fetch_populates_the_cache(tmp_path, monkeypatch):
 
 
 def test_network_failure_without_cache(tmp_path, monkeypatch):
-    import requests
+    import urllib.error
 
     def boom(url):
-        raise requests.ConnectionError("no route")
+        raise urllib.error.URLError("no route")
 
     monkeypatch.setattr(oeis_mod, "_download", boom)
     with pytest.raises(OeisError) as err:
         oeis_crosscheck("A123456", [1], cache_dir=tmp_path)
     assert err.value.code == "network"
+
+
+def test_a_body_that_does_not_parse_is_never_cached(tmp_path, monkeypatch):
+    bodies = ["<html><body>502 Bad Gateway</body></html>\n", "1 1\n2 4\n"]
+    monkeypatch.setattr(oeis_mod, "_download", lambda url: bodies.pop(0))
+    with pytest.raises(OeisError) as err:
+        oeis_crosscheck("A123456", [1, 4], cache_dir=tmp_path)
+    assert err.value.code == "malformed"
+    assert list(tmp_path.iterdir()) == []
+    check = oeis_crosscheck("A123456", [1, 4], cache_dir=tmp_path)
+    assert check.is_full_match
+    assert [f.name for f in tmp_path.iterdir()] == ["A123456.bfile.txt"]
+    assert oeis_crosscheck("A123456", [1, 4], cache_dir=tmp_path, offline=True).is_full_match
+
+
+def test_import_loads_no_http_client():
+    probe = "import sys, esfg; print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -77,6 +77,9 @@ def test_properties_examples():
     chain = Relation(2, {(0, 0), (1, 1), (0, 1)}).properties()
     assert chain.transitive and chain.antisymmetric and chain.reflexive_over_field
     assert not (chain.irreflexive or chain.symmetric)
+    assert Relation(0).is_partial_order
+    assert Relation(2, {(0, 0), (1, 1), (0, 1)}).is_partial_order
+    assert not Relation(2, {(0, 1), (1, 0)}).is_partial_order
 
 
 def test_fixed_points_examples():
@@ -109,6 +112,13 @@ def test_bounds_are_enforced():
 @given(relations())
 def test_field_is_domain_union_range(rel):
     assert set(rel.field) == set(rel.domain) | set(rel.ran)
+
+
+@given(relations())
+def test_partial_order_is_its_three_conjuncts(rel):
+    assert rel.is_partial_order == (
+        rel.is_reflexive_over_field and rel.is_transitive and rel.is_antisymmetric
+    )
 
 
 @given(relations())
@@ -152,6 +162,7 @@ def test_sym_complement_partitions_the_square(rel):
 
 @given(posets())
 def test_transitive_reduction_closure_round_trip(order):
+    assert order.is_partial_order
     reduced = order.transitive_reduction()
     assert rt_closure(reduced.pairs, order.field) == order.pairs
     assert all(a != b for a, b in reduced.pairs)

@@ -1,15 +1,43 @@
 import pytest
 
+import esfg.verify as verify_mod
 from esfg import run_theorem_suite
 
 
 def test_suite_passes_at_small_sizes():
-    outcome = run_theorem_suite(2)
+    outcome = run_theorem_suite(3)
     assert outcome.passed
-    names = [check.name for check in outcome.checks]
-    assert "counts-agree-on-both-paths" in names
-    assert "oracle-agrees-with-validity-check" in names
-    assert all(check.passed for check in outcome.checks)
+    assert [(check.name, check.passed, check.detail) for check in outcome.checks] == [
+        ("representation-built-for-every-structure", True, "47 structures"),
+        ("one-family-certifies-both-sides", True, "47 structures"),
+        ("conversions-round-trip", True, "47 structures"),
+        ("complement-is-a-bijection-per-order", True, "24 orders"),
+        ("counts-agree-on-both-paths", True, "sizes 0..3"),
+        ("oracle-agrees-with-validity-check", True, "217 relation pairs"),
+    ]
+
+
+def test_suite_catches_a_dropped_edge_set(monkeypatch):
+    """The count check sums the lists the bijection check uses; losing one
+    graph-side edge set must fail both, not neither."""
+    original = verify_mod.enumerate_fullgraph_edge_sets
+    dropped = []
+
+    def drop_one(base):
+        found = original(base)
+        if found and not dropped:
+            dropped.append(found[-1])
+            return found[:-1]
+        return found
+
+    monkeypatch.setattr(verify_mod, "enumerate_fullgraph_edge_sets", drop_one)
+    outcome = run_theorem_suite(2)
+    assert len(dropped) == 1
+    failed = {check.name for check in outcome.checks if not check.passed}
+    assert failed == {
+        "complement-is-a-bijection-per-order",
+        "counts-agree-on-both-paths",
+    }
 
 
 def test_suite_rejects_oversized_requests():

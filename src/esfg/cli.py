@@ -24,7 +24,7 @@ from .documents import (
 from .enumeration import count_es, count_fg, emit_structures
 from .event_structure import EventStructureError, es_failures
 from .fullgraph import FullGraphError, fg_failures
-from .oeis import OeisError, oeis_crosscheck
+from .oeis import OeisCheck, OeisError, fetch_bfile
 from .representation import build_representation
 from .setfamily import family_failures
 from .verify import run_theorem_suite
@@ -160,11 +160,10 @@ def cmd_dot(args: argparse.Namespace) -> int:
 def cmd_oeis(args: argparse.Namespace) -> int:
     if _refuse_size(args.upto, args.slow):
         return USAGE
+    fetched = fetch_bfile(args.sequence, args.cache, offline=args.offline)
     counter = count_es if args.kind == "es" else count_fg
-    local = [counter(k) for k in range(args.upto + 1)]
-    check = oeis_crosscheck(
-        args.sequence, local, cache_dir=args.cache, offline=args.offline
-    )
+    local = tuple(counter(k) for k in range(args.upto + 1))
+    check = OeisCheck(args.sequence, fetched, local)
     comparable = min(len(check.local_terms), len(check.fetched_terms))
     print(f"local ({args.kind}):  {list(check.local_terms)}")
     print(f"fetched ({args.sequence}): {list(check.fetched_terms[: args.upto + 1])}")

@@ -15,17 +15,6 @@ from functools import cached_property
 
 from .relation import Relation
 
-#: Names of the individual validity conjuncts, in check order.
-ES_CONJUNCTS = (
-    "conflict-not-propagating",
-    "conflict-not-symmetric",
-    "conflict-not-irreflexive",
-    "causality-not-transitive",
-    "causality-not-antisymmetric",
-    "causality-not-reflexive-over-field",
-    "conflict-events-outside-causality",
-)
-
 
 class EventStructureError(ValueError):
     """Raised when an operation requires a valid event structure.
@@ -123,12 +112,6 @@ class EventStructure:
     @property
     def is_valid(self) -> bool:
         return not self.failures
-
-    def validated(self) -> EventStructure:
-        """Self, or EventStructureError naming the violated conjuncts."""
-        if self.failures:
-            raise EventStructureError(self.failures)
-        return self
 
     @property
     def terminals(self) -> tuple[int, ...]:

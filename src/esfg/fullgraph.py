@@ -109,10 +109,6 @@ class FullGraph:
     def vertices(self) -> tuple[int, ...]:
         return self.directed.field
 
-    @property
-    def is_recognized(self) -> bool:
-        return is_full_graph(self.directed, self.undirected)
-
 
 def recognize_full_graph(directed: Relation, undirected: Relation) -> FullGraph:
     """Check (D, T) and return it as a ``FullGraph`` carrying the family

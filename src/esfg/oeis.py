@@ -33,7 +33,16 @@ class OeisCheck:
     sequence_id: str
     fetched_terms: tuple[int, ...]
     local_terms: tuple[int, ...]
-    match_prefix_length: int
+
+    @property
+    def match_prefix_length(self) -> int:
+        """How many leading positions agree."""
+        matched = 0
+        for ours, theirs in zip(self.local_terms, self.fetched_terms):
+            if ours != theirs:
+                break
+            matched += 1
+        return matched
 
     @property
     def is_full_match(self) -> bool:
@@ -86,20 +95,14 @@ def parse_bfile(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def oeis_crosscheck(
-    sequence_id: str,
-    local_terms: Sequence[int],
-    cache_dir: Path | str | None = None,
-    *,
-    offline: bool = False,
-) -> OeisCheck:
-    """Compare ``local_terms`` against the sequence's published values.
+def fetch_bfile(
+    sequence_id: str, cache_dir: Path | str | None = None, *, offline: bool = False
+) -> tuple[int, ...]:
+    """The sequence's published terms.
 
     Cache first: a hit is used verbatim; otherwise the b-file is fetched,
     parsed, and only then cached by an atomic rename, so a body that does
-    not parse is never kept (``offline`` instead requires the hit).  The
-    result reports the longest matching prefix; disagreement is data, not
-    an error.
+    not parse is never kept (``offline`` instead requires the hit).
     """
     if not _ID_PATTERN.match(sequence_id):
         raise OeisError("invalid-id", f"{sequence_id!r} is not an A-number")
@@ -107,29 +110,30 @@ def oeis_crosscheck(
     cache_file = directory / f"{sequence_id}.bfile.txt"
 
     if cache_file.exists():
-        fetched = parse_bfile(cache_file.read_text(encoding="utf-8"))
-    elif offline:
+        return parse_bfile(cache_file.read_text(encoding="utf-8"))
+    if offline:
         raise OeisError("cache-miss", f"no cached b-file for {sequence_id}")
-    else:
-        try:
-            text = _download(bfile_url(sequence_id))
-        except OSError as exc:
-            raise OeisError("network", f"fetching {sequence_id}: {exc}") from exc
-        fetched = parse_bfile(text)
-        directory.mkdir(parents=True, exist_ok=True)
-        partial = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-        partial.write_text(text, encoding="utf-8")
-        os.replace(partial, cache_file)
+    try:
+        text = _download(bfile_url(sequence_id))
+    except OSError as exc:
+        raise OeisError("network", f"fetching {sequence_id}: {exc}") from exc
+    fetched = parse_bfile(text)
+    directory.mkdir(parents=True, exist_ok=True)
+    partial = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    partial.write_text(text, encoding="utf-8")
+    os.replace(partial, cache_file)
+    return fetched
 
-    local = tuple(int(v) for v in local_terms)
-    matched = 0
-    for ours, theirs in zip(local, fetched):
-        if ours != theirs:
-            break
-        matched += 1
-    return OeisCheck(
-        sequence_id=sequence_id,
-        fetched_terms=fetched,
-        local_terms=local,
-        match_prefix_length=matched,
-    )
+
+def oeis_crosscheck(
+    sequence_id: str,
+    local_terms: Sequence[int],
+    cache_dir: Path | str | None = None,
+    *,
+    offline: bool = False,
+) -> OeisCheck:
+    """Compare ``local_terms`` against the sequence's published values, as
+    ``fetch_bfile`` gets them.  The result reports the longest matching
+    prefix; disagreement is data, not an error."""
+    fetched = fetch_bfile(sequence_id, cache_dir, offline=offline)
+    return OeisCheck(sequence_id, fetched, tuple(int(v) for v in local_terms))

@@ -56,14 +56,6 @@ class Relation:
                     f"pair ({a}, {b}) outside universe of size {self.universe}"
                 )
 
-    @classmethod
-    def empty(cls, universe: int) -> Relation:
-        return cls(universe, ())
-
-    def with_universe(self, universe: int) -> Relation:
-        """The same pair set re-bounded (must still contain every pair)."""
-        return Relation(universe, self.pairs)
-
     # ------------------------------------------------------------------
     # container protocol
     # ------------------------------------------------------------------

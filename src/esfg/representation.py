@@ -9,9 +9,10 @@ disjointness:
 
 ``build_representation`` constructs such a family for any valid event
 structure by peeling terminal events off and re-attaching them one at a
-time, growing the family with fresh labels so that exactly the right
-containments, overlaps and disjointnesses appear.  Each extension step is
-re-validated against the checker rather than trusted.
+time, growing one family in place with fresh labels so that exactly the
+right containments, overlaps and disjointnesses appear.  The finished
+family is checked once, as a ``RepresentationCertificate``, rather than
+trusted.
 
 ``find_representation_bruteforce`` is the independent existence oracle:
 an exhaustive search that never consults the builder.
@@ -20,8 +21,9 @@ an exhaustive search that never consults the builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet, Iterable, Mapping
 
-from .event_structure import EventStructureError, es_failures, terminal_events
+from .event_structure import EventStructureError, es_failures
 from .familysearch import causes_first_order, search_set_family
 from .relation import Relation
 from .setfamily import SetFamily, family_failures, represents
@@ -32,6 +34,31 @@ def is_representation(family: SetFamily, causality: Relation, conflict: Relation
     return represents(family, causality, conflict, overlap=False)
 
 
+def _attach(
+    family: dict[int, set[int]],
+    s: int,
+    concurrent: Iterable[int],
+    down: Mapping[int, AbstractSet[int]],
+    label: int,
+) -> int:
+    """Give ``s`` its set in ``family``, in place, with labels from
+    ``label`` on; returns the next unused label.
+
+    Each concurrent event x (ascending) takes one fresh label, which goes
+    to the down-sets of x and of ``s`` (both include the event itself); a
+    closing label goes to the down-set of ``s`` alone.  So ancestors of
+    ``s`` contain its set, conflicting events miss it entirely, and
+    concurrent events properly overlap it.
+    """
+    for x in sorted(concurrent):
+        for y in down[x] | down[s]:
+            family.setdefault(y, set()).add(label)
+        label += 1
+    for y in down[s]:
+        family.setdefault(y, set()).add(label)
+    return label + 1
+
+
 def extend_with_terminal(
     family: SetFamily, causality: Relation, conflict: Relation, s: int
 ) -> SetFamily:
@@ -39,15 +66,10 @@ def extend_with_terminal(
     full structure, where ``s`` is terminal (no successor but itself).
 
     Existing events split, relative to ``s``, into ancestors, conflicting
-    events, and concurrent events.  One fresh label is allocated per
-    concurrent event x (ascending) and added to x, to x's causal
-    ancestors, and to the ancestors of ``s``; one final fresh label goes
-    to the ancestors of ``s`` alone.  The set for ``s`` collects exactly
-    the fresh labels of the concurrent events plus the final one, which
-    makes ancestors contain it, conflicting events miss it entirely, and
-    concurrent events properly overlap it.
+    events, and concurrent events; fresh labels start above every label in
+    use and are placed as ``_attach`` describes.  The result is checked
+    with ``is_representation``.
     """
-    events = set(causality.field)
     if (s, s) not in causality.pairs or not causality.image((s,)) <= {s}:
         raise ValueError(f"event {s} is not terminal in the causality order")
     if s in family:
@@ -58,28 +80,13 @@ def extend_with_terminal(
         raise ValueError("family maps some event to the empty set")
 
     causes = causality.converse()
-    ancestors = causes.image((s,)) - {s}
-    conflicting = conflict.converse().image((s,))
-    concurrent = (events - {s}) - ancestors - conflicting
-
+    down = {x: causes.image((x,)) for x in causality.field}
+    concurrent = set(causality.field) - down[s] - conflict.converse().image((s,))
     used = family.union_of_range()
-    next_label = max(used) + 1 if used else 0
+    grown = {key: set(labels) for key, labels in family.items()}
+    _attach(grown, s, concurrent, down, max(used) + 1 if used else 0)
 
-    grown = family
-    fresh: set[int] = set()
-    for x in sorted(concurrent):
-        label = next_label
-        next_label += 1
-        fresh.add(label)
-        receivers = causes.image((x,)) | ancestors
-        grown = grown.point_union(
-            SetFamily({y: {label} for y in receivers})
-        )
-    closing = next_label
-    fresh.add(closing)
-    grown = grown.point_union(SetFamily({y: {closing} for y in ancestors}))
-
-    extended = grown.paste(s, fresh)
+    extended = SetFamily(grown)
     if not is_representation(extended, causality, conflict):
         raise ValueError(
             "extension did not yield a representation; the input family "
@@ -116,34 +123,47 @@ class RepresentationCertificate:
 def build_representation(causality: Relation, conflict: Relation) -> RepresentationCertificate:
     """Construct a representation for any valid event structure.
 
-    Deterministic: the smallest-id terminal event is peeled off first and
-    fresh labels are consecutive from 0, so equal inputs give equal
-    certificates.  Rejects invalid input with the validity diagnostics.
+    Peels terminal events off, smallest id first, then re-attaches them in
+    reverse peel order, growing one family in place with labels
+    consecutive from 0, so equal inputs give equal certificates.  The
+    family is checked once, as the returned certificate.  Rejects invalid
+    input with the validity diagnostics.
     """
     failures = es_failures(causality, conflict)
     if failures:
         raise EventStructureError(failures)
 
-    peeled: list[tuple[int, Relation, Relation]] = []
-    cur_d, cur_u = causality, conflict
-    while cur_d.field:
-        terminals = terminal_events(cur_d)
-        s = terminals[0]
-        peeled.append((s, cur_d, cur_u))
-        cur_d = cur_d.remove_vertex_pairs(s, s)
-        cur_u = cur_u.remove_vertex_pairs(s, s)
+    events = causality.field
+    down: dict[int, set[int]] = {v: set() for v in events}
+    waiting = dict.fromkeys(events, 0)  # successors other than itself, not yet peeled
+    for a, b in causality.pairs:
+        down[b].add(a)
+        if a != b:
+            waiting[a] += 1
+    partners: dict[int, set[int]] = {v: set() for v in events}
+    for a, b in conflict.pairs:
+        partners[a].add(b)
 
-    family = SetFamily()
-    for s, step_d, step_u in reversed(peeled):
-        family = extend_with_terminal(family, step_d, step_u, s)
+    peeled: list[int] = []
+    remaining = set(events)
+    while remaining:
+        s = min(v for v in remaining if not waiting[v])
+        remaining.remove(s)
+        peeled.append(s)
+        for a in down[s] - {s}:
+            waiting[a] -= 1
 
-    used = family.union_of_range()
-    bound = max(used) + 1 if used else 0
+    family: dict[int, set[int]] = {}
+    label = 0
+    for s in reversed(peeled):
+        concurrent = family.keys() - down[s] - partners[s]
+        label = _attach(family, s, concurrent, down, label)
+
     return RepresentationCertificate(
-        family=family,
+        family=SetFamily(family),
         for_causality=causality,
         for_conflict=conflict,
-        fresh_label_bound=bound,
+        fresh_label_bound=label,
     )
 
 

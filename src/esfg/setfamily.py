@@ -76,23 +76,6 @@ class SetFamily:
         """The set at ``key``, or the empty set when the key is absent."""
         return self._entries.get(key, _EMPTY)
 
-    def paste(self, key: int, labels: Iterable[int]) -> SetFamily:
-        """A copy with ``key`` (re)bound to ``labels``; other keys unchanged."""
-        updated = dict(self._entries)
-        updated[int(key)] = frozenset(labels)
-        return SetFamily(updated)
-
-    def point_union(self, other: SetFamily) -> SetFamily:
-        """Pointwise union over the other family's keys.
-
-        Keys of the result are the union of both key sets; on the other
-        family's keys the values are unioned, elsewhere they are kept.
-        """
-        updated = dict(self._entries)
-        for key in other.keys:
-            updated[key] = self.apply(key) | other.apply(key)
-        return SetFamily(updated)
-
     def is_injective(self) -> bool:
         """No two distinct keys share the same value set."""
         return len(set(self._entries.values())) == len(self._entries)

@@ -100,12 +100,8 @@ def run_theorem_suite(n: int) -> SuiteReport:
                     and is_fg_representation(family, order, graph.undirected)
                 ):
                     witness_bad.append(tag)
-                back = fg_to_es(graph)
-                forward_again = es_to_fg(back)
-                if back != structure or (
-                    forward_again.directed,
-                    forward_again.undirected,
-                ) != (graph.directed, graph.undirected):
+                # the graph side's round trip is bijection_report's to check
+                if fg_to_es(graph) != structure:
                     roundtrip_bad.append(tag)
         if es_total != fg_total:
             count_bad.append(f"n={k}: es={es_total} fg={fg_total}")

@@ -1,8 +1,8 @@
-"""Hypothesis strategies for small relations, families and orders."""
+"""Hypothesis strategies for small relations and orders."""
 
 from hypothesis import strategies as st
 
-from esfg import Relation, SetFamily, enumerate_partial_orders
+from esfg import Relation, enumerate_partial_orders
 
 _POSETS = {n: tuple(enumerate_partial_orders(n)) for n in range(4)}
 
@@ -36,16 +36,6 @@ def right_unique_relations(draw, max_universe=5):
     n = draw(st.integers(1, max_universe))
     mapping = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, n - 1)))
     return Relation(n, mapping.items())
-
-
-@st.composite
-def set_families(draw, max_key=3, max_label=4):
-    entries = draw(
-        st.dictionaries(
-            st.integers(0, max_key), st.frozensets(st.integers(0, max_label))
-        )
-    )
-    return SetFamily(entries)
 
 
 def posets(max_universe=3):

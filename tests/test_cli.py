@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import esfg.cli as cli_mod
 from esfg.cli import main
 
 ES_DISCRETE = '{"kind":"es","universe":2,"causality":[[0,0],[1,1]],"conflict":[]}'
@@ -213,7 +214,12 @@ def test_oeis_reports_mismatch_without_failing(capsys, tmp_path):
     assert "MISMATCH at position 2" in capsys.readouterr().out
 
 
-def test_oeis_offline_cache_miss(capsys, tmp_path):
+def test_oeis_offline_cache_miss(capsys, tmp_path, monkeypatch):
+    def no_counting(n):
+        raise AssertionError("counted before looking at the cache")
+
+    monkeypatch.setattr(cli_mod, "count_es", no_counting)
+    monkeypatch.setattr(cli_mod, "count_fg", no_counting)
     code = main(
         [
             "oeis",

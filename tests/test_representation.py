@@ -1,7 +1,11 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
+import esfg.representation as representation_mod
+import esfg.setfamily as setfamily_mod
 from esfg import (
     EventStructureError,
     Relation,
@@ -11,7 +15,10 @@ from esfg import (
     enumerate_partial_orders,
     extend_with_terminal,
     find_representation_bruteforce,
+    is_event_structure,
     is_representation,
+    representation_document,
+    serialize_document,
     structure_from_representation,
     terminal_events,
 )
@@ -184,34 +191,112 @@ def test_soundness_exhaustive_over_small_families():
     assert checked == 729
 
 
+def small_structures(max_n):
+    """Every event structure with at most ``max_n`` events, in enumeration
+    order."""
+    for n in range(max_n + 1):
+        for order in enumerate_partial_orders(n):
+            for conflict in enumerate_admissible_conflicts(order):
+                yield order, conflict
+
+
+def random_structures(count, seed=2306):
+    """Seeded event structures of 10-24 events: random DAG edges closed
+    transitively, and conflict seeded on incomparable pairs with no common
+    upper bound, then closed upward along causality."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(10, 24)
+        ids = list(range(n))
+        rng.shuffle(ids)  # so that id order is not a topological order
+        edge_rate = rng.choice((0.05, 0.15, 0.3))
+        above = {v: {v} for v in ids}
+        for i in reversed(range(n)):
+            for j in range(i + 1, n):
+                if rng.random() < edge_rate:
+                    above[ids[i]] |= above[ids[j]]
+        order = Relation(n, ((a, b) for a in ids for b in above[a]))
+        seed_rate = rng.choice((0.0, 0.1, 0.4))
+        conflict = Relation(
+            n,
+            (
+                pair
+                for a, b in combinations(range(n), 2)
+                if not above[a] & above[b] and rng.random() < seed_rate
+                for x in above[a]
+                for y in above[b]
+                for pair in ((x, y), (y, x))
+            ),
+        )
+        assert is_event_structure(order, conflict)
+        yield order, conflict
+
+
 def test_completeness_and_growth_on_small_structures():
     """Replaying the peel order: each extension step grows every existing
     set, adds one fresh label per concurrent event plus a closing label,
     and the final family is a valid certificate."""
-    for n in range(4):
-        for order in enumerate_partial_orders(n):
-            for conflict in enumerate_admissible_conflicts(order):
-                peeled = []
-                cur_d, cur_u = order, conflict
-                while cur_d.field:
-                    s = terminal_events(cur_d)[0]
-                    peeled.append((s, cur_d, cur_u))
-                    cur_d = cur_d.remove_vertex_pairs(s, s)
-                    cur_u = cur_u.remove_vertex_pairs(s, s)
-                family = SetFamily()
-                for s, step_d, step_u in reversed(peeled):
-                    used = family.union_of_range()
-                    events = set(step_d.field)
-                    ancestors = step_d.converse().image((s,)) - {s}
-                    conflicting = step_u.converse().image((s,))
-                    concurrent = events - {s} - ancestors - conflicting
-                    grown = extend_with_terminal(family, step_d, step_u, s)
-                    for x in family.keys:
-                        assert family.apply(x) <= grown.apply(x)
-                    fresh = grown.apply(s)
-                    assert len(fresh) == len(concurrent) + 1
-                    assert not fresh & used
-                    family = grown
-                cert = build_representation(order, conflict)
-                assert cert.family == family
-                assert cert.fresh_label_bound <= n * n + 1
+    cases = list(small_structures(3)) + list(random_structures(20))
+    assert max(len(order.field) for order, _ in cases) > 20
+    for order, conflict in cases:
+        n = len(order.field)
+        peeled = []
+        cur_d, cur_u = order, conflict
+        while cur_d.field:
+            s = terminal_events(cur_d)[0]
+            peeled.append((s, cur_d, cur_u))
+            cur_d = cur_d.remove_vertex_pairs(s, s)
+            cur_u = cur_u.remove_vertex_pairs(s, s)
+        family = SetFamily()
+        for s, step_d, step_u in reversed(peeled):
+            used = family.union_of_range()
+            events = set(step_d.field)
+            ancestors = step_d.converse().image((s,)) - {s}
+            conflicting = step_u.converse().image((s,))
+            concurrent = events - {s} - ancestors - conflicting
+            grown = extend_with_terminal(family, step_d, step_u, s)
+            for x in family.keys:
+                assert family.apply(x) <= grown.apply(x)
+            fresh = grown.apply(s)
+            assert len(fresh) == len(concurrent) + 1
+            assert not fresh & used
+            family = grown
+        cert = build_representation(order, conflict)
+        assert cert.family == family
+        assert cert.fresh_label_bound <= n * n + 1
+
+
+def test_certificates_match_the_golden_digest():
+    """The documents and label bounds of every structure with n <= 4, in
+    enumeration order, hash to the value the step-by-step builder gave."""
+    digest = hashlib.sha256()
+    count = 0
+    for order, conflict in small_structures(4):
+        cert = build_representation(order, conflict)
+        document = representation_document(order, conflict, cert.family)
+        digest.update(serialize_document(document) + b"\n")
+        digest.update(str(cert.fresh_label_bound).encode() + b"\n")
+        count += 1
+    assert count == 963
+    assert (
+        digest.hexdigest()
+        == "341d810c674c79d33a64e666d49a179b4c4931b8c778229f0f0691d511e2e9e4"
+    )
+
+
+def test_the_family_is_checked_once(monkeypatch):
+    calls = []
+    original = setfamily_mod.represents
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # representation.py binds its own copy of the name at import
+    monkeypatch.setattr(setfamily_mod, "represents", counted)
+    monkeypatch.setattr(representation_mod, "represents", counted)
+    order = Relation(6, {(v, v) for v in range(6)} | {(0, 1), (2, 3), (0, 3), (2, 1)})
+    conflict = Relation(6, {(4, 5), (5, 4)})
+    cert = build_representation(order, conflict)
+    assert len(cert.family) == 6
+    assert len(calls) == 1

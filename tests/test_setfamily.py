@@ -1,29 +1,12 @@
 import pytest
-from hypothesis import given
 
 from esfg import SetFamily
-
-from .strategies import set_families
 
 
 def test_apply_examples():
     assert SetFamily({0: {1, 2}}).apply(0) == {1, 2}
     assert SetFamily({0: {1, 2}}).apply(5) == frozenset()
     assert SetFamily().apply(0) == frozenset()
-
-
-def test_paste_examples():
-    assert SetFamily().paste(0, {7}) == SetFamily({0: {7}})
-    assert SetFamily({0: {1}}).paste(0, {2}) == SetFamily({0: {2}})
-    assert SetFamily({0: {1}}).paste(1, {1}) == SetFamily({0: {1}, 1: {1}})
-
-
-def test_point_union_examples():
-    assert SetFamily({0: {1}}).point_union(SetFamily({0: {2}})) == SetFamily({0: {1, 2}})
-    assert SetFamily({0: {1}}).point_union(SetFamily()) == SetFamily({0: {1}})
-    assert SetFamily({0: {1}}).point_union(SetFamily({1: {3}, 0: {4}})) == SetFamily(
-        {0: {1, 4}, 1: {3}}
-    )
 
 
 def test_is_injective_examples():
@@ -44,33 +27,3 @@ def test_rejects_negative_labels_and_keys():
     with pytest.raises(ValueError):
         SetFamily({0: {-2}})
 
-
-@given(set_families(), set_families())
-def test_point_union_is_monotone(f, a):
-    merged = f.point_union(a)
-    for x in set(f.keys) | set(a.keys) | {0, 7}:
-        assert f.apply(x) <= merged.apply(x)
-    assert set(merged.keys) == set(f.keys) | set(a.keys)
-
-
-@given(set_families())
-def test_point_union_identities(f):
-    assert f.point_union(SetFamily()) == f
-    assert SetFamily().point_union(f) == f
-
-
-@given(set_families())
-def test_paste_then_apply(f):
-    pasted = f.paste(2, {9, 11})
-    assert pasted.apply(2) == {9, 11}
-    for y in f.keys:
-        if y != 2:
-            assert pasted.apply(y) == f.apply(y)
-
-
-@given(set_families())
-def test_paste_fresh_value_preserves_injectivity(f):
-    fresh = frozenset({max(f.union_of_range() | {0}) + 1})
-    assert fresh not in set(f.values())
-    if f.is_injective():
-        assert f.paste(99, fresh).is_injective()

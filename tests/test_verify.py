@@ -1,7 +1,7 @@
 import pytest
 
 import esfg.verify as verify_mod
-from esfg import run_theorem_suite
+from esfg import EventStructure, Relation, run_theorem_suite
 
 
 def test_suite_passes_at_small_sizes():
@@ -38,6 +38,28 @@ def test_suite_catches_a_dropped_edge_set(monkeypatch):
         "complement-is-a-bijection-per-order",
         "counts-agree-on-both-paths",
     }
+
+
+def test_suite_catches_a_broken_round_trip(monkeypatch):
+    """fg_to_es losing one conflict pair on one structure fails the
+    round-trip check, and only it."""
+    original = verify_mod.fg_to_es
+    broken = []
+
+    def drop_a_conflict(graph):
+        structure = original(graph)
+        if structure.conflict.pairs and not broken:
+            a, b = min(structure.conflict.pairs)
+            broken.append((a, b))
+            dropped = Relation(structure.conflict.universe, {(a, b), (b, a)})
+            return EventStructure(structure.causality, structure.conflict - dropped)
+        return structure
+
+    monkeypatch.setattr(verify_mod, "fg_to_es", drop_a_conflict)
+    outcome = run_theorem_suite(2)
+    assert len(broken) == 1
+    failed = {check.name for check in outcome.checks if not check.passed}
+    assert failed == {"conversions-round-trip"}
 
 
 def test_suite_rejects_oversized_requests():

@@ -47,7 +47,7 @@ from .fullgraph import (
     recognize_full_graph,
 )
 from .oeis import OeisCheck, OeisError, oeis_crosscheck
-from .relation import Relation, RelationProperties
+from .relation import Relation
 from .representation import (
     RepresentationCertificate,
     StructureFlags,
@@ -71,7 +71,6 @@ __all__ = [
     "OeisCheck",
     "OeisError",
     "Relation",
-    "RelationProperties",
     "RepresentationCertificate",
     "SetFamily",
     "StructureDocument",

@@ -55,10 +55,19 @@ def es_to_fg(structure: EventStructure) -> FullGraph:
 
 
 def fg_to_es(graph: FullGraph) -> EventStructure:
-    """Convert a recognized full graph back to its event structure."""
-    failures = fg_failures(graph.directed, graph.undirected)
-    if failures:
-        raise FullGraphError(failures)
+    """Convert a full graph back to its event structure.
+
+    A graph without a certificate is recognized first (``FullGraphError``
+    if that fails); a certified one need not be.  Its constructor checked
+    that the family is injective, empty-free, keyed by the vertices, and
+    realises D as containment and T as proper overlap.  Incomparable sets
+    that do not properly overlap are disjoint, so the family represents
+    (D, square - T), a valid conflict by the representation theorem.
+    """
+    if graph.certificate is None:
+        failures = fg_failures(graph.directed, graph.undirected)
+        if failures:
+            raise FullGraphError(failures)
     conflict = incomparable_complement(graph.directed, graph.undirected)
     return EventStructure(graph.directed, conflict)
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bijection import MAX_EVENTS, es_to_fg, fg_to_es
+from .bijection import MAX_EVENTS, check_size, es_to_fg, fg_to_es
 from .documents import (
     DocumentError,
     StructureDocument,
@@ -63,14 +63,12 @@ def _document_failures(doc: StructureDocument) -> tuple[str, ...]:
 
 
 def _refuse_size(n: int, slow: bool) -> bool:
-    """Whether n is out of bounds for this run; if so, says why on stderr."""
-    if n > MAX_EVENTS:
-        reason = f"n={n} exceeds the supported limit of {MAX_EVENTS}"
-    elif n == MAX_EVENTS and not slow:
-        reason = f"n={n} is best-effort; pass --slow to run it"
-    else:
+    """Whether n needs --slow and did not get it; if so, says so on stderr.
+    Sizes that ``check_size`` rejects raise its ``ValueError`` (exit 2)."""
+    check_size(n)
+    if n < MAX_EVENTS or slow:
         return False
-    print(reason, file=sys.stderr)
+    print(f"n={n} is best-effort; pass --slow to run it", file=sys.stderr)
     return True
 
 

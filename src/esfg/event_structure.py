@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .relation import Relation
 
@@ -43,36 +44,36 @@ def is_conflict_propagating(conflict: Relation, causality: Relation) -> bool:
     )
 
 
+def _violations(causality: Relation, conflict: Relation) -> Iterator[str]:
+    """Each violated validity conjunct, lazily, in one fixed order.
+    Propagation comes first: it is the one that candidate conflicts drawn
+    from the incomparability square of an order actually fail."""
+    if not is_conflict_propagating(conflict, causality):
+        yield "conflict-not-propagating"
+    if not conflict.is_symmetric:
+        yield "conflict-not-symmetric"
+    if not conflict.is_irreflexive:
+        yield "conflict-not-irreflexive"
+    if not causality.is_transitive:
+        yield "causality-not-transitive"
+    if not causality.is_antisymmetric:
+        yield "causality-not-antisymmetric"
+    if not causality.is_reflexive_over_field:
+        yield "causality-not-reflexive-over-field"
+    if not set(conflict.field) <= set(causality.field):
+        yield "conflict-events-outside-causality"
+
+
 def es_failures(causality: Relation, conflict: Relation) -> tuple[str, ...]:
     """Every violated validity conjunct, empty when (D, U) is an event
     structure."""
-    failed = []
-    if not is_conflict_propagating(conflict, causality):
-        failed.append("conflict-not-propagating")
-    if not conflict.is_symmetric:
-        failed.append("conflict-not-symmetric")
-    if not conflict.is_irreflexive:
-        failed.append("conflict-not-irreflexive")
-    if not causality.is_transitive:
-        failed.append("causality-not-transitive")
-    if not causality.is_antisymmetric:
-        failed.append("causality-not-antisymmetric")
-    if not causality.is_reflexive_over_field:
-        failed.append("causality-not-reflexive-over-field")
-    if not set(conflict.field) <= set(causality.field):
-        failed.append("conflict-events-outside-causality")
-    return tuple(failed)
+    return tuple(_violations(causality, conflict))
 
 
 def is_event_structure(causality: Relation, conflict: Relation) -> bool:
-    """True when every validity conjunct holds (short-circuiting)."""
-    return (
-        causality.is_partial_order
-        and conflict.is_symmetric
-        and conflict.is_irreflexive
-        and set(conflict.field) <= set(causality.field)
-        and is_conflict_propagating(conflict, causality)
-    )
+    """True when every validity conjunct holds; stops at the first that
+    fails."""
+    return next(_violations(causality, conflict), None) is None
 
 
 def terminal_events(causality: Relation) -> tuple[int, ...]:
@@ -86,10 +87,10 @@ def terminal_events(causality: Relation) -> tuple[int, ...]:
 class EventStructure:
     """A (causality, conflict) pair over one shared universe.
 
-    Construction requires the conflict field to stay inside the event set
-    and both components to share a universe; full validity is available
-    through ``failures`` / ``is_valid`` so that rejection diagnostics can
-    be reported rather than raised.
+    Construction requires both components to share a universe and the
+    conflict field to stay inside the event set (``EventStructureError``
+    otherwise); full validity is available through ``failures`` /
+    ``is_valid`` so that rejection diagnostics can be reported.
     """
 
     causality: Relation
@@ -99,7 +100,7 @@ class EventStructure:
         if self.causality.universe != self.conflict.universe:
             raise ValueError("causality and conflict must share a universe")
         if not set(self.conflict.field) <= set(self.causality.field):
-            raise ValueError("conflict mentions vertices outside the event set")
+            raise EventStructureError(("conflict-events-outside-causality",))
 
     @property
     def events(self) -> tuple[int, ...]:

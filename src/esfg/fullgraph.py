@@ -37,13 +37,20 @@ def is_fg_representation(
     return represents(family, directed, undirected, overlap=True)
 
 
-def fg_failures(directed: Relation, undirected: Relation) -> tuple[str, ...]:
-    """Diagnostics for full-graph recognition, empty when (D, T) is one."""
+def _shape_failures(directed: Relation, undirected: Relation) -> list[str]:
+    """The recognition conjuncts that ``FullGraph`` also enforces on
+    construction: T is symmetric and lives on the vertices of D."""
     failed = []
     if not set(undirected.field) <= set(directed.field):
         failed.append("undirected-field-outside-directed")
     if not undirected.is_symmetric:
         failed.append("undirected-not-symmetric")
+    return failed
+
+
+def fg_failures(directed: Relation, undirected: Relation) -> tuple[str, ...]:
+    """Diagnostics for full-graph recognition, empty when (D, T) is one."""
+    failed = _shape_failures(directed, undirected)
     incomparable = directed.sym_complement()
     if not undirected.pairs <= incomparable.pairs:
         failed.append("undirected-not-within-incomparable-pairs")
@@ -82,9 +89,10 @@ class FullGraph:
     """A (directed, undirected) pair, optionally carrying a certificate.
 
     The undirected part must be symmetric and live on the directed
-    vertices.  When a certificate is attached it is re-validated: it must
-    be an injective, empty-free fg-representation covering exactly the
-    vertex set, so a ``FullGraph`` with a certificate is a proven one.
+    vertices (``FullGraphError`` otherwise).  When a certificate is
+    attached it is re-validated: it must be an injective, empty-free
+    fg-representation covering exactly the vertex set, so a ``FullGraph``
+    with a certificate is a proven one.
     """
 
     directed: Relation
@@ -94,10 +102,9 @@ class FullGraph:
     def __post_init__(self) -> None:
         if self.directed.universe != self.undirected.universe:
             raise ValueError("directed and undirected must share a universe")
-        if not self.undirected.is_symmetric:
-            raise ValueError("undirected edges must be stored symmetrically")
-        if not set(self.undirected.field) <= set(self.directed.field):
-            raise ValueError("undirected edges mention unknown vertices")
+        malformed = _shape_failures(self.directed, self.undirected)
+        if malformed:
+            raise FullGraphError(tuple(malformed))
         if self.certificate is not None:
             problems = family_failures(
                 self.certificate, self.directed, self.undirected, overlap=True

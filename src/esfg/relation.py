@@ -20,17 +20,6 @@ Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class RelationProperties:
-    """Boolean record of the elementary checks on one relation."""
-
-    transitive: bool
-    antisymmetric: bool
-    symmetric: bool
-    irreflexive: bool
-    reflexive_over_field: bool
-
-
-@dataclass(frozen=True)
 class Relation:
     """An immutable set of ordered pairs over ``range(universe)``.
 
@@ -136,17 +125,15 @@ class Relation:
         """The incomparability square: field x field minus self and converse.
 
         Always symmetric, and disjoint from both the relation and its
-        converse.
+        converse.  Built once per relation and shared afterwards.
         """
-        fld = self.field
-        flipped = {(b, a) for a, b in self.pairs}
-        comp = {
-            (a, b)
-            for a in fld
-            for b in fld
-            if (a, b) not in self.pairs and (a, b) not in flipped
-        }
-        return Relation(self.universe, comp)
+        return self._incomparability_square
+
+    @cached_property
+    def _incomparability_square(self) -> Relation:
+        fld, pairs = self.field, self.pairs
+        square = {(a, b) for a in fld for b in fld if (a, b) not in pairs}
+        return Relation(self.universe, square - {(b, a) for a, b in pairs})
 
     def fixed_points(self) -> frozenset[int]:
         """Vertices related to themselves."""
@@ -227,15 +214,6 @@ class Relation:
             if seen.setdefault(a, b) != b:
                 return False
         return True
-
-    def properties(self) -> RelationProperties:
-        return RelationProperties(
-            transitive=self.is_transitive,
-            antisymmetric=self.is_antisymmetric,
-            symmetric=self.is_symmetric,
-            irreflexive=self.is_irreflexive,
-            reflexive_over_field=self.is_reflexive_over_field,
-        )
 
     def __repr__(self) -> str:
         return f"Relation({self.universe}, {sorted(self.pairs)!r})"

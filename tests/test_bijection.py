@@ -155,6 +155,19 @@ def test_roundtrips_on_small_structures():
                 )
 
 
+def test_certified_graphs_convert_like_uncertified_ones():
+    from esfg import enumerate_partial_orders
+
+    for n in range(5):
+        for order in enumerate_partial_orders(n):
+            for conflict in enumerate_admissible_conflicts(order):
+                structure = EventStructure(order, conflict)
+                graph = es_to_fg(structure)
+                assert graph.certificate is not None
+                bare = FullGraph(graph.directed, graph.undirected)
+                assert fg_to_es(graph) == fg_to_es(bare) == structure
+
+
 def test_one_family_witnesses_both_sides():
     from esfg import enumerate_partial_orders
 

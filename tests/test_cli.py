@@ -133,6 +133,33 @@ def test_convert_requires_the_other_kind(capsys, es_file):
     assert main(["convert", "--to", "es", str(es_file)]) == 2
 
 
+ES_CONFLICT_OUTSIDE = (
+    '{"kind":"es","universe":2,"causality":[[0,0]],"conflict":[[0,1],[1,0]]}'
+)
+FG_EDGE_OUTSIDE = (
+    '{"kind":"fg","universe":2,"directed":[[0,0]],"undirected":[[0,1],[1,0]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "document, commands",
+    [
+        (ES_CONFLICT_OUTSIDE, (["check"], ["represent"], ["convert", "--to", "fg"])),
+        (FG_EDGE_OUTSIDE, (["check"], ["convert", "--to", "es"])),
+    ],
+    ids=["es-conflict-outside", "fg-edge-outside"],
+)
+def test_every_subcommand_calls_a_bad_structure_a_violation(
+    capsys, tmp_path, document, commands
+):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    for command in commands:
+        assert main(command + [str(path)]) == 1, command
+    out = capsys.readouterr()
+    assert "outside" in out.out + out.err
+
+
 def test_enumerate_count_only(capsys):
     assert main(["enumerate", "--n", "2", "--kind", "es", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "4"
@@ -153,6 +180,8 @@ def test_enumerate_size_gate(capsys):
     assert main(["enumerate", "--n", "5", "--kind", "es", "--count-only"]) == 2
     assert "--slow" in capsys.readouterr().err
     assert main(["enumerate", "--n", "6", "--kind", "es", "--count-only", "--slow"]) == 2
+    assert main(["enumerate", "--n", "-1", "--kind", "es", "--count-only"]) == 2
+    assert main(["verify", "--n", "-1"]) == 2
 
 
 def test_verify_small(capsys):
@@ -212,6 +241,32 @@ def test_oeis_reports_mismatch_without_failing(capsys, tmp_path):
     )
     assert code == 0
     assert "MISMATCH at position 2" in capsys.readouterr().out
+
+
+def test_oeis_rejects_a_negative_size(capsys, tmp_path, monkeypatch):
+    def no_fetching(*args, **kwargs):
+        raise AssertionError("fetched before checking the size")
+
+    monkeypatch.setattr(cli_mod, "fetch_bfile", no_fetching)
+    (tmp_path / "A000001.bfile.txt").write_text("0 1\n1 1\n")
+    code = main(
+        [
+            "oeis",
+            "--sequence",
+            "A000001",
+            "--kind",
+            "es",
+            "--upto",
+            "-1",
+            "--offline",
+            "--cache",
+            str(tmp_path),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "natural number" in captured.err
 
 
 def test_oeis_offline_cache_miss(capsys, tmp_path, monkeypatch):

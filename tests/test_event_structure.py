@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
 from esfg import (
     EventStructure,
+    EventStructureError,
     Relation,
     enumerate_admissible_conflicts,
     enumerate_partial_orders,
@@ -72,6 +75,53 @@ def test_failures_name_each_conjunct():
     assert "conflict-not-irreflexive" in failures
 
 
+def all_relations(k):
+    cells = [(a, b) for a in range(k) for b in range(k)]
+    for mask in range(1 << len(cells)):
+        yield Relation(k, (c for i, c in enumerate(cells) if mask >> i & 1))
+
+
+def symmetric_relations(k):
+    cells = [(a, b) for a in range(k) for b in range(a, k)]
+    for mask in range(1 << len(cells)):
+        chosen = [c for i, c in enumerate(cells) if mask >> i & 1]
+        yield Relation(k, chosen + [(b, a) for a, b in chosen])
+
+
+def scanned_pairs():
+    """Every relation pair on at most 2 points, then every order on 3
+    points against every symmetric relation on 3 points."""
+    for k in range(3):
+        relations = list(all_relations(k))
+        yield from product(relations, relations)
+    yield from product(enumerate_partial_orders(3), symmetric_relations(3))
+
+
+def test_predicate_agrees_with_failures_on_small_pairs():
+    scanned = 0
+    for causality, conflict in scanned_pairs():
+        scanned += 1
+        assert is_event_structure(causality, conflict) == (
+            not es_failures(causality, conflict)
+        ), (causality, conflict)
+    assert scanned == 1 + 4 + 256 + 19 * 64
+
+
+def test_failures_keep_their_order():
+    causality = Relation(4, {(0, 1), (1, 0), (1, 2)})
+    conflict = Relation(4, {(3, 3), (0, 3)})
+    assert es_failures(causality, conflict) == (
+        "conflict-not-propagating",
+        "conflict-not-symmetric",
+        "conflict-not-irreflexive",
+        "causality-not-transitive",
+        "causality-not-antisymmetric",
+        "causality-not-reflexive-over-field",
+        "conflict-events-outside-causality",
+    )
+    assert not is_event_structure(causality, conflict)
+
+
 def test_terminal_events_examples():
     assert terminal_events(Relation(2, {(0, 0), (1, 1), (0, 1)})) == (1,)
     assert terminal_events(Relation(2, {(0, 0), (1, 1)})) == (0, 1)
@@ -99,8 +149,12 @@ def test_remove_event_rejects_unknown_events():
 
 
 def test_constructor_rejects_conflicts_outside_event_set():
-    with pytest.raises(ValueError):
+    with pytest.raises(EventStructureError) as err:
         EventStructure(Relation(2, {(0, 0)}), Relation(2, {(0, 1), (1, 0)}))
+    assert err.value.failures == ("conflict-events-outside-causality",)
+    with pytest.raises(ValueError) as err:
+        EventStructure(Relation(1, {(0, 0)}), Relation(2))
+    assert type(err.value) is ValueError
 
 
 def test_terminal_removal_keeps_validity():

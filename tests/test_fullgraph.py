@@ -103,8 +103,22 @@ def test_constructor_rejects_bad_certificates():
         "certificate-is-not-an-fg-representation",
         "certificate-keys-differ-from-vertices",
     )
-    with pytest.raises(ValueError):
+
+
+def test_constructor_rejects_malformed_edges():
+    discrete = Relation(2, {(0, 0), (1, 1)})
+    with pytest.raises(FullGraphError) as err:
         FullGraph(discrete, Relation(2, {(0, 1)}))  # one-sided undirected edge
+    assert err.value.failures == ("undirected-not-symmetric",)
+    with pytest.raises(FullGraphError) as err:
+        FullGraph(Relation(2, {(0, 0)}), Relation(2, {(0, 1)}))
+    assert err.value.failures == (
+        "undirected-field-outside-directed",
+        "undirected-not-symmetric",
+    )
+    with pytest.raises(ValueError) as err:
+        FullGraph(discrete, Relation(3))
+    assert type(err.value) is ValueError
 
 
 def test_undirected_edges_of_full_graphs_are_irreflexive():

@@ -1,6 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+probe of the benchmark tracer names a callable that exists."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,3 +28,27 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _benchmark_probes():
+    path = Path(__file__).parent.parent / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_esfg_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        del sys.modules[spec.name]
+    return tracing.PROBES
+
+
+@pytest.mark.parametrize("probe", _benchmark_probes(), ids=lambda probe: probe.name)
+def test_every_benchmark_probe_resolves(probe):
+    """The span tracer patches these callables by name; a probe whose
+    target moved or was renamed would break the traced benchmark run."""
+    module = importlib.import_module(probe.module)
+    owner_name, _, attr = probe.qualname.rpartition(".")
+    if owner_name:
+        assert attr in vars(getattr(module, owner_name))
+    else:
+        assert callable(getattr(module, attr, None))

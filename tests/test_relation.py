@@ -60,23 +60,35 @@ def test_sym_complement_examples():
     assert Relation(0).sym_complement().pairs == set()
 
 
-def test_properties_examples():
-    empty = Relation(0).properties()
-    assert all(
-        (
-            empty.transitive,
-            empty.antisymmetric,
-            empty.symmetric,
-            empty.irreflexive,
-            empty.reflexive_over_field,
-        )
+@given(relations())
+def test_sym_complement_is_built_once(rel):
+    square = rel.sym_complement()
+    assert rel.sym_complement() is square
+    fld = {v for pair in rel.pairs for v in pair}
+    assert square == Relation(
+        rel.universe,
+        {
+            (a, b)
+            for a in fld
+            for b in fld
+            if (a, b) not in rel.pairs and (b, a) not in rel.pairs
+        },
     )
-    swap = Relation(2, {(0, 1), (1, 0)}).properties()
-    assert swap.symmetric and swap.irreflexive
-    assert not (swap.antisymmetric or swap.reflexive_over_field or swap.transitive)
-    chain = Relation(2, {(0, 0), (1, 1), (0, 1)}).properties()
-    assert chain.transitive and chain.antisymmetric and chain.reflexive_over_field
-    assert not (chain.irreflexive or chain.symmetric)
+
+
+def test_properties_examples():
+    empty = Relation(0)
+    assert empty.is_transitive and empty.is_antisymmetric and empty.is_symmetric
+    assert empty.is_irreflexive and empty.is_reflexive_over_field
+    swap = Relation(2, {(0, 1), (1, 0)})
+    assert swap.is_symmetric and swap.is_irreflexive
+    assert not (
+        swap.is_antisymmetric or swap.is_reflexive_over_field or swap.is_transitive
+    )
+    chain = Relation(2, {(0, 0), (1, 1), (0, 1)})
+    assert chain.is_transitive and chain.is_antisymmetric
+    assert chain.is_reflexive_over_field
+    assert not (chain.is_irreflexive or chain.is_symmetric)
     assert Relation(0).is_partial_order
     assert Relation(2, {(0, 0), (1, 1), (0, 1)}).is_partial_order
     assert not Relation(2, {(0, 1), (1, 0)}).is_partial_order

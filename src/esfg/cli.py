@@ -151,6 +151,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
+    if args.hasse and not doc.causality.is_partial_order:
+        print("violation: --hasse needs a partial order", file=sys.stderr)
+        return VIOLATION
     _write_output(export_dot(doc, hasse=args.hasse), args.output)
     return OK
 

@@ -4,24 +4,34 @@ This is the independent existence oracle behind the brute-force checks:
 given a containment relation and a second relation (read either as
 disjointness or as overlap), it looks for an injective family of nonempty
 label sets realising both biconditionals exactly, or certifies that no
-such family exists with labels below the given bound.
+such family exists with labels below the given bound.  It imports nothing
+from the rest of the package.
 
-Candidate sets are bitmasks over ``range(label_bound)``.  The search is a
-depth-first assignment of events in a fixed order; a branch is abandoned
-only when a biconditional is already violated against the assigned
-prefix, or when simple necessary conditions (interval bounds on the
-remaining events) show the prefix cannot be completed.  Both prunings
-preserve exhaustiveness, and every accepted assignment is re-checked
-pairwise against the full biconditionals, so a returned family is exact
-and ``None`` means genuinely unsatisfiable within the bound.
+Candidate sets are bitmasks over ``range(label_bound)``, assigned depth
+first in a fixed event order.  Each event's candidates lie in an interval
+``low <= S <= high`` read off the assigned prefix; a branch is abandoned
+when a remaining event's interval is empty or an exact pairwise clause
+fails against the prefix, so a returned family is exact.
 
-The first solution in ascending-mask order along the fixed event order is
-returned, which makes results deterministic.
+The one other pruning rule is label symmetry.  ``high`` only intersects
+with assigned masks or removes assigned labels, and ``low`` is a union of
+assigned masks, so each interval holds all labels no assigned set uses
+yet, or none of them.  Swapping two such unused labels maps solutions to
+solutions and fixes the prefix, so a candidate whose fresh labels are not
+the lowest unused ones has a twin that takes those and extends exactly
+when it does; only the twin is tried.  The search stays exhaustive:
+``None`` means unsatisfiable within the bound.
+
+The first solution in ascending-mask order along the event order is
+returned, which makes results deterministic.  Lowering the fresh labels
+of a solution at one event gives a solution that is equal before it and
+smaller there, so the first solution takes its fresh labels lowest-first
+everywhere and the rule never skips it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 
@@ -29,49 +39,32 @@ Pair = tuple[int, int]
 def causes_first_order(events: Iterable[int], containment: Iterable[Pair]) -> list[int]:
     """Events ordered so containment sources come before their targets.
 
-    A topological order of the strict containment pairs with ascending
-    tie-breaks; vertices on cycles (possible for garbage inputs) are
+    Repeatedly takes the smallest event none of whose strict sources is
+    still waiting; events on a cycle (possible for garbage inputs) are
     appended in ascending order.  Assigning supersets before their
     subsets lets the search enumerate candidate subsets directly.
     """
-    events = sorted(set(events))
-    members = set(events)
-    strict = {
-        (a, b) for a, b in containment if a != b and a in members and b in members
-    }
-    indegree = {v: 0 for v in events}
-    for _, b in strict:
-        indegree[b] += 1
+    waiting = sorted(set(events))
+    strict = {(a, b) for a, b in containment if a != b}
     order: list[int] = []
-    ready = sorted(v for v in events if indegree[v] == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        changed = False
-        for a, b in strict:
-            if a == v:
-                indegree[b] -= 1
-                if indegree[b] == 0:
-                    ready.append(b)
-                    changed = True
-        if changed:
-            ready.sort()
-    order.extend(sorted(v for v in events if v not in set(order)))
-    return order
+    while waiting:
+        ready = [v for v in waiting if not any((u, v) in strict for u in waiting)]
+        if not ready:
+            break
+        order.append(ready[0])
+        waiting.remove(ready[0])
+    return order + waiting
 
 
-def _ascending_submasks(low: int, high: int) -> list[int]:
+def _ascending_submasks(low: int, high: int) -> Iterator[int]:
     """All masks S with low <= S <= high (bitwise), ascending as integers."""
     free = high & ~low
-    out = []
-    sub = free
+    sub = 0
     while True:
-        out.append(sub | low)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    out.reverse()
-    return out
+        yield sub | low
+        if sub == free:
+            return
+        sub = (sub - free) & free
 
 
 def search_set_family(
@@ -116,8 +109,8 @@ def search_set_family(
     full = (1 << label_bound) - 1
 
     def bounds(y: int, assigned: list[tuple[int, int]]) -> tuple[int, int] | None:
-        """Interval of masks still permitted for ``y``, or None when the
-        assigned prefix already rules out every completion at ``y``."""
+        """Interval of masks the assigned prefix still permits for ``y``,
+        or None when it holds no nonempty mask."""
         low, high = 0, full
         for x, mx in assigned:
             if (x, y) in containment:
@@ -128,18 +121,6 @@ def search_set_family(
                 high &= ~mx
         if low & ~high or high == 0:
             return None
-        for x, mx in assigned:
-            if (x, y) not in containment and (high & ~mx) == 0:
-                return None  # every remaining choice would sit inside mx
-            if (y, x) not in containment and (mx & ~low) == 0:
-                return None  # every remaining choice would contain mx
-            s = (x, y) in second
-            if second_overlap and s:
-                if (high & mx) == 0 or (high & ~mx) == 0 or (mx & ~low) == 0:
-                    return None  # proper two-sided overlap impossible
-            if not second_overlap and not s:
-                if (high & mx) == 0:
-                    return None  # required shared label impossible
         return low, high
 
     def compatible(x: int, mx: int, y: int, my: int) -> bool:
@@ -157,7 +138,7 @@ def search_set_family(
 
     assigned: list[tuple[int, int]] = []
 
-    def extend(level: int) -> bool:
+    def extend(level: int, used: int) -> bool:
         if level == n:
             return True
         for z in order[level:]:
@@ -169,14 +150,17 @@ def search_set_family(
         for candidate in _ascending_submasks(low, high):
             if candidate == 0 or candidate in taken:
                 continue
+            fresh = candidate & ~used
+            if ~used & ((1 << fresh.bit_length()) - 1) != fresh:
+                continue  # a twin with lower fresh labels stands for it
             if all(compatible(x, mx, y, candidate) for x, mx in assigned):
                 assigned.append((y, candidate))
-                if extend(level + 1):
+                if extend(level + 1, used | candidate):
                     return True
                 assigned.pop()
         return False
 
-    if not extend(0):
+    if not extend(0, 0):
         return None
     return {
         x: frozenset(b for b in range(label_bound) if mx >> b & 1)

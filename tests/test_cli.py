@@ -203,6 +203,16 @@ def test_dot_hasse(capsys, tmp_path):
     assert "0 -> 2;" not in rendered
 
 
+def test_dot_hasse_calls_a_non_order_a_violation(capsys, tmp_path):
+    path = tmp_path / "unreflexive.json"
+    path.write_text('{"kind":"es","universe":2,"causality":[[0,1]],"conflict":[]}')
+    for command in (["dot", "--hasse"], ["represent"], ["convert", "--to", "fg"]):
+        assert main(command + [str(path)]) == 1, command
+        assert "violation:" in capsys.readouterr().err
+    assert main(["dot", str(path)]) == 0
+    assert "0 -> 1;" in capsys.readouterr().out
+
+
 def test_oeis_offline_with_cache(capsys, tmp_path):
     (tmp_path / "A000112.bfile.txt").write_text("0 1\n1 1\n2 4\n3 41\n")
     code = main(

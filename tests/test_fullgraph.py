@@ -74,6 +74,17 @@ def test_is_full_graph_examples():
     assert is_full_graph(Relation(0), Relation(0))
 
 
+def test_short_circuit_recognition_agrees_with_the_diagnostics():
+    """``is_full_graph`` stops at the first failed conjunct; it must give
+    the verdict of the full diagnostic list on every pair with n <= 2."""
+    for n in range(3):
+        rels = all_relations(n)
+        for directed, undirected in product(rels, rels):
+            assert is_full_graph(directed, undirected) == (
+                not fg_failures(directed, undirected)
+            )
+
+
 def test_recognize_attaches_a_checked_certificate():
     discrete = Relation(2, {(0, 0), (1, 1)})
     touch = Relation(2, {(0, 1), (1, 0)})

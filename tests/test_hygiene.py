@@ -52,3 +52,21 @@ def test_every_benchmark_probe_resolves(probe):
         assert attr in vars(getattr(module, owner_name))
     else:
         assert callable(getattr(module, attr, None))
+
+
+def test_the_oracle_imports_nothing_from_the_package():
+    """The brute-force search stays independent of the builder and the
+    validity predicate, so that its agreement with them proves something."""
+    path = Path(__file__).parent.parent / "src" / "esfg" / "familysearch.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    sources = {
+        "esfg" if node.level else node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    } | {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert "esfg" not in sources

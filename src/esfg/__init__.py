@@ -22,10 +22,8 @@ from .documents import (
     serialize_document,
 )
 from .enumeration import (
-    CountReport,
     count_es,
     count_fg,
-    count_report,
     emit_structures,
     enumerate_partial_orders,
 )
@@ -62,7 +60,6 @@ from .verify import SuiteReport, run_theorem_suite
 
 __all__ = [
     "BijectionReport",
-    "CountReport",
     "DocumentError",
     "EventStructure",
     "EventStructureError",
@@ -79,7 +76,6 @@ __all__ = [
     "build_representation",
     "count_es",
     "count_fg",
-    "count_report",
     "emit_structures",
     "enumerate_admissible_conflicts",
     "enumerate_fullgraph_edge_sets",

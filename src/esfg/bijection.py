@@ -6,21 +6,28 @@ U = incomparable-but-not-T and T = incomparable-but-not-U.  The same
 set family witnesses both sides, because disjointness and proper overlap
 partition the incomparable pairs once containment is pinned down.
 
-``verify_bijection`` materialises both candidate sets for a given D and
-checks the complement map is a size-preserving bijection between them;
-``bijection_report`` runs the same check on sets already materialised.
+Both sides filter one mask encoding per order: bit i of a candidate is
+the i-th incomparable pair with its mirror, so symmetry, irreflexivity,
+conflict inside the field and T inside the square hold by construction;
+a per-order guard covers causality, and each pair lists the pairs
+propagation requires with it.  The conflict filter tests a mask,
+the edge-set filter ``full ^ mask``.  That map is a bijection between
+the two accepted sets, so their sizes agree by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Container, Iterable, Iterator, Sequence
 
 from .event_structure import EventStructure, is_event_structure
-from .fullgraph import FullGraph, FullGraphError, fg_failures, is_full_graph
+from .fullgraph import FullGraph, FullGraphError, fg_failures
 from .fullgraph import find_fg_representation_bruteforce
-from .relation import Relation, pairs_key
+from .relation import Pair, Relation, pairs_key
 from .representation import build_representation
+
+Rules = tuple[tuple[int, int], ...]
 
 #: Largest event count the exhaustive enumerators accept.
 MAX_EVENTS = 5
@@ -40,13 +47,10 @@ def incomparable_complement(base: Relation, rel: Relation) -> Relation:
 
 
 def es_to_fg(structure: EventStructure) -> FullGraph:
-    """Convert a valid event structure to its full graph.
-
-    The undirected edges are the incomparable non-conflicts, and the
-    attached certificate is the representation family built for the
-    structure (the builder rejects an invalid structure with
-    ``EventStructureError``); the ``FullGraph`` constructor re-validates
-    that the same family certifies the graph side.
+    """Convert a valid event structure to its full graph: the edges are
+    the incomparable non-conflicts, certified by the family the builder
+    makes (it raises ``EventStructureError`` on an invalid structure), and
+    the ``FullGraph`` constructor re-checks the family on the graph side.
     """
     causality, conflict = structure.causality, structure.conflict
     certificate = build_representation(causality, conflict).family
@@ -58,11 +62,9 @@ def fg_to_es(graph: FullGraph) -> EventStructure:
     """Convert a full graph back to its event structure.
 
     A graph without a certificate is recognized first (``FullGraphError``
-    if that fails); a certified one need not be.  Its constructor checked
-    that the family is injective, empty-free, keyed by the vertices, and
-    realises D as containment and T as proper overlap.  Incomparable sets
-    that do not properly overlap are disjoint, so the family represents
-    (D, square - T), a valid conflict by the representation theorem.
+    if that fails).  A certificate's family realises D as containment and
+    T as proper overlap, so it represents (D, square - T): incomparable
+    sets that do not properly overlap are disjoint.
     """
     if graph.certificate is None:
         failures = fg_failures(graph.directed, graph.undirected)
@@ -72,67 +74,100 @@ def fg_to_es(graph: FullGraph) -> EventStructure:
     return EventStructure(graph.directed, conflict)
 
 
-def _symmetric_subsets(base: Relation) -> Iterator[Relation]:
-    """Every symmetric subset of the incomparability square of ``base``,
-    by unordered-pair mask (mirror twins toggled together)."""
-    comp = base.sym_complement()
-    reps = sorted({(min(a, b), max(a, b)) for a, b in comp.pairs})
-    for mask in range(1 << len(reps)):
-        pairs: set[tuple[int, int]] = set()
-        for i, (a, b) in enumerate(reps):
-            if mask >> i & 1:
-                pairs.add((a, b))
-                pairs.add((b, a))
-        yield Relation(base.universe, pairs)
+def _pair_kernel(
+    field: Sequence[int], order: Container[Pair]
+) -> tuple[tuple[Pair, ...], Rules]:
+    """One order's incomparable pairs a < b of the sorted ``field``, in
+    bit order, and for each pair that requires others its bit and the
+    mask of those.  A pair outside the square gets a bit no mask holds."""
+    above = {x: [y for y in field if y != x and (x, y) in order] for x in field}
+    pairs = [p for p in combinations(field, 2) if p not in order and p[::-1] not in order]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    rules = []
+    for (a, b), i in index.items():
+        need = 0
+        for x, z in ((a, b), (b, a)):
+            for y in above[x]:
+                need |= 1 << index.get((min(y, z), max(y, z)), len(index))
+        if need:
+            rules.append((1 << i, need))
+    return tuple(pairs), tuple(rules)
+
+
+def _propagates(mask: int, rules: Rules) -> bool:
+    """Every pair in ``mask`` has every pair it requires in ``mask``."""
+    for bit, need in rules:
+        if mask & bit and need & ~mask:
+            return False
+    return True
+
+
+def _conflict_masks(size: int, rules: Rules) -> Iterator[int]:
+    """The event-structure filter: candidate masks that propagate."""
+    return (m for m in range(1 << size) if _propagates(m, rules))
+
+
+def _edge_set_masks(size: int, rules: Rules) -> Iterator[int]:
+    """The full-graph filter: masks whose complement propagates."""
+    full = (1 << size) - 1
+    return (m for m in range(full + 1) if _propagates(full ^ m, rules))
+
+
+def _count_conflicts(field: Sequence[int], order: Container[Pair]) -> int:
+    """How many conflicts of one order the event-structure filter accepts."""
+    pairs, rules = _pair_kernel(field, order)
+    return sum(1 for _ in _conflict_masks(len(pairs), rules))
+
+
+def _count_edge_sets(field: Sequence[int], order: Container[Pair]) -> int:
+    """How many edge sets of one order the full-graph filter accepts."""
+    pairs, rules = _pair_kernel(field, order)
+    return sum(1 for _ in _edge_set_masks(len(pairs), rules))
+
+
+def _relations(
+    universe: int, pairs: Sequence[Pair], masks: Iterable[int]
+) -> tuple[Relation, ...]:
+    """The symmetric relation of each mask, sorted by pair list."""
+    chosen = ([pair for i, pair in enumerate(pairs) if m >> i & 1] for m in masks)
+    found = (Relation(universe, c + [(b, a) for a, b in c]) for c in chosen)
+    return tuple(sorted(found, key=pairs_key))
 
 
 def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
-    """All conflict relations U making (base, U) a valid event structure.
-
-    Candidates range over symmetric subsets of the incomparability square
-    (nothing outside it can ever be admissible).  Sorted by pair list;
-    empty for a ``base`` that is not an order.
-    """
-    if not base.is_partial_order:
-        return ()
-    found = [u for u in _symmetric_subsets(base) if is_event_structure(base, u)]
-    found.sort(key=pairs_key)
-    return tuple(found)
+    """All conflict relations U making (base, U) a valid event structure,
+    sorted by pair list; empty for a ``base`` that is not an order."""
+    if not is_event_structure(base, Relation(base.universe)):
+        return ()  # the empty conflict is valid exactly when base is an order
+    pairs, rules = _pair_kernel(base.field, base.pairs)
+    return _relations(base.universe, pairs, _conflict_masks(len(pairs), rules))
 
 
 def enumerate_fullgraph_edge_sets(
     base: Relation, *, oracle: bool = False
 ) -> tuple[Relation, ...]:
-    """All undirected edge sets T making (base, T) a full graph.
-
-    Runs the graph-side recognition path; with ``oracle=True`` (test mode,
-    desk scale only) each candidate is instead vetted by the exhaustive
-    search for an fg-representation, independent of recognition.  Sorted
-    by pair list; empty for a ``base`` that is not an order.
-    """
+    """All undirected edge sets T making (base, T) a full graph, sorted by
+    pair list; empty for a ``base`` that is not an order.  ``oracle=True``
+    (desk scale only) vets every candidate with the exhaustive search for
+    an fg-representation instead of the filter."""
     if not base.is_partial_order:
         return ()
-    size = len(base.field)
-    if oracle:
-        bound = size * size
-        keep = [
-            t
-            for t in _symmetric_subsets(base)
-            if find_fg_representation_bruteforce(base, t, bound) is not None
-        ]
-    else:
-        keep = [t for t in _symmetric_subsets(base) if is_full_graph(base, t)]
-    keep.sort(key=pairs_key)
-    return tuple(keep)
+    pairs, rules = _pair_kernel(base.field, base.pairs)
+    if not oracle:
+        return _relations(base.universe, pairs, _edge_set_masks(len(pairs), rules))
+    bound = len(base.field) ** 2
+    return tuple(
+        t
+        for t in _relations(base.universe, pairs, range(1 << len(pairs)))
+        if find_fg_representation_bruteforce(base, t, bound) is not None
+    )
 
 
 @dataclass(frozen=True)
 class BijectionReport:
-    """Result of materialising both sides for one base relation.
-
-    When every flag is true the two sizes are forced equal, and the
-    constructor refuses inconsistent reports.
-    """
+    """Result of materialising both sides for one base relation.  When
+    every flag holds the sizes are forced equal; the constructor refuses
+    inconsistent reports."""
 
     base_relation: Relation
     x_size: int

@@ -1,20 +1,23 @@
 """Exhaustive labeled enumeration of event structures and full graphs.
 
 Counting is over vertex set exactly ``{0..n-1}`` (labeled structures, not
-isomorphism classes).  The two totals flow through different code paths:
-the event-structure count filters conflict candidates directly, while the
-full-graph count runs graph-side recognition per edge-set candidate, so
-their equality for every n is a real check rather than an identity.
-Every entry point rejects n above ``bijection.MAX_EVENTS``.
+isomorphism classes), through the two filters of ``bijection``, building
+no ``Relation``.  The filters share one encoding, so the totals agree by
+construction.  Every entry point rejects n above ``bijection.MAX_EVENTS``.
+
+Orders stream depth first: vertex k joins an order on 0..k-1 above a
+down-closed set B and below an up-closed set A, with B wholly below A.
+That is transitive as it stands, and each order arises once: B and A are
+k's strict down-set and up-set, and the rest is an order on 0..k-1.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .bijection import (
+    _count_conflicts,
+    _count_edge_sets,
     check_size,
     enumerate_admissible_conflicts,
     enumerate_fullgraph_edge_sets,
@@ -22,90 +25,61 @@ from .bijection import (
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Relation
+from .relation import Pair, Relation
+
+
+def _posets(n: int) -> Iterator[frozenset[Pair]]:
+    """The pair set of every partial order on {0..n-1}, each once.
+    ``above`` and ``below`` hold the strict up-set and down-set masks of
+    the vertices placed so far."""
+    check_size(n)
+
+    def closed(sets: list[int]) -> list[int]:
+        """The vertex sets s with sets[v] inside s for every v in s."""
+        k = len(sets)
+        return [
+            s for s in range(1 << k) if all(sets[v] | s == s for v in range(k) if s >> v & 1)
+        ]
+
+    def grow(above: list[int], below: list[int]) -> Iterator[frozenset[Pair]]:
+        k = len(above)
+        if k == n:
+            yield frozenset(
+                (v, w) for v in range(n) for w in range(n) if v == w or above[v] >> w & 1
+            )
+            return
+        ups = closed(above)
+        for low in closed(below):
+            for high in ups:
+                if all(above[v] | high == above[v] for v in range(k) if low >> v & 1):
+                    yield from grow(
+                        [m | (low >> v & 1) << k for v, m in enumerate(above)] + [high],
+                        [m | (high >> v & 1) << k for v, m in enumerate(below)] + [low],
+                    )
+
+    return grow([], [])
 
 
 def enumerate_partial_orders(n: int) -> Iterator[Relation]:
     """Every reflexive, transitive, antisymmetric relation with field
-    exactly {0..n-1}, each once, in a deterministic order.
-
-    Orders are grown one new maximal vertex at a time over a downward
-    closed subset of the existing vertices, deduplicating by exact pair
-    set (the same order arises from every peeling sequence).
-    """
-    check_size(n)
-    states: set[frozenset[tuple[int, int]]] = {frozenset()}
-    for _ in range(n):
-        grown: set[frozenset[tuple[int, int]]] = set()
-        for pairs in states:
-            members = {a for a, _ in pairs}
-            predecessors = {
-                m: frozenset(a for a, b in pairs if b == m) for m in members
-            }
-            ordered = sorted(members)
-            for v in range(n):
-                if v in members:
-                    continue
-                for mask in range(1 << len(ordered)):
-                    below = {ordered[i] for i in range(len(ordered)) if mask >> i & 1}
-                    if any(not predecessors[m] <= below for m in below):
-                        continue  # not downward closed
-                    grown.add(
-                        pairs | {(a, v) for a in below} | {(v, v)}
-                    )
-        states = grown
-    for pairs in sorted(states, key=sorted):
+    exactly {0..n-1}, each once, sorted by pair list."""
+    for pairs in sorted(_posets(n), key=sorted):
         yield Relation(n, pairs)
 
 
 def count_es(n: int) -> int:
     """Number of labeled event structures on exactly n events."""
-    return sum(
-        len(enumerate_admissible_conflicts(order))
-        for order in enumerate_partial_orders(n)
-    )
+    return sum(_count_conflicts(range(n), pairs) for pairs in _posets(n))
 
 
 def count_fg(n: int, *, oracle: bool = False) -> int:
     """Number of labeled full graphs on exactly n vertices, via the
-    graph-side path; ``oracle=True`` swaps in the brute-force
-    fg-representation search (desk scale only)."""
-    return sum(
-        len(enumerate_fullgraph_edge_sets(order, oracle=oracle))
-        for order in enumerate_partial_orders(n)
-    )
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Both totals for one n, with the per-order split of the ES side."""
-
-    n: int
-    es_count: int
-    fg_count: int
-    per_order_breakdown: tuple[tuple[Relation, int], ...]
-    elapsed_seconds: float
-
-    def __post_init__(self) -> None:
-        if self.es_count != sum(c for _, c in self.per_order_breakdown):
-            raise ValueError("per-order breakdown does not add up to es_count")
-
-
-def count_report(n: int) -> CountReport:
-    started = time.perf_counter()
-    breakdown = tuple(
-        (order, len(enumerate_admissible_conflicts(order)))
-        for order in enumerate_partial_orders(n)
-    )
-    es_total = sum(c for _, c in breakdown)
-    fg_total = count_fg(n)
-    return CountReport(
-        n=n,
-        es_count=es_total,
-        fg_count=fg_total,
-        per_order_breakdown=breakdown,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    graph-side filter; ``oracle=True`` swaps in the brute-force
+    fg-representation search for every candidate (desk scale only)."""
+    if oracle:
+        orders = enumerate_partial_orders(n)
+        return sum(len(enumerate_fullgraph_edge_sets(d, oracle=True)) for d in orders)
+    return sum(_count_edge_sets(range(n), pairs) for pairs in _posets(n))
 
 
 def emit_structures(n: int, kind: str, write: Callable[[bytes], None]) -> int:

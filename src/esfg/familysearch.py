@@ -11,22 +11,22 @@ Candidate sets are bitmasks over ``range(label_bound)``, assigned depth
 first in a fixed event order.  Each event's candidates lie in an interval
 ``low <= S <= high`` read off the assigned prefix; a branch is abandoned
 when a remaining event's interval is empty or an exact pairwise clause
-fails against the prefix, so a returned family is exact.
+fails against the prefix, so a returned family is exact.  The interval
+drops only masks some clause rejects (in overlap mode a pair related no
+way must be disjoint, as nonempty sets neither nested nor properly
+overlapping are), so the first solution in ascending-mask order stays
+first.  It is the one returned, which makes results deterministic.
 
 The one other pruning rule is label symmetry.  ``high`` only intersects
 with assigned masks or removes assigned labels, and ``low`` is a union of
 assigned masks, so each interval holds all labels no assigned set uses
-yet, or none of them.  Swapping two such unused labels maps solutions to
-solutions and fixes the prefix, so a candidate whose fresh labels are not
-the lowest unused ones has a twin that takes those and extends exactly
-when it does; only the twin is tried.  The search stays exhaustive:
-``None`` means unsatisfiable within the bound.
-
-The first solution in ascending-mask order along the event order is
-returned, which makes results deterministic.  Lowering the fresh labels
-of a solution at one event gives a solution that is equal before it and
-smaller there, so the first solution takes its fresh labels lowest-first
-everywhere and the rule never skips it.
+yet, or none of them.  Swapping two unused labels maps solutions to
+solutions and fixes the prefix, so only candidates whose fresh labels are
+the lowest unused ones are generated; lowering the fresh labels of the
+first solution would give a smaller one, so it is never skipped.  The
+used labels are then always 0..m-1, and the candidates are a submask of
+them plus labels m..m+j-1, by j and then ascending, which is ascending
+overall.  ``None`` means unsatisfiable within the bound.
 """
 
 from __future__ import annotations
@@ -113,11 +113,16 @@ def search_set_family(
         or None when it holds no nonempty mask."""
         low, high = 0, full
         for x, mx in assigned:
-            if (x, y) in containment:
+            contains, contained = (x, y) in containment, (y, x) in containment
+            if contains:
                 high &= mx
-            if (y, x) in containment:
+            if contained:
                 low |= mx
-            if not second_overlap and (x, y) in second:
+            if second_overlap:
+                disjoint = not (contains or contained or (x, y) in second)
+            else:
+                disjoint = (x, y) in second
+            if disjoint:
                 high &= ~mx
         if low & ~high or high == 0:
             return None
@@ -147,17 +152,18 @@ def search_set_family(
         y = order[level]
         low, high = bounds(y, assigned)  # feasible: checked just above
         taken = {m for _, m in assigned}
-        for candidate in _ascending_submasks(low, high):
-            if candidate == 0 or candidate in taken:
-                continue
-            fresh = candidate & ~used
-            if ~used & ((1 << fresh.bit_length()) - 1) != fresh:
-                continue  # a twin with lower fresh labels stands for it
-            if all(compatible(x, mx, y, candidate) for x, mx in assigned):
-                assigned.append((y, candidate))
-                if extend(level + 1, used | candidate):
-                    return True
-                assigned.pop()
+        for top in range(used.bit_length(), label_bound + 1):
+            fresh = ((1 << top) - 1) & ~used  # the lowest unused labels
+            if fresh & ~high:
+                break
+            for candidate in _ascending_submasks(low | fresh, (high & used) | fresh):
+                if candidate == 0 or candidate in taken:
+                    continue
+                if all(compatible(x, mx, y, candidate) for x, mx in assigned):
+                    assigned.append((y, candidate))
+                    if extend(level + 1, used | candidate):
+                        return True
+                    assigned.pop()
         return False
 
     if not extend(0, 0):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .event_structure import es_failures, is_event_structure
+from .event_structure import es_failures
 from .familysearch import causes_first_order, search_set_family
 from .relation import Relation
 from .setfamily import SetFamily, family_failures, represents
@@ -48,29 +48,18 @@ def _shape_failures(directed: Relation, undirected: Relation) -> list[str]:
     return failed
 
 
-def _square_failures(directed: Relation, undirected: Relation) -> list[str]:
-    """The shape conjuncts, then T inside the incomparability square."""
+def fg_failures(directed: Relation, undirected: Relation) -> tuple[str, ...]:
+    """Diagnostics for full-graph recognition, empty when (D, T) is one."""
     failed = _shape_failures(directed, undirected)
     if not undirected.pairs <= directed.sym_complement().pairs:
         failed.append("undirected-not-within-incomparable-pairs")
-    return failed
-
-
-def fg_failures(directed: Relation, undirected: Relation) -> tuple[str, ...]:
-    """Diagnostics for full-graph recognition, empty when (D, T) is one."""
     complement = directed.sym_complement() - undirected
-    return (
-        *_square_failures(directed, undirected),
-        *("complement-" + reason for reason in es_failures(directed, complement)),
-    )
+    return (*failed, *("complement-" + r for r in es_failures(directed, complement)))
 
 
 def is_full_graph(directed: Relation, undirected: Relation) -> bool:
-    """Whether (D, T) is a full graph; stops at the first failed conjunct
-    of the complement's validity."""
-    return not _square_failures(directed, undirected) and is_event_structure(
-        directed, directed.sym_complement() - undirected
-    )
+    """Whether (D, T) is a full graph."""
+    return not fg_failures(directed, undirected)
 
 
 def find_fg_representation_bruteforce(

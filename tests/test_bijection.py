@@ -13,10 +13,13 @@ from esfg import (
     es_to_fg,
     fg_to_es,
     incomparable_complement,
+    is_event_structure,
     is_fg_representation,
+    is_full_graph,
     is_representation,
     verify_bijection,
 )
+from esfg.relation import pairs_key
 
 from .strategies import posets
 
@@ -28,6 +31,37 @@ def subsets_of_incomparables(order):
     for mask in range(1 << len(cells)):
         yield Relation(
             order.universe, (c for i, c in enumerate(cells) if mask >> i & 1)
+        )
+
+
+def reference_candidates(order):
+    """Every symmetric subset of the incomparability square, by
+    unordered-pair mask (mirror twins toggled together): the candidates
+    the filters drew as ``Relation``s before the mask kernel."""
+    reps = sorted({(min(a, b), max(a, b)) for a, b in order.sym_complement().pairs})
+    for mask in range(1 << len(reps)):
+        chosen = [pair for i, pair in enumerate(reps) if mask >> i & 1]
+        yield Relation(order.universe, chosen + [(b, a) for a, b in chosen])
+
+
+def shifted(order):
+    """The same order on vertices 1..n inside a universe of n + 1, so that
+    its field is not a prefix of the universe."""
+    return Relation(order.universe + 1, {(a + 1, b + 1) for a, b in order.pairs})
+
+
+def test_filters_agree_with_the_reference_per_order():
+    from esfg import enumerate_partial_orders
+
+    orders = [order for n in range(5) for order in enumerate_partial_orders(n)]
+    orders += [shifted(order) for order in orders if order.universe <= 3]
+    for order in orders:
+        candidates = sorted(reference_candidates(order), key=pairs_key)
+        assert enumerate_admissible_conflicts(order) == tuple(
+            u for u in candidates if is_event_structure(order, u)
+        )
+        assert enumerate_fullgraph_edge_sets(order) == tuple(
+            t for t in candidates if is_full_graph(order, t)
         )
 
 

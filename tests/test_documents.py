@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esfg import (
     DocumentError,
     EventStructure,
     Relation,
     SetFamily,
+    StructureDocument,
     build_representation,
     export_dot,
     from_event_structure,
@@ -150,3 +153,49 @@ def test_dot_hasse_rejects_non_orders():
     doc = parse_document('{"kind":"es","universe":2,"causality":[[0,1]],"conflict":[]}')
     with pytest.raises(ValueError):
         export_dot(doc, hasse=True)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+RELATION_FIELDS = {
+    "es": ("causality", "conflict"),
+    "fg": ("directed", "undirected"),
+    "representation": ("causality", "conflict"),
+}
+SMALL_INTS = st.integers(-1, 3)
+PAIRS = st.lists(st.lists(SMALL_INTS, min_size=2, max_size=2), max_size=5)
+FAMILIES = st.lists(
+    st.tuples(SMALL_INTS, st.lists(SMALL_INTS, max_size=3)).map(list), max_size=4
+)
+
+
+@st.composite
+def documents(draw):
+    """A document of each kind with its fields, up to two of them (or a
+    stray key) then replaced by arbitrary JSON."""
+    kind = draw(st.sampled_from(sorted(RELATION_FIELDS)))
+    first, second = RELATION_FIELDS[kind]
+    doc = {"kind": kind, "universe": draw(SMALL_INTS)}
+    doc[first], doc[second] = draw(PAIRS), draw(PAIRS)
+    if draw(st.booleans()):
+        doc["family"] = draw(FAMILIES)
+    for key in draw(st.lists(st.sampled_from([*doc, "stray"]), max_size=2)):
+        doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+@given(JSON_VALUES | documents())
+def test_any_json_shape_parses_or_raises_a_document_error(shape):
+    """Random JSON, and objects with the document keys holding values of
+    the right or the wrong type, either parse or fail as documents."""
+    raw = json.dumps(shape)
+    for data in (raw, raw.encode()):
+        try:
+            doc = parse_document(data)
+        except DocumentError:
+            continue
+        assert isinstance(doc, StructureDocument)

@@ -1,10 +1,10 @@
 import pytest
 
+import esfg.enumeration
 from esfg import (
     Relation,
     count_es,
     count_fg,
-    count_report,
     emit_structures,
     enumerate_admissible_conflicts,
     enumerate_fullgraph_edge_sets,
@@ -109,14 +109,6 @@ def test_per_order_sides_have_equal_size():
             )
 
 
-def test_count_report_consistency():
-    report = count_report(3)
-    assert report.es_count == report.fg_count == 41
-    assert sum(c for _, c in report.per_order_breakdown) == 41
-    assert len(report.per_order_breakdown) == 19
-    assert report.elapsed_seconds >= 0
-
-
 def test_emit_matches_counts_and_structures_are_valid():
     for n in range(3):
         for kind in ("es", "fg"):
@@ -137,3 +129,34 @@ def test_emit_matches_counts_and_structures_are_valid():
 def test_emit_rejects_unknown_kinds():
     with pytest.raises(ValueError):
         emit_structures(1, "graphs", lambda _: None)
+
+
+def test_streaming_generator_yields_each_order_once():
+    """Distinct partial orders on exactly {0..n-1}, as many as there are
+    labeled posets (OEIS A001035), so each of them exactly once."""
+    for n, total in enumerate((1, 1, 3, 19, 219, 4231)):
+        orders = list(esfg.enumeration._posets(n))
+        assert len(orders) == len(set(orders)) == total
+        for pairs in orders:
+            order = Relation(n, pairs)
+            assert order.field == tuple(range(n)) and order.is_partial_order
+
+
+def test_counts_at_five():
+    assert count_es(5) == count_fg(5) == 41099
+
+
+def test_counts_build_at_most_one_relation_per_order(monkeypatch):
+    built = 0
+    original = Relation.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Relation, "__init__", counted)
+    for count in (count_es, count_fg):
+        built = 0
+        assert count(4) == 916
+        assert built <= 219

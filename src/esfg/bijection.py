@@ -12,7 +12,9 @@ conflict inside the field and T inside the square hold by construction;
 a per-order guard covers causality, and each pair lists the pairs
 propagation requires with it.  The conflict filter tests a mask,
 the edge-set filter ``full ^ mask``.  That map is a bijection between
-the two accepted sets, so their sizes agree by construction.
+the two accepted sets, so the two filters' per-order sizes agree by
+construction; the independent checks of the filters are the structural
+``enumeration.count_es`` and the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -29,16 +31,19 @@ from .representation import build_representation
 
 Rules = tuple[tuple[int, int], ...]
 
-#: Largest event count the exhaustive enumerators accept.
-MAX_EVENTS = 5
+#: Largest event count each kind of exhaustive work accepts: the
+#: structural count (``count_es``), the mask filters over every labeled
+#: order (``count_fg``), and listing structures one by one (the
+#: enumerators, ``verify``, emitted documents).
+SIZE_LIMITS = {"count": 7, "filter": 6, "list": 5}
 
 
-def check_size(n: int) -> None:
-    """Reject an event count the enumerators do not accept."""
+def check_size(n: int, work: str) -> None:
+    """Reject an event count the given kind of work does not accept."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    if n > MAX_EVENTS:
-        raise ValueError(f"n={n} exceeds the limit {MAX_EVENTS}")
+    if n > SIZE_LIMITS[work]:
+        raise ValueError(f"n={n} exceeds the {work} limit {SIZE_LIMITS[work]}")
 
 
 def incomparable_complement(base: Relation, rel: Relation) -> Relation:
@@ -195,7 +200,7 @@ def verify_bijection(base: Relation) -> BijectionReport:
     """Check that complementing within the incomparability square maps the
     full-graph edge sets onto the admissible conflicts and back,
     injectively both ways."""
-    check_size(len(base.field))
+    check_size(len(base.field), "list")
     return bijection_report(
         base, enumerate_fullgraph_edge_sets(base), enumerate_admissible_conflicts(base)
     )

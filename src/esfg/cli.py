@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bijection import MAX_EVENTS, check_size, es_to_fg, fg_to_es
+from .bijection import SIZE_LIMITS, check_size, es_to_fg, fg_to_es
 from .documents import (
     DocumentError,
     StructureDocument,
@@ -62,11 +62,12 @@ def _document_failures(doc: StructureDocument) -> tuple[str, ...]:
     return problems
 
 
-def _refuse_size(n: int, slow: bool) -> bool:
-    """Whether n needs --slow and did not get it; if so, says so on stderr.
-    Sizes that ``check_size`` rejects raise its ``ValueError`` (exit 2)."""
-    check_size(n)
-    if n < MAX_EVENTS or slow:
+def _refuse_size(n: int, slow: bool, work: str) -> bool:
+    """Whether n is the largest the work accepts and came without --slow;
+    if so, says so on stderr.  Sizes that ``check_size`` rejects raise its
+    ``ValueError`` (exit 2)."""
+    check_size(n, work)
+    if n < SIZE_LIMITS[work] or slow:
         return False
     print(f"n={n} is best-effort; pass --slow to run it", file=sys.stderr)
     return True
@@ -112,8 +113,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return OK
 
 
+def _count_work(kind: str) -> str:
+    """The ``SIZE_LIMITS`` entry a count of this kind falls under."""
+    return "count" if kind == "es" else "filter"
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if _refuse_size(args.n, args.slow):
+    work = _count_work(args.kind) if args.count_only else "list"
+    if _refuse_size(args.n, args.slow, work):
         return USAGE
     if args.count_only:
         total = count_es(args.n) if args.kind == "es" else count_fg(args.n)
@@ -140,7 +147,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if _refuse_size(args.n, args.slow):
+    if _refuse_size(args.n, args.slow, "list"):
         return USAGE
     report = run_theorem_suite(args.n)
     for check in report.checks:
@@ -159,7 +166,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
-    if _refuse_size(args.upto, args.slow):
+    if _refuse_size(args.upto, args.slow, _count_work(args.kind)):
         return USAGE
     fetched = fetch_bfile(args.sequence, args.cache, offline=args.offline)
     counter = count_es if args.kind == "es" else count_fg
@@ -184,6 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event structures, full graphs, representations, enumeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    counts = f"{SIZE_LIMITS['count']} for es counts, {SIZE_LIMITS['filter']} for fg counts"
+    listing = f"{SIZE_LIMITS['list']} for listing"
 
     def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", nargs="?", default="-", help="input document or -")
@@ -209,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="DIR", default=None)
     p.add_argument(
-        "--slow", action="store_true", help=f"allow the best-effort n={MAX_EVENTS}"
+        "--slow", action="store_true", help=f"allow the largest n: {counts}, {listing}"
     )
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the verification suite up to size n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--slow", action="store_true")
+    p.add_argument("--slow", action="store_true", help=f"allow the largest n, {listing}")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("dot", help="render a document as a mixed graph in DOT")
@@ -230,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upto", type=int, required=True)
     p.add_argument("--offline", action="store_true", help="require a cache hit")
     p.add_argument("--cache", default=None, help="cache directory override")
-    p.add_argument("--slow", action="store_true")
+    p.add_argument("--slow", action="store_true", help=f"allow the largest n: {counts}")
     p.set_defaults(handler=cmd_oeis)
 
     return parser

@@ -177,9 +177,14 @@ def test_enumerate_emits_files(tmp_path, capsys):
 
 
 def test_enumerate_size_gate(capsys):
-    assert main(["enumerate", "--n", "5", "--kind", "es", "--count-only"]) == 2
-    assert "--slow" in capsys.readouterr().err
-    assert main(["enumerate", "--n", "6", "--kind", "es", "--count-only", "--slow"]) == 2
+    """The largest n of each kind of work needs --slow; one more is refused."""
+    for kind, count_only, largest in (("es", True, 7), ("fg", True, 6), ("es", False, 5)):
+        args = ["enumerate", "--n", str(largest), "--kind", kind]
+        args += ["--count-only"] if count_only else []
+        assert main(args) == 2
+        assert "--slow" in capsys.readouterr().err
+        args[2] = str(largest + 1)
+        assert main(args + ["--slow"]) == 2
     assert main(["enumerate", "--n", "-1", "--kind", "es", "--count-only"]) == 2
     assert main(["verify", "--n", "-1"]) == 2
 

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 import esfg.enumeration
@@ -13,6 +16,7 @@ from esfg import (
     is_full_graph,
     parse_document,
 )
+from esfg.bijection import _count_conflicts
 
 
 def brute_posets(n):
@@ -60,12 +64,21 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 
 def test_limit_is_enforced():
+    """Each kind of work has its own largest n: 7 for the structural
+    count, 6 for the filter count over every labeled order, 5 for
+    listing."""
     with pytest.raises(ValueError):
         list(enumerate_partial_orders(6))
     with pytest.raises(ValueError):
-        count_es(6)
+        emit_structures(6, "es", lambda _: None)
+    with pytest.raises(ValueError):
+        count_es(8)
+    with pytest.raises(ValueError):
+        list(esfg.enumeration._natural_posets(8))
     with pytest.raises(ValueError):
         count_fg(7)
+    with pytest.raises(ValueError):
+        list(esfg.enumeration._posets(7))
 
 
 def test_count_examples():
@@ -160,3 +173,58 @@ def test_counts_build_at_most_one_relation_per_order(monkeypatch):
         built = 0
         assert count(4) == 916
         assert built <= 219
+
+
+def _strict_down_sets(n, pairs):
+    return [sum(1 << u for u in range(n) if u != v and (u, v) in pairs) for v in range(n)]
+
+
+def test_structural_count_matches_the_filter_per_order():
+    """For every labeled order up to five events, the up-sets of Q(P)
+    are exactly the conflicts the mask filter accepts."""
+    for n in range(6):
+        for pairs in esfg.enumeration._posets(n):
+            below = _strict_down_sets(n, pairs)
+            assert esfg.enumeration._count_conflict_upsets(below) == _count_conflicts(
+                range(n), pairs
+            ), sorted(pairs)
+
+
+def test_natural_generator_yields_each_naturally_labeled_order_once():
+    """Orders on {0..n-1} in which i below j implies i < j (OEIS A006455),
+    each exactly once."""
+    for n, total in enumerate((1, 1, 2, 7, 40, 357, 4824)):
+        orders = list(esfg.enumeration._natural_posets(n))
+        assert len(orders) == len(set(orders)) == total
+        for below in orders:
+            pairs = {(u, v) for v in range(n) for u in range(n) if u == v or below[v] >> u & 1}
+            order = Relation(n, pairs)
+            assert order.field == tuple(range(n)) and order.is_partial_order
+            assert all(u < v for u, v in pairs if u != v)
+
+
+def test_natural_orders_weighted_by_extensions_give_the_labeled_orders():
+    """Sum of n!/e(P) over the naturally labeled orders is the number of
+    labeled orders (OEIS A001035), and matches the labeled generator."""
+    for n, total in enumerate((1, 1, 3, 19, 219, 4231, 130023)):
+        weights = sum(
+            Fraction(factorial(n), esfg.enumeration._linear_extensions(below))
+            for below in esfg.enumeration._natural_posets(n)
+        )
+        assert weights == total
+        if n <= 5:
+            assert weights == len(list(esfg.enumeration._posets(n)))
+
+
+def test_structural_count_at_six():
+    assert count_es(6) == 3_528_258
+
+
+@pytest.mark.slow
+def test_filter_count_agrees_with_the_structural_count_at_six():
+    assert count_fg(6) == count_es(6) == 3_528_258
+
+
+@pytest.mark.slow
+def test_structural_count_at_seven():
+    assert count_es(7) == 561_658_287

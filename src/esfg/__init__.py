@@ -42,7 +42,6 @@ from .fullgraph import (
     find_fg_representation_bruteforce,
     is_fg_representation,
     is_full_graph,
-    recognize_full_graph,
 )
 from .oeis import OeisCheck, OeisError, oeis_crosscheck
 from .relation import Relation
@@ -99,7 +98,6 @@ __all__ = [
     "oeis_crosscheck",
     "overlaps",
     "parse_document",
-    "recognize_full_graph",
     "representation_document",
     "run_theorem_suite",
     "serialize_document",

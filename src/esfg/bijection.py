@@ -15,13 +15,20 @@ the edge-set filter ``full ^ mask``.  That map is a bijection between
 the two accepted sets, so the two filters' per-order sizes agree by
 construction; the independent checks of the filters are the structural
 ``enumeration.count_es`` and the brute-force oracle.
+
+The kernel reads an order as the strict up-set mask of each position;
+the enumerators map its pairs back through ``Relation.field``.  Listing
+runs the scalar filters, one mask at a time.  The full-graph count
+still tests every candidate against every rule, but all of an order's
+2^s candidates at once: bit m of the truth table T_i is bit i of m, so
+one integer expression over the tables marks every rejected mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .event_structure import EventStructure, is_event_structure
 from .fullgraph import FullGraph, FullGraphError, fg_failures
@@ -79,24 +86,42 @@ def fg_to_es(graph: FullGraph) -> EventStructure:
     return EventStructure(graph.directed, conflict)
 
 
-def _pair_kernel(
-    field: Sequence[int], order: Container[Pair]
-) -> tuple[tuple[Pair, ...], Rules]:
-    """One order's incomparable pairs a < b of the sorted ``field``, in
+def _pair_kernel(above: Sequence[int]) -> tuple[tuple[Pair, ...], Rules]:
+    """One order's incomparable pairs a < b of its positions 0..k-1, in
     bit order, and for each pair that requires others its bit and the
-    mask of those.  A pair outside the square gets a bit no mask holds."""
-    above = {x: [y for y in field if y != x and (x, y) in order] for x in field}
-    pairs = [p for p in combinations(field, 2) if p not in order and p[::-1] not in order]
-    index = {pair: i for i, pair in enumerate(pairs)}
+    mask of those; ``above`` holds the strict up-set mask of each
+    position.  A pair outside the square gets a bit no mask holds."""
+    k = len(above)
+    pairs = [
+        (a, b) for a, b in combinations(range(k), 2) if not (above[a] >> b | above[b] >> a) & 1
+    ]
+    bit = [[1 << len(pairs)] * k for _ in range(k)]
+    for i, (a, b) in enumerate(pairs):
+        bit[a][b] = bit[b][a] = 1 << i
+    members = [[y for y in range(k) if m >> y & 1] for m in above]
     rules = []
-    for (a, b), i in index.items():
+    for i, (a, b) in enumerate(pairs):
         need = 0
-        for x, z in ((a, b), (b, a)):
-            for y in above[x]:
-                need |= 1 << index.get((min(y, z), max(y, z)), len(index))
+        for y in members[a]:
+            need |= bit[y][b]
+        for y in members[b]:
+            need |= bit[y][a]
         if need:
             rules.append((1 << i, need))
     return tuple(pairs), tuple(rules)
+
+
+def _relation_kernel(base: Relation) -> tuple[tuple[Pair, ...], Rules]:
+    """``_pair_kernel`` of the order ``base`` over the positions of its
+    field, with the pairs mapped back through the field."""
+    field = base.field
+    position = {v: p for p, v in enumerate(field)}
+    above = [0] * len(field)
+    for x, y in base.pairs:
+        if x != y:
+            above[position[x]] |= 1 << position[y]
+    pairs, rules = _pair_kernel(above)
+    return tuple((field[a], field[b]) for a, b in pairs), rules
 
 
 def _propagates(mask: int, rules: Rules) -> bool:
@@ -118,16 +143,44 @@ def _edge_set_masks(size: int, rules: Rules) -> Iterator[int]:
     return (m for m in range(full + 1) if _propagates(full ^ m, rules))
 
 
-def _count_conflicts(field: Sequence[int], order: Container[Pair]) -> int:
+def _count_conflicts(above: Sequence[int]) -> int:
     """How many conflicts of one order the event-structure filter accepts."""
-    pairs, rules = _pair_kernel(field, order)
+    pairs, rules = _pair_kernel(above)
     return sum(1 for _ in _conflict_masks(len(pairs), rules))
 
 
-def _count_edge_sets(field: Sequence[int], order: Container[Pair]) -> int:
-    """How many edge sets of one order the full-graph filter accepts."""
-    pairs, rules = _pair_kernel(field, order)
-    return sum(1 for _ in _edge_set_masks(len(pairs), rules))
+def _truth_tables(size: int) -> tuple[int, ...]:
+    """T_0 .. T_{size-1} over the 2^size candidate masks: bit m of T_i is
+    bit i of m.  T_i repeats 2^i zeros then 2^i ones."""
+    full = (1 << (1 << size)) - 1
+    return tuple(
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        for i in range(size)
+    )
+
+
+def _count_edge_sets(size: int, rules: Rules, tables: dict[int, tuple[int, ...]]) -> int:
+    """How many masks the full-graph filter accepts, every candidate
+    tested against every rule at once as one bit of a truth table.  A
+    mask is rejected when it lacks a rule's pair and holds one the pair
+    requires, or the rule requires a pair outside the square.  ``tables``
+    keeps the truth tables of each size for the caller's next order."""
+    if size not in tables:
+        tables[size] = _truth_tables(size)
+    table = tables[size]
+    full = (1 << (1 << size)) - 1
+    rejected = 0
+    for bit, need in rules:
+        lacks = full ^ table[bit.bit_length() - 1]
+        if need >> size:
+            rejected |= lacks
+            continue
+        holds = 0
+        for j in range(size):
+            if need >> j & 1:
+                holds |= table[j]
+        rejected |= lacks & holds
+    return (1 << size) - rejected.bit_count()
 
 
 def _relations(
@@ -144,7 +197,7 @@ def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
     sorted by pair list; empty for a ``base`` that is not an order."""
     if not is_event_structure(base, Relation(base.universe)):
         return ()  # the empty conflict is valid exactly when base is an order
-    pairs, rules = _pair_kernel(base.field, base.pairs)
+    pairs, rules = _relation_kernel(base)
     return _relations(base.universe, pairs, _conflict_masks(len(pairs), rules))
 
 
@@ -157,7 +210,7 @@ def enumerate_fullgraph_edge_sets(
     an fg-representation instead of the filter."""
     if not base.is_partial_order:
         return ()
-    pairs, rules = _pair_kernel(base.field, base.pairs)
+    pairs, rules = _relation_kernel(base)
     if not oracle:
         return _relations(base.universe, pairs, _edge_set_masks(len(pairs), rules))
     bound = len(base.field) ** 2

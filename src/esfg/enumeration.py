@@ -3,9 +3,11 @@
 Counting is over vertex set exactly ``{0..n-1}`` (labeled structures, not
 isomorphism classes), building no ``Relation``, along two independent
 paths.  ``count_fg`` runs the full-graph mask filter of ``bijection`` on
-every labeled order.  ``count_es`` counts by structure: by the conflict
-axioms, a valid conflict on an order P is exactly an up-set of the poset
-Q(P) of event pairs with no common upper bound, ordered componentwise.
+every labeled order, testing all of an order's candidates bit-parallel;
+listing (``enumerate_fullgraph_edge_sets``) uses the scalar filter.
+``count_es`` counts by structure: by the conflict axioms, a valid
+conflict on an order P is exactly an up-set of the poset Q(P) of event
+pairs with no common upper bound, ordered componentwise.
 The count is isomorphism invariant, so it sums over the naturally
 labeled orders only (i below j only if i < j), each weighted by the
 n!/e(P) labeled orders it stands for, e(P) being its number of linear
@@ -15,7 +17,8 @@ Labeled orders stream depth first: vertex k joins an order on 0..k-1
 above a down-closed set B and below an up-closed set A, with B wholly
 below A.  That is transitive as it stands, and each order arises once: B
 and A are k's strict down-set and up-set, and the rest is an order on
-0..k-1.  Naturally labeled orders are the case A = {}.
+0..k-1.  Each order is yielded as the strict up-set mask of each vertex.
+Naturally labeled orders are the case A = {}.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 from .bijection import (
     _count_edge_sets,
+    _pair_kernel,
     check_size,
     enumerate_admissible_conflicts,
     enumerate_fullgraph_edge_sets,
@@ -34,7 +38,7 @@ from .bijection import (
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Pair, Relation
+from .relation import Relation
 
 
 def _closed(sets: Sequence[int]) -> list[int]:
@@ -45,18 +49,16 @@ def _closed(sets: Sequence[int]) -> list[int]:
     ]
 
 
-def _posets(n: int) -> Iterator[frozenset[Pair]]:
-    """The pair set of every partial order on {0..n-1}, each once.
-    ``above`` and ``below`` hold the strict up-set and down-set masks of
-    the vertices placed so far."""
+def _posets(n: int) -> Iterator[tuple[int, ...]]:
+    """Every partial order on {0..n-1}, each once, as the strict up-set
+    mask of each vertex.  ``above`` and ``below`` hold the strict up-set
+    and down-set masks of the vertices placed so far."""
     check_size(n, "filter")
 
-    def grow(above: list[int], below: list[int]) -> Iterator[frozenset[Pair]]:
+    def grow(above: list[int], below: list[int]) -> Iterator[tuple[int, ...]]:
         k = len(above)
         if k == n:
-            yield frozenset(
-                (v, w) for v in range(n) for w in range(n) if v == w or above[v] >> w & 1
-            )
+            yield tuple(above)
             return
         ups = _closed(above)
         for low in _closed(below):
@@ -133,7 +135,11 @@ def enumerate_partial_orders(n: int) -> Iterator[Relation]:
     """Every reflexive, transitive, antisymmetric relation with field
     exactly {0..n-1}, each once, sorted by pair list."""
     check_size(n, "list")
-    for pairs in sorted(_posets(n), key=sorted):
+    orders = (
+        frozenset((v, w) for v in range(n) for w in range(n) if v == w or above[v] >> w & 1)
+        for above in _posets(n)
+    )
+    for pairs in sorted(orders, key=sorted):
         yield Relation(n, pairs)
 
 
@@ -159,7 +165,12 @@ def count_fg(n: int, *, oracle: bool = False) -> int:
     if oracle:
         orders = enumerate_partial_orders(n)
         return sum(len(enumerate_fullgraph_edge_sets(d, oracle=True)) for d in orders)
-    return sum(_count_edge_sets(range(n), pairs) for pairs in _posets(n))
+    tables: dict[int, tuple[int, ...]] = {}
+    total = 0
+    for above in _posets(n):
+        pairs, rules = _pair_kernel(above)
+        total += _count_edge_sets(len(pairs), rules, tables)
+    return total
 
 
 def emit_structures(n: int, kind: str, write: Callable[[bytes], None]) -> int:

@@ -112,17 +112,3 @@ class FullGraph:
     @property
     def vertices(self) -> tuple[int, ...]:
         return self.directed.field
-
-
-def recognize_full_graph(directed: Relation, undirected: Relation) -> FullGraph:
-    """Check (D, T) and return it as a ``FullGraph`` carrying the family
-    built for its complement conflict as certificate.  Raises
-    ``FullGraphError`` with the recognition diagnostics otherwise."""
-    from .representation import build_representation
-
-    failures = fg_failures(directed, undirected)
-    if failures:
-        raise FullGraphError(failures)
-    conflict = directed.sym_complement() - undirected
-    certificate = build_representation(directed, conflict).family
-    return FullGraph(directed, undirected, certificate)

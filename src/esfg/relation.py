@@ -68,18 +68,13 @@ class Relation:
         return Relation(max(self.universe, other.universe), self.pairs - other.pairs)
 
     # ------------------------------------------------------------------
-    # field, domain, range
+    # field and domain
     # ------------------------------------------------------------------
 
     @cached_property
     def domain(self) -> tuple[int, ...]:
         """Sorted first components."""
         return tuple(sorted({a for a, _ in self.pairs}))
-
-    @cached_property
-    def ran(self) -> tuple[int, ...]:
-        """Sorted second components."""
-        return tuple(sorted({b for _, b in self.pairs}))
 
     @cached_property
     def field(self) -> tuple[int, ...]:
@@ -134,10 +129,6 @@ class Relation:
         fld, pairs = self.field, self.pairs
         square = {(a, b) for a in fld for b in fld if (a, b) not in pairs}
         return Relation(self.universe, square - {(b, a) for a, b in pairs})
-
-    def fixed_points(self) -> frozenset[int]:
-        """Vertices related to themselves."""
-        return frozenset(a for a, b in self.pairs if a == b)
 
     def transitive_reduction(self) -> Relation:
         """Covering pairs of a finite order: self-loops dropped, implied

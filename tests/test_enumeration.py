@@ -16,7 +16,13 @@ from esfg import (
     is_full_graph,
     parse_document,
 )
-from esfg.bijection import _count_conflicts
+from esfg.bijection import (
+    _count_conflicts,
+    _count_edge_sets,
+    _edge_set_masks,
+    _pair_kernel,
+    _truth_tables,
+)
 
 
 def brute_posets(n):
@@ -144,14 +150,19 @@ def test_emit_rejects_unknown_kinds():
         emit_structures(1, "graphs", lambda _: None)
 
 
+def _order_pairs(above):
+    n = len(above)
+    return {(v, w) for v in range(n) for w in range(n) if v == w or above[v] >> w & 1}
+
+
 def test_streaming_generator_yields_each_order_once():
     """Distinct partial orders on exactly {0..n-1}, as many as there are
     labeled posets (OEIS A001035), so each of them exactly once."""
     for n, total in enumerate((1, 1, 3, 19, 219, 4231)):
         orders = list(esfg.enumeration._posets(n))
         assert len(orders) == len(set(orders)) == total
-        for pairs in orders:
-            order = Relation(n, pairs)
+        for above in orders:
+            order = Relation(n, _order_pairs(above))
             assert order.field == tuple(range(n)) and order.is_partial_order
 
 
@@ -172,22 +183,48 @@ def test_counts_build_at_most_one_relation_per_order(monkeypatch):
     for count in (count_es, count_fg):
         built = 0
         assert count(4) == 916
-        assert built <= 219
+        assert built == 0
 
 
-def _strict_down_sets(n, pairs):
-    return [sum(1 << u for u in range(n) if u != v and (u, v) in pairs) for v in range(n)]
+def _strict_down_sets(above):
+    n = len(above)
+    return [sum(1 << u for u in range(n) if above[u] >> v & 1) for v in range(n)]
 
 
 def test_structural_count_matches_the_filter_per_order():
     """For every labeled order up to five events, the up-sets of Q(P)
     are exactly the conflicts the mask filter accepts."""
     for n in range(6):
-        for pairs in esfg.enumeration._posets(n):
-            below = _strict_down_sets(n, pairs)
+        for above in esfg.enumeration._posets(n):
+            below = _strict_down_sets(above)
             assert esfg.enumeration._count_conflict_upsets(below) == _count_conflicts(
-                range(n), pairs
-            ), sorted(pairs)
+                above
+            ), above
+
+
+def test_truth_table_bit_m_is_bit_i_of_m():
+    for size in range(6):
+        tables = _truth_tables(size)
+        assert len(tables) == size
+        for i, table in enumerate(tables):
+            assert table >> (1 << size) == 0
+            assert all(table >> m & 1 == m >> i & 1 for m in range(1 << size))
+
+
+def _assert_table_count_matches_the_scalar_filter(n):
+    tables = {}
+    for above in esfg.enumeration._posets(n):
+        pairs, rules = _pair_kernel(above)
+        size = len(pairs)
+        scalar = sum(1 for _ in _edge_set_masks(size, rules))
+        assert _count_edge_sets(size, rules, tables) == scalar, above
+
+
+def test_table_count_matches_the_scalar_filter_per_order():
+    """The bit-parallel full-graph count accepts, on every labeled order
+    up to five events, as many masks as the one-mask-at-a-time filter."""
+    for n in range(6):
+        _assert_table_count_matches_the_scalar_filter(n)
 
 
 def test_natural_generator_yields_each_naturally_labeled_order_once():
@@ -223,6 +260,11 @@ def test_structural_count_at_six():
 @pytest.mark.slow
 def test_filter_count_agrees_with_the_structural_count_at_six():
     assert count_fg(6) == count_es(6) == 3_528_258
+
+
+@pytest.mark.slow
+def test_table_count_matches_the_scalar_filter_per_order_at_six():
+    _assert_table_count_matches_the_scalar_filter(6)
 
 
 @pytest.mark.slow

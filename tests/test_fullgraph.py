@@ -14,7 +14,6 @@ from esfg import (
     is_fg_representation,
     is_full_graph,
     overlaps,
-    recognize_full_graph,
 )
 
 
@@ -83,16 +82,6 @@ def test_short_circuit_recognition_agrees_with_the_diagnostics():
             assert is_full_graph(directed, undirected) == (
                 not fg_failures(directed, undirected)
             )
-
-
-def test_recognize_attaches_a_checked_certificate():
-    discrete = Relation(2, {(0, 0), (1, 1)})
-    touch = Relation(2, {(0, 1), (1, 0)})
-    graph = recognize_full_graph(discrete, touch)
-    assert graph.certificate is not None
-    assert is_fg_representation(graph.certificate, discrete, touch)
-    with pytest.raises(FullGraphError):
-        recognize_full_graph(Relation(2, {(0, 0), (1, 1), (0, 1)}), touch)
 
 
 def test_constructor_rejects_bad_certificates():

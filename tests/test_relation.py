@@ -94,12 +94,6 @@ def test_properties_examples():
     assert not Relation(2, {(0, 1), (1, 0)}).is_partial_order
 
 
-def test_fixed_points_examples():
-    assert Relation(1).fixed_points() == frozenset()
-    assert Relation(2, {(0, 0), (0, 1)}).fixed_points() == {0}
-    assert Relation(2, {(0, 0), (1, 1)}).fixed_points() == {0, 1}
-
-
 def test_transitive_reduction_examples():
     three_chain = Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)})
     assert three_chain.transitive_reduction().pairs == {(0, 1), (1, 2)}
@@ -123,7 +117,7 @@ def test_bounds_are_enforced():
 
 @given(relations())
 def test_field_is_domain_union_range(rel):
-    assert set(rel.field) == set(rel.domain) | set(rel.ran)
+    assert set(rel.field) == set(rel.domain) | {b for _, b in rel.pairs}
 
 
 @given(relations())

@@ -18,10 +18,12 @@ construction; the independent checks of the filters are the structural
 
 The kernel reads an order as the strict up-set mask of each position;
 the enumerators map its pairs back through ``Relation.field``.  Listing
-runs the scalar filters, one mask at a time.  The full-graph count
+runs the scalar filters, one mask at a time, and they are the reference
+for the full-graph count, ``enumeration._edge_set_counts``.  That count
 still tests every candidate against every rule, but all of an order's
-2^s candidates at once: bit m of the truth table T_i is bit i of m, so
-one integer expression over the tables marks every rejected mask.
+2^s candidates at once, as bits of truth tables (``_truth_tables``), and
+it carries the table of rejected masks down the poset walk from each
+order to its extensions in place of building each order's kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ Rules = tuple[tuple[int, int], ...]
 #: structural count (``count_es``), the mask filters over every labeled
 #: order (``count_fg``), and listing structures one by one (the
 #: enumerators, ``verify``, emitted documents).
-SIZE_LIMITS = {"count": 7, "filter": 6, "list": 5}
+SIZE_LIMITS = {"count": 7, "filter": 7, "list": 5}
 
 
 def check_size(n: int, work: str) -> None:
@@ -157,30 +159,6 @@ def _truth_tables(size: int) -> tuple[int, ...]:
         full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
         for i in range(size)
     )
-
-
-def _count_edge_sets(size: int, rules: Rules, tables: dict[int, tuple[int, ...]]) -> int:
-    """How many masks the full-graph filter accepts, every candidate
-    tested against every rule at once as one bit of a truth table.  A
-    mask is rejected when it lacks a rule's pair and holds one the pair
-    requires, or the rule requires a pair outside the square.  ``tables``
-    keeps the truth tables of each size for the caller's next order."""
-    if size not in tables:
-        tables[size] = _truth_tables(size)
-    table = tables[size]
-    full = (1 << (1 << size)) - 1
-    rejected = 0
-    for bit, need in rules:
-        lacks = full ^ table[bit.bit_length() - 1]
-        if need >> size:
-            rejected |= lacks
-            continue
-        holds = 0
-        for j in range(size):
-            if need >> j & 1:
-                holds |= table[j]
-        rejected |= lacks & holds
-    return (1 << size) - rejected.bit_count()
 
 
 def _relations(

@@ -3,8 +3,10 @@
 Counting is over vertex set exactly ``{0..n-1}`` (labeled structures, not
 isomorphism classes), building no ``Relation``, along two independent
 paths.  ``count_fg`` runs the full-graph mask filter of ``bijection`` on
-every labeled order, testing all of an order's candidates bit-parallel;
-listing (``enumerate_fullgraph_edge_sets``) uses the scalar filter.
+every labeled order, testing all of an order's candidates bit-parallel
+and carrying the table of rejected candidates down the poset walk from
+each order to its extensions; listing (``enumerate_fullgraph_edge_sets``)
+uses the scalar filter.
 ``count_es`` counts by structure: by the conflict axioms, a valid
 conflict on an order P is exactly an up-set of the poset Q(P) of event
 pairs with no common upper bound, ordered componentwise.
@@ -17,7 +19,9 @@ Labeled orders stream depth first: vertex k joins an order on 0..k-1
 above a down-closed set B and below an up-closed set A, with B wholly
 below A.  That is transitive as it stands, and each order arises once: B
 and A are k's strict down-set and up-set, and the rest is an order on
-0..k-1.  Each order is yielded as the strict up-set mask of each vertex.
+0..k-1.  ``_extensions`` is that step, shared by ``_posets`` and the
+full-graph count.  Each order is yielded as the strict up-set mask of
+each vertex.
 Naturally labeled orders are the case A = {}.
 """
 
@@ -29,8 +33,7 @@ from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .bijection import (
-    _count_edge_sets,
-    _pair_kernel,
+    _truth_tables,
     check_size,
     enumerate_admissible_conflicts,
     enumerate_fullgraph_edge_sets,
@@ -49,6 +52,35 @@ def _closed(sets: Sequence[int]) -> list[int]:
     ]
 
 
+def _extensions(above: Sequence[int], below: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Each way vertex k = len(above) joins the order on 0..k-1 with these
+    strict up-set and down-set masks, as its strict down-set ``low`` and
+    up-set ``high``: ``low`` down-closed, ``high`` up-closed and inside
+    ``cap``, the part of the order above every vertex of ``low``."""
+    ups = _closed(above)
+    everything = (1 << len(above)) - 1
+    for low in _closed(below):
+        cap = everything
+        for v, m in enumerate(above):
+            if low >> v & 1:
+                cap &= m
+        for high in ups:
+            if not high & ~cap:
+                yield low, high
+
+
+def _join(
+    above: Sequence[int], below: Sequence[int], low: int, high: int
+) -> tuple[list[int], list[int]]:
+    """The strict up-set and down-set masks once vertex k = len(above)
+    joins above ``low`` and below ``high``."""
+    k = len(above)
+    return (
+        [m | (low >> v & 1) << k for v, m in enumerate(above)] + [high],
+        [m | (high >> v & 1) << k for v, m in enumerate(below)] + [low],
+    )
+
+
 def _posets(n: int) -> Iterator[tuple[int, ...]]:
     """Every partial order on {0..n-1}, each once, as the strict up-set
     mask of each vertex.  ``above`` and ``below`` hold the strict up-set
@@ -60,16 +92,75 @@ def _posets(n: int) -> Iterator[tuple[int, ...]]:
         if k == n:
             yield tuple(above)
             return
-        ups = _closed(above)
-        for low in _closed(below):
-            for high in ups:
-                if all(above[v] | high == above[v] for v in range(k) if low >> v & 1):
-                    yield from grow(
-                        [m | (low >> v & 1) << k for v, m in enumerate(above)] + [high],
-                        [m | (high >> v & 1) << k for v, m in enumerate(below)] + [low],
-                    )
+        for low, high in _extensions(above, below):
+            yield from grow(*_join(above, below, low, high))
 
     return grow([], [])
+
+
+def _edge_set_counts(n: int) -> Iterator[int]:
+    """How many edge sets the full-graph filter accepts on each labeled
+    order on {0..n-1}, in the order ``_posets(n)`` yields the orders.
+
+    One walk carries, from each order to its extensions, the bit of each
+    incomparable pair and the truth table of the masks it rejects (bit m
+    set when mask m fails a rule; see ``bijection._truth_tables``).  A mask
+    holds the edges, so a rule of pair i rejects the masks that lack i and
+    hold a pair i requires, or all that lack i if it requires a comparable
+    pair.  Vertex k joins above ``low`` and below ``high``; its new pairs
+    (v, k) take the next bits, and the table is copied across each new
+    bit.  An old pair {a, b} keeps its rules and gains the need {k, b}
+    when k is above a.  A new pair (v, k) needs {y, k} for each y above v,
+    and {v, w} for each w above k.  Every candidate still meets every
+    rule, so the count is independent of the structural one."""
+    check_size(n, "filter")
+    members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+    # bit[v][w]: the bit of the incomparable pair {v, w}.  A vertex
+    # placed at depth k writes row and column k afresh, and deeper
+    # vertices write only higher ones, so the walk shares one grid.
+    bit = [[0] * n for _ in range(n)]
+    tables: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def grow(above: list[int], below: list[int], size: int, rejected: int) -> Iterator[int]:
+        k = len(above)
+        everything = (1 << k) - 1
+        for low, high in _extensions(above, below):
+            new = members[everything & ~(low | high)]
+            grown = size + len(new)
+            if grown not in tables:
+                full = (1 << (1 << grown)) - 1
+                holding = _truth_tables(grown)
+                tables[grown] = holding, tuple(full ^ t for t in holding)
+            holding, lacking = tables[grown]
+            r = rejected
+            for j in range(size, grown):
+                r |= r << (1 << j)
+            for j, v in enumerate(new, size):
+                bit[v][k] = bit[k][v] = j
+            for a in members[low]:
+                for b in members[everything & ~(above[a] | below[a] | 1 << a)]:
+                    if low >> b & 1:
+                        r |= lacking[bit[a][b]]  # {k, b} is comparable
+                    else:
+                        r |= lacking[bit[a][b]] & holding[bit[k][b]]
+            for j, v in enumerate(new, size):
+                if (above[v] | below[v]) & high:
+                    r |= lacking[j]  # some {v, w} with w above k is comparable
+                    continue
+                holds = 0
+                for y in members[above[v]]:
+                    holds |= holding[bit[y][k]]
+                for w in members[high]:
+                    holds |= holding[bit[v][w]]
+                r |= lacking[j] & holds
+            if k + 1 == n:
+                yield (1 << grown) - r.bit_count()
+                continue
+            yield from grow(*_join(above, below, low, high), grown, r)
+
+    if n == 0:
+        return iter((1,))  # the one order on no events has one edge set
+    return grow([], [], 0, 0)
 
 
 def _natural_posets(n: int) -> Iterator[tuple[int, ...]]:
@@ -165,12 +256,7 @@ def count_fg(n: int, *, oracle: bool = False) -> int:
     if oracle:
         orders = enumerate_partial_orders(n)
         return sum(len(enumerate_fullgraph_edge_sets(d, oracle=True)) for d in orders)
-    tables: dict[int, tuple[int, ...]] = {}
-    total = 0
-    for above in _posets(n):
-        pairs, rules = _pair_kernel(above)
-        total += _count_edge_sets(len(pairs), rules, tables)
-    return total
+    return sum(_edge_set_counts(n))
 
 
 def emit_structures(n: int, kind: str, write: Callable[[bytes], None]) -> int:

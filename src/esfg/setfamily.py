@@ -1,8 +1,7 @@
 """Set-valued maps: one finite set of natural-number labels per vertex.
 
-A ``SetFamily`` is right-unique by construction (it is a map), immutable,
-and total in the lenient sense: applying it outside its keys returns the
-empty set.  Strict domain membership is an explicit ``in`` check.
+A ``SetFamily`` is right-unique by construction (it is a map) and
+immutable.  Domain membership is an explicit ``in`` check.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .relation import Relation
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 class SetFamily:
@@ -71,10 +68,6 @@ class SetFamily:
         return f"SetFamily({{{body}}})"
 
     # ------------------------------------------------------------------
-
-    def apply(self, key: int) -> frozenset[int]:
-        """The set at ``key``, or the empty set when the key is absent."""
-        return self._entries.get(key, _EMPTY)
 
     def is_injective(self) -> bool:
         """No two distinct keys share the same value set."""

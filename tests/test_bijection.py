@@ -78,7 +78,8 @@ def test_es_to_fg_examples():
     graph = es_to_fg(EventStructure(discrete, Relation(2)))
     assert graph.undirected.pairs == {(0, 1), (1, 0)}
     assert graph.certificate is not None
-    assert graph.certificate.apply(0) == {1, 2} and graph.certificate.apply(1) == {0, 1}
+    certificate = dict(graph.certificate.items())
+    assert certificate[0] == {1, 2} and certificate[1] == {0, 1}
 
     clash = Relation(2, {(0, 1), (1, 0)})
     assert es_to_fg(EventStructure(discrete, clash)).undirected.pairs == set()

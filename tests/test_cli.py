@@ -178,7 +178,7 @@ def test_enumerate_emits_files(tmp_path, capsys):
 
 def test_enumerate_size_gate(capsys):
     """The largest n of each kind of work needs --slow; one more is refused."""
-    for kind, count_only, largest in (("es", True, 7), ("fg", True, 6), ("es", False, 5)):
+    for kind, count_only, largest in (("es", True, 7), ("fg", True, 7), ("es", False, 5)):
         args = ["enumerate", "--n", str(largest), "--kind", kind]
         args += ["--count-only"] if count_only else []
         assert main(args) == 2

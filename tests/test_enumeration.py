@@ -16,13 +16,7 @@ from esfg import (
     is_full_graph,
     parse_document,
 )
-from esfg.bijection import (
-    _count_conflicts,
-    _count_edge_sets,
-    _edge_set_masks,
-    _pair_kernel,
-    _truth_tables,
-)
+from esfg.bijection import _count_conflicts, _edge_set_masks, _pair_kernel, _truth_tables
 
 
 def brute_posets(n):
@@ -71,7 +65,7 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 def test_limit_is_enforced():
     """Each kind of work has its own largest n: 7 for the structural
-    count, 6 for the filter count over every labeled order, 5 for
+    count and for the filter count over every labeled order, 5 for
     listing."""
     with pytest.raises(ValueError):
         list(enumerate_partial_orders(6))
@@ -82,9 +76,9 @@ def test_limit_is_enforced():
     with pytest.raises(ValueError):
         list(esfg.enumeration._natural_posets(8))
     with pytest.raises(ValueError):
-        count_fg(7)
+        count_fg(8)
     with pytest.raises(ValueError):
-        list(esfg.enumeration._posets(7))
+        list(esfg.enumeration._posets(8))
 
 
 def test_count_examples():
@@ -212,17 +206,16 @@ def test_truth_table_bit_m_is_bit_i_of_m():
 
 
 def _assert_table_count_matches_the_scalar_filter(n):
-    tables = {}
-    for above in esfg.enumeration._posets(n):
+    counts = esfg.enumeration._edge_set_counts(n)
+    for above, count in zip(esfg.enumeration._posets(n), counts, strict=True):
         pairs, rules = _pair_kernel(above)
-        size = len(pairs)
-        scalar = sum(1 for _ in _edge_set_masks(size, rules))
-        assert _count_edge_sets(size, rules, tables) == scalar, above
+        assert count == sum(1 for _ in _edge_set_masks(len(pairs), rules)), above
 
 
 def test_table_count_matches_the_scalar_filter_per_order():
-    """The bit-parallel full-graph count accepts, on every labeled order
-    up to five events, as many masks as the one-mask-at-a-time filter."""
+    """The walk's carried table accepts, on every labeled order up to five
+    events, as many masks as the one-mask-at-a-time filter on that order's
+    own kernel, and it yields one count per order in ``_posets`` order."""
     for n in range(6):
         _assert_table_count_matches_the_scalar_filter(n)
 
@@ -257,7 +250,6 @@ def test_structural_count_at_six():
     assert count_es(6) == 3_528_258
 
 
-@pytest.mark.slow
 def test_filter_count_agrees_with_the_structural_count_at_six():
     assert count_fg(6) == count_es(6) == 3_528_258
 
@@ -270,3 +262,10 @@ def test_table_count_matches_the_scalar_filter_per_order_at_six():
 @pytest.mark.slow
 def test_structural_count_at_seven():
     assert count_es(7) == 561_658_287
+
+
+@pytest.mark.slow
+def test_filter_count_at_seven():
+    """The filter over all 6,129,859 labeled orders on seven events agrees
+    with the structural count, a path it shares nothing with."""
+    assert count_fg(7) == 561_658_287

@@ -26,11 +26,12 @@ def all_relations(n):
 
 
 def fg_representation_brute(family, directed, undirected):
+    sets = dict(family.items())
     for x in family.keys:
         for y in family.keys:
-            if ((x, y) in directed.pairs) != (family.apply(x) >= family.apply(y)):
+            fx, fy = sets[x], sets[y]
+            if ((x, y) in directed.pairs) != (fx >= fy):
                 return False
-            fx, fy = family.apply(x), family.apply(y)
             touching = bool(fx & fy) and fx & fy != fx and fx & fy != fy
             if ((x, y) in undirected.pairs) != touching:
                 return False
@@ -136,15 +137,16 @@ def test_derived_graphs_stay_within_the_incomparable_square():
     values = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({0, 2})]
     for va, vb, vc in product(values, repeat=3):
         family = SetFamily({0: va, 1: vb, 2: vc})
+        sets = dict(family.items())
         directed = Relation(
             3,
             ((x, y) for x in (0, 1, 2) for y in (0, 1, 2)
-             if family.apply(x) >= family.apply(y)),
+             if sets[x] >= sets[y]),
         )
         undirected = Relation(
             3,
             ((x, y) for x in (0, 1, 2) for y in (0, 1, 2)
-             if overlaps(family.apply(x), family.apply(y))),
+             if overlaps(sets[x], sets[y])),
         )
         assert is_fg_representation(family, directed, undirected)
         assert undirected.pairs <= directed.sym_complement().pairs

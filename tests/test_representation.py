@@ -26,11 +26,12 @@ from esfg import (
 
 def representation_brute(family, causality, conflict):
     """Direct double-loop evaluation of both biconditionals (test oracle)."""
+    sets = dict(family.items())
     for x in family.keys:
         for y in family.keys:
-            if ((x, y) in causality.pairs) != (family.apply(x) >= family.apply(y)):
+            if ((x, y) in causality.pairs) != (sets[x] >= sets[y]):
                 return False
-            disjoint = not (family.apply(x) & family.apply(y))
+            disjoint = not (sets[x] & sets[y])
             if ((x, y) in conflict.pairs) != disjoint:
                 return False
     return True
@@ -172,18 +173,19 @@ def test_soundness_exhaustive_over_small_families():
     checked = 0
     for family in all_small_families():
         keys = family.keys
+        sets = dict(family.items())
         order = Relation(
             3,
             (
                 (x, y)
                 for x in keys
                 for y in keys
-                if family.apply(x) >= family.apply(y)
+                if sets[x] >= sets[y]
             ),
         )
         conflict = Relation(
             3,
-            ((x, y) for x in keys for y in keys if not family.apply(x) & family.apply(y)),
+            ((x, y) for x in keys for y in keys if not sets[x] & sets[y]),
         )
         assert is_representation(family, order, conflict)
         assert structure_from_representation(family, order, conflict).all_hold
@@ -255,9 +257,10 @@ def test_completeness_and_growth_on_small_structures():
             conflicting = step_u.converse().image((s,))
             concurrent = events - {s} - ancestors - conflicting
             grown = extend_with_terminal(family, step_d, step_u, s)
+            before, after = dict(family.items()), dict(grown.items())
             for x in family.keys:
-                assert family.apply(x) <= grown.apply(x)
-            fresh = grown.apply(s)
+                assert before[x] <= after[x]
+            fresh = after[s]
             assert len(fresh) == len(concurrent) + 1
             assert not fresh & used
             family = grown

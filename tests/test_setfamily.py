@@ -3,12 +3,6 @@ import pytest
 from esfg import SetFamily
 
 
-def test_apply_examples():
-    assert SetFamily({0: {1, 2}}).apply(0) == {1, 2}
-    assert SetFamily({0: {1, 2}}).apply(5) == frozenset()
-    assert SetFamily().apply(0) == frozenset()
-
-
 def test_is_injective_examples():
     assert SetFamily().is_injective()
     assert not SetFamily({0: {1}, 1: {1}}).is_injective()

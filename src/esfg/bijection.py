@@ -164,9 +164,10 @@ def _truth_tables(size: int) -> tuple[int, ...]:
 def _relations(
     universe: int, pairs: Sequence[Pair], masks: Iterable[int]
 ) -> tuple[Relation, ...]:
-    """The symmetric relation of each mask, sorted by pair list."""
+    """The symmetric relation of each mask, sorted by pair list; the
+    pairs are mapped back through a relation's field, so already valid."""
     chosen = ([pair for i, pair in enumerate(pairs) if m >> i & 1] for m in masks)
-    found = (Relation(universe, c + [(b, a) for a, b in c]) for c in chosen)
+    found = (Relation._of(universe, frozenset(c + [(b, a) for a, b in c])) for c in chosen)
     return tuple(sorted(found, key=pairs_key))
 
 

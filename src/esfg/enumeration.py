@@ -45,11 +45,16 @@ from .relation import Relation
 
 
 def _closed(sets: Sequence[int]) -> list[int]:
-    """The vertex sets s with sets[v] inside s for every v in s, ascending."""
-    k = len(sets)
-    return [
-        s for s in range(1 << k) if all(sets[v] | s == s for v in range(k) if s >> v & 1)
-    ]
+    """The vertex sets s with sets[v] inside s for every v in s, ascending.
+    ``reach[s]``, the union of sets[v] over v in s, is ``reach`` of s
+    without its lowest vertex plus that vertex's set."""
+    reach = [0] * (1 << len(sets))
+    found = [0]
+    for s in range(1, len(reach)):
+        r = reach[s] = reach[s & (s - 1)] | sets[(s & -s).bit_length() - 1]
+        if not r & ~s:
+            found.append(s)
+    return found
 
 
 def _extensions(above: Sequence[int], below: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -119,7 +124,7 @@ def _edge_set_counts(n: int) -> Iterator[int]:
     # placed at depth k writes row and column k afresh, and deeper
     # vertices write only higher ones, so the walk shares one grid.
     bit = [[0] * n for _ in range(n)]
-    tables: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    tables: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def grow(above: list[int], below: list[int], size: int, rejected: int) -> Iterator[int]:
         k = len(above)
@@ -128,10 +133,8 @@ def _edge_set_counts(n: int) -> Iterator[int]:
             new = members[everything & ~(low | high)]
             grown = size + len(new)
             if grown not in tables:
-                full = (1 << (1 << grown)) - 1
-                holding = _truth_tables(grown)
-                tables[grown] = holding, tuple(full ^ t for t in holding)
-            holding, lacking = tables[grown]
+                tables[grown] = (1 << (1 << grown)) - 1, _truth_tables(grown)
+            full, holding = tables[grown]
             r = rejected
             for j in range(size, grown):
                 r |= r << (1 << j)
@@ -140,19 +143,19 @@ def _edge_set_counts(n: int) -> Iterator[int]:
             for a in members[low]:
                 for b in members[everything & ~(above[a] | below[a] | 1 << a)]:
                     if low >> b & 1:
-                        r |= lacking[bit[a][b]]  # {k, b} is comparable
+                        r |= full ^ holding[bit[a][b]]  # {k, b} is comparable
                     else:
-                        r |= lacking[bit[a][b]] & holding[bit[k][b]]
+                        r |= holding[bit[k][b]] & ~holding[bit[a][b]]
             for j, v in enumerate(new, size):
                 if (above[v] | below[v]) & high:
-                    r |= lacking[j]  # some {v, w} with w above k is comparable
+                    r |= full ^ holding[j]  # some {v, w} with w above k is comparable
                     continue
                 holds = 0
                 for y in members[above[v]]:
                     holds |= holding[bit[y][k]]
                 for w in members[high]:
                     holds |= holding[bit[v][w]]
-                r |= lacking[j] & holds
+                r |= holds & ~holding[j]
             if k + 1 == n:
                 yield (1 << grown) - r.bit_count()
                 continue

@@ -14,7 +14,7 @@ from .relation import Relation
 class SetFamily:
     """Immutable finite map from vertex ids to finite label sets."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_keys")
 
     def __init__(
         self,
@@ -26,25 +26,27 @@ class SetFamily:
             key = int(key)
             if key < 0:
                 raise ValueError(f"vertex id {key} is not a natural number")
-            value = frozenset(int(v) for v in labels)
-            if any(v < 0 for v in value):
+            value = frozenset(map(int, labels))
+            if value and min(value) < 0:
                 raise ValueError(f"labels of {key} must be natural numbers")
             if key in store:
                 raise ValueError(f"duplicate key {key}")
             store[key] = value
-        self._entries = store
+        # stored in key order, so the accessors below never sort
+        self._keys = tuple(sorted(store))
+        self._entries = {key: store[key] for key in self._keys}
 
     # ------------------------------------------------------------------
 
     @property
     def keys(self) -> tuple[int, ...]:
-        return tuple(sorted(self._entries))
+        return self._keys
 
     def items(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        return tuple((k, self._entries[k]) for k in self.keys)
+        return tuple(self._entries.items())
 
     def values(self) -> tuple[frozenset[int], ...]:
-        return tuple(self._entries[k] for k in self.keys)
+        return tuple(self._entries.values())
 
     def __contains__(self, key: int) -> bool:
         return key in self._entries
@@ -53,7 +55,7 @@ class SetFamily:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.keys)
+        return iter(self._keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):
@@ -93,14 +95,18 @@ def represents(
 ) -> bool:
     """Over every ordered pair of keys: (x, y) in ``containment`` iff
     f(x) >= f(y), and (x, y) in ``second`` iff f(x) and f(y) are disjoint
-    (properly overlap, with ``overlap``)."""
+    (properly overlap, with ``overlap``; ``overlaps`` inlined)."""
     contains, related = containment.pairs, second.pairs
     items = family.items()
     for x, fx in items:
         for y, fy in items:
             if ((x, y) in contains) != (fx >= fy):
                 return False
-            holds = overlaps(fx, fy) if overlap else not fx & fy
+            inter = fx & fy
+            if overlap:
+                holds = bool(inter) and inter != fx and inter != fy
+            else:
+                holds = not inter
             if ((x, y) in related) != holds:
                 return False
     return True

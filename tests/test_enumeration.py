@@ -185,6 +185,25 @@ def _strict_down_sets(above):
     return [sum(1 << u for u in range(n) if above[u] >> v & 1) for v in range(n)]
 
 
+def _closed_directly(sets):
+    """The closed vertex sets by testing each subset (the reference)."""
+    k = len(sets)
+    return [
+        s for s in range(1 << k) if all(sets[v] | s == s for v in range(k) if s >> v & 1)
+    ]
+
+
+def test_closed_sets_match_the_direct_test():
+    """The subset-union DP in ``_closed`` lists the same sets, ascending,
+    as testing each subset, for the up-set and the down-set masks of every
+    labeled order up to five events."""
+    for n in range(6):
+        for above in esfg.enumeration._posets(n):
+            below = _strict_down_sets(above)
+            assert esfg.enumeration._closed(above) == _closed_directly(above), above
+            assert esfg.enumeration._closed(below) == _closed_directly(below), above
+
+
 def test_structural_count_matches_the_filter_per_order():
     """For every labeled order up to five events, the up-sets of Q(P)
     are exactly the conflicts the mask filter accepts."""

@@ -115,6 +115,30 @@ def test_bounds_are_enforced():
         Relation(-1)
 
 
+@given(relations(), relations())
+def test_set_operations_match_the_public_constructor(a, b):
+    """``-``, ``|``, ``&`` and the incomparability square build their
+    result without validation; each equals, hashes and prints like the
+    relation the public constructor builds from the same pairs."""
+    universe = max(a.universe, b.universe)
+    incomparable = {
+        (x, y)
+        for x in a.field
+        for y in a.field
+        if (x, y) not in a.pairs and (y, x) not in a.pairs
+    }
+    for made, checked in (
+        (a - b, Relation(universe, set(a.pairs) - set(b.pairs))),
+        (a | b, Relation(universe, set(a.pairs) | set(b.pairs))),
+        (a & b, Relation(universe, set(a.pairs) & set(b.pairs))),
+        (a.sym_complement(), Relation(a.universe, incomparable)),
+    ):
+        assert made == checked
+        assert hash(made) == hash(checked)
+        assert repr(made) == repr(checked)
+        assert type(made.pairs) is frozenset and type(made.universe) is int
+
+
 @given(relations())
 def test_field_is_domain_union_range(rel):
     assert set(rel.field) == set(rel.domain) | {b for _, b in rel.pairs}

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esfg import SetFamily
 
@@ -21,3 +23,16 @@ def test_rejects_negative_labels_and_keys():
     with pytest.raises(ValueError):
         SetFamily({0: {-2}})
 
+
+@given(st.permutations(range(6)))
+def test_accessors_come_out_in_key_order(keys):
+    """Whatever order the entries arrive in, ``keys``, ``items()`` and
+    ``values()`` are sorted by key, and the family equals and hashes like
+    the one built in sorted order."""
+    shuffled = SetFamily({k: {k, 10 + k % 3} for k in keys})
+    ordered = SetFamily({k: {k, 10 + k % 3} for k in range(6)})
+    assert shuffled.keys == tuple(range(6))
+    assert shuffled.items() == tuple((k, frozenset({k, 10 + k % 3})) for k in range(6))
+    assert shuffled.values() == tuple(frozenset({k, 10 + k % 3}) for k in range(6))
+    assert list(shuffled) == list(range(6))
+    assert shuffled == ordered and hash(shuffled) == hash(ordered)

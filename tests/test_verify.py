@@ -1,5 +1,6 @@
 import pytest
 
+import esfg.bijection as bijection_mod
 import esfg.verify as verify_mod
 from esfg import EventStructure, Relation, run_theorem_suite
 
@@ -60,6 +61,25 @@ def test_suite_catches_a_broken_round_trip(monkeypatch):
     assert len(broken) == 1
     failed = {check.name for check in outcome.checks if not check.passed}
     assert failed == {"conversions-round-trip"}
+
+
+def test_suite_catches_a_family_that_does_not_certify_the_pair(monkeypatch):
+    """The witness check reads the certificate ``es_to_fg`` attaches.  A
+    builder handing back the family of the order without conflict (so
+    every incomparable pair overlaps) certifies no structure with a
+    conflict, and that must fail the witness check, and only it."""
+    original = bijection_mod.build_representation
+
+    def conflict_free(causality, conflict):
+        return original(causality, Relation(conflict.universe))
+
+    monkeypatch.setattr(bijection_mod, "build_representation", conflict_free)
+    outcome = run_theorem_suite(2)
+    failed = {check.name: check.detail for check in outcome.checks if not check.passed}
+    assert list(failed) == ["one-family-certifies-both-sides"]
+    assert failed["one-family-certifies-both-sides"].startswith(
+        "D=[(0, 0), (1, 1)] U=[(0, 1), (1, 0)]"
+    )
 
 
 def test_suite_rejects_oversized_requests():

@@ -17,13 +17,10 @@ construction; the independent checks of the filters are the structural
 ``enumeration.count_es`` and the brute-force oracle.
 
 The kernel reads an order as the strict up-set mask of each position;
-the enumerators map its pairs back through ``Relation.field``.  Listing
-runs the scalar filters, one mask at a time, and they are the reference
-for the full-graph count, ``enumeration._edge_set_counts``.  That count
-still tests every candidate against every rule, but all of an order's
-2^s candidates at once, as bits of truth tables (``_truth_tables``), and
-it carries the table of rejected masks down the poset walk from each
-order to its extensions in place of building each order's kernel.
+the enumerators map its pairs back through ``Relation.field``, and
+``verify`` keeps the masks.  Both list with the scalar filters, one mask
+at a time, and these are the reference for the bit-parallel full-graph
+count, ``enumeration._edge_set_counts``.
 """
 
 from __future__ import annotations
@@ -37,14 +34,15 @@ from .fullgraph import FullGraph, FullGraphError, fg_failures
 from .fullgraph import find_fg_representation_bruteforce
 from .relation import Pair, Relation, pairs_key
 from .representation import build_representation
+from .setfamily import _strict_rows
 
 Rules = tuple[tuple[int, int], ...]
 
 #: Largest event count each kind of exhaustive work accepts: the
 #: structural count (``count_es``), the mask filters over every labeled
-#: order (``count_fg``), and listing structures one by one (the
-#: enumerators, ``verify``, emitted documents).
-SIZE_LIMITS = {"count": 7, "filter": 7, "list": 5}
+#: order (``count_fg``), listing structures one by one (the enumerators,
+#: emitted documents), and the mask pass of ``verify``.
+SIZE_LIMITS = {"count": 7, "filter": 7, "list": 5, "verify": 6}
 
 
 def check_size(n: int, work: str) -> None:
@@ -117,12 +115,7 @@ def _relation_kernel(base: Relation) -> tuple[tuple[Pair, ...], Rules]:
     """``_pair_kernel`` of the order ``base`` over the positions of its
     field, with the pairs mapped back through the field."""
     field = base.field
-    position = {v: p for p, v in enumerate(field)}
-    above = [0] * len(field)
-    for x, y in base.pairs:
-        if x != y:
-            above[position[x]] |= 1 << position[y]
-    pairs, rules = _pair_kernel(above)
+    pairs, rules = _pair_kernel(_strict_rows(field, base))
     return tuple((field[a], field[b]) for a, b in pairs), rules
 
 
@@ -143,12 +136,6 @@ def _edge_set_masks(size: int, rules: Rules) -> Iterator[int]:
     """The full-graph filter: masks whose complement propagates."""
     full = (1 << size) - 1
     return (m for m in range(full + 1) if _propagates(full ^ m, rules))
-
-
-def _count_conflicts(above: Sequence[int]) -> int:
-    """How many conflicts of one order the event-structure filter accepts."""
-    pairs, rules = _pair_kernel(above)
-    return sum(1 for _ in _conflict_masks(len(pairs), rules))
 
 
 def _truth_tables(size: int) -> tuple[int, ...]:
@@ -233,18 +220,8 @@ def verify_bijection(base: Relation) -> BijectionReport:
     full-graph edge sets onto the admissible conflicts and back,
     injectively both ways."""
     check_size(len(base.field), "list")
-    return bijection_report(
-        base, enumerate_fullgraph_edge_sets(base), enumerate_admissible_conflicts(base)
-    )
-
-
-def bijection_report(
-    base: Relation, edge_sets: Iterable[Relation], conflicts: Iterable[Relation]
-) -> BijectionReport:
-    """The ``verify_bijection`` check on both sides as given: the
-    full-graph edge sets and the admissible conflicts of ``base``."""
-    x_side = set(edge_sets)
-    y_side = set(conflicts)
+    x_side = set(enumerate_fullgraph_edge_sets(base))
+    y_side = set(enumerate_admissible_conflicts(base))
     forward = {incomparable_complement(base, t) for t in x_side}
     backward = {incomparable_complement(base, u) for u in y_side}
     return BijectionReport(

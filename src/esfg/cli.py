@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .bijection import SIZE_LIMITS, check_size, es_to_fg, fg_to_es
@@ -147,7 +148,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if _refuse_size(args.n, args.slow, "list"):
+    if _refuse_size(args.n, args.slow, "verify"):
         return USAGE
     report = run_theorem_suite(args.n)
     for check in report.checks:
@@ -185,6 +186,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     return OK
 
 
+@cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esfg",
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite up to size n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--slow", action="store_true", help=f"allow the largest n, {listing}")
+    p.add_argument("--slow", action="store_true", help=f"allow n={SIZE_LIMITS['verify']}")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("dot", help="render a document as a mixed graph in DOT")
@@ -246,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except DocumentError as exc:

@@ -57,6 +57,12 @@ def _closed(sets: Sequence[int]) -> list[int]:
     return found
 
 
+def _order_pairs(above: Sequence[int]) -> list[tuple[int, int]]:
+    """The sorted pairs of the order with these strict up-set masks."""
+    k = len(above)
+    return [(v, w) for v in range(k) for w in range(k) if v == w or above[v] >> w & 1]
+
+
 def _extensions(above: Sequence[int], below: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Each way vertex k = len(above) joins the order on 0..k-1 with these
     strict up-set and down-set masks, as its strict down-set ``low`` and
@@ -229,11 +235,7 @@ def enumerate_partial_orders(n: int) -> Iterator[Relation]:
     """Every reflexive, transitive, antisymmetric relation with field
     exactly {0..n-1}, each once, sorted by pair list."""
     check_size(n, "list")
-    orders = (
-        frozenset((v, w) for v in range(n) for w in range(n) if v == w or above[v] >> w & 1)
-        for above in _posets(n)
-    )
-    for pairs in sorted(orders, key=sorted):
+    for pairs in sorted(map(_order_pairs, _posets(n))):
         yield Relation(n, pairs)
 
 
@@ -252,13 +254,9 @@ def count_es(n: int) -> int:
     return int(total)
 
 
-def count_fg(n: int, *, oracle: bool = False) -> int:
+def count_fg(n: int) -> int:
     """Number of labeled full graphs on exactly n vertices, via the
-    graph-side filter; ``oracle=True`` swaps in the brute-force
-    fg-representation search for every candidate (desk scale only)."""
-    if oracle:
-        orders = enumerate_partial_orders(n)
-        return sum(len(enumerate_fullgraph_edge_sets(d, oracle=True)) for d in orders)
+    graph-side filter."""
     return sum(_edge_set_counts(n))
 
 

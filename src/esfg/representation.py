@@ -9,10 +9,12 @@ disjointness:
 
 ``build_representation`` constructs such a family for any valid event
 structure by peeling terminal events off and re-attaching them one at a
-time, growing one family in place with fresh labels so that exactly the
-right containments, overlaps and disjointnesses appear.  The finished
-family is checked once, as a ``RepresentationCertificate``, rather than
-trusted.
+time, with fresh labels placed so that exactly the right containments,
+overlaps and disjointnesses appear.  Its core, ``_label_masks``, works on
+vertex masks over positions 0..k-1 and gives each a label mask; the
+public functions map the field to positions and masks to label sets.
+The finished family is checked once, as a ``RepresentationCertificate``,
+rather than trusted.
 
 ``find_representation_bruteforce`` is the independent existence oracle:
 an exhaustive search that never consults the builder.
@@ -21,12 +23,12 @@ an exhaustive search that never consults the builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import Sequence
 
 from .event_structure import EventStructureError, es_failures
 from .familysearch import causes_first_order, search_set_family
 from .relation import Relation
-from .setfamily import SetFamily, family_failures, represents
+from .setfamily import SetFamily, _rows, _strict_rows, family_failures, represents
 
 
 def is_representation(family: SetFamily, causality: Relation, conflict: Relation) -> bool:
@@ -34,29 +36,54 @@ def is_representation(family: SetFamily, causality: Relation, conflict: Relation
     return represents(family, causality, conflict, overlap=False)
 
 
-def _attach(
-    family: dict[int, set[int]],
-    s: int,
-    concurrent: Iterable[int],
-    down: Mapping[int, AbstractSet[int]],
-    label: int,
-) -> int:
-    """Give ``s`` its set in ``family``, in place, with labels from
-    ``label`` on; returns the next unused label.
+def _label_masks(above: Sequence[int], partners: Sequence[int]) -> tuple[list[int], int]:
+    """Each position's label mask in the builder's family, and the label
+    count; ``above`` holds each position's strict up-set mask and
+    ``partners`` its conflict partners.
 
-    Each concurrent event x (ascending) takes one fresh label, which goes
-    to the down-sets of x and of ``s`` (both include the event itself); a
-    closing label goes to the down-set of ``s`` alone.  So ancestors of
-    ``s`` contain its set, conflicting events miss it entirely, and
-    concurrent events properly overlap it.
+    Terminal positions are peeled off, smallest first, and attached again
+    in reverse.  Attaching s gives a fresh label to s and to each attached
+    x (ascending) neither below s nor its partner, then a closing label to
+    s alone; a position holds its own labels and those of all above it.
+    So ancestors of s contain its set, conflicting positions miss it, and
+    concurrent ones properly overlap it.
     """
-    for x in sorted(concurrent):
-        for y in down[x] | down[s]:
-            family.setdefault(y, set()).add(label)
+    k = len(above)
+    peeled = []
+    remaining = (1 << k) - 1
+    while remaining:
+        for s in range(k):
+            if remaining >> s & 1 and not above[s] & remaining:
+                break
+        else:
+            raise ValueError("the causality order has a cycle")
+        remaining ^= 1 << s
+        peeled.append(s)
+    own = [0] * k
+    label = attached = 0
+    for s in reversed(peeled):
+        bit = 1 << s
+        loose = attached & ~partners[s]
+        for x in range(k):
+            if loose >> x & 1 and not above[x] & bit:
+                own[x] |= 1 << label
+                own[s] |= 1 << label
+                label += 1
+        own[s] |= 1 << label
         label += 1
-    for y in down[s]:
-        family.setdefault(y, set()).add(label)
-    return label + 1
+        attached |= bit
+    masks = []
+    for mask, up in zip(own, above):
+        for w in range(k):
+            if up >> w & 1:
+                mask |= own[w]
+        masks.append(mask)
+    return masks, label
+
+
+def _labels(mask: int, offset: int = 0) -> list[int]:
+    """The labels of a mask, bit i read as label offset + i."""
+    return [offset + i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 def extend_with_terminal(
@@ -66,9 +93,10 @@ def extend_with_terminal(
     full structure, where ``s`` is terminal (no successor but itself).
 
     Existing events split, relative to ``s``, into ancestors, conflicting
-    events, and concurrent events; fresh labels start above every label in
-    use and are placed as ``_attach`` describes.  The result is checked
-    with ``is_representation``.
+    events, and concurrent events; the labels ``_label_masks`` gives when
+    it attaches ``s`` last are placed on the input family, renumbered to
+    start above every label in use.  The result is checked with
+    ``is_representation``.
     """
     if (s, s) not in causality.pairs or not causality.image((s,)) <= {s}:
         raise ValueError(f"event {s} is not terminal in the causality order")
@@ -79,12 +107,16 @@ def extend_with_terminal(
     if frozenset() in set(family.values()):
         raise ValueError("family maps some event to the empty set")
 
-    causes = causality.converse()
-    down = {x: causes.image((x,)) for x in causality.field}
-    concurrent = set(causality.field) - down[s] - conflict.converse().image((s,))
-    used = family.union_of_range()
+    # terminal and at position 0, s is peeled first and attached last,
+    # so its own mask is exactly the labels of that last step
+    events = (s, *(v for v in causality.field if v != s))
+    masks, _ = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
+    first = (masks[0] & -masks[0]).bit_length() - 1
+    fresh = max(family.union_of_range(), default=-1) + 1
     grown = {key: set(labels) for key, labels in family.items()}
-    _attach(grown, s, concurrent, down, max(used) + 1 if used else 0)
+    for v, mask in zip(events, masks):
+        if mask >> first:
+            grown.setdefault(v, set()).update(_labels(mask >> first, fresh))
 
     extended = SetFamily(grown)
     if not is_representation(extended, causality, conflict):
@@ -123,8 +155,7 @@ class RepresentationCertificate:
 def build_representation(causality: Relation, conflict: Relation) -> RepresentationCertificate:
     """Construct a representation for any valid event structure.
 
-    Peels terminal events off, smallest id first, then re-attaches them in
-    reverse peel order, growing one family in place with labels
+    ``_label_masks`` over the events in ascending order, with labels
     consecutive from 0, so equal inputs give equal certificates.  The
     family is checked once, as the returned certificate.  Rejects invalid
     input with the validity diagnostics.
@@ -132,38 +163,13 @@ def build_representation(causality: Relation, conflict: Relation) -> Representat
     failures = es_failures(causality, conflict)
     if failures:
         raise EventStructureError(failures)
-
     events = causality.field
-    down: dict[int, set[int]] = {v: set() for v in events}
-    waiting = dict.fromkeys(events, 0)  # successors other than itself, not yet peeled
-    for a, b in causality.pairs:
-        down[b].add(a)
-        if a != b:
-            waiting[a] += 1
-    partners: dict[int, set[int]] = {v: set() for v in events}
-    for a, b in conflict.pairs:
-        partners[a].add(b)
-
-    peeled: list[int] = []
-    remaining = set(events)
-    while remaining:
-        s = min(v for v in remaining if not waiting[v])
-        remaining.remove(s)
-        peeled.append(s)
-        for a in down[s] - {s}:
-            waiting[a] -= 1
-
-    family: dict[int, set[int]] = {}
-    label = 0
-    for s in reversed(peeled):
-        concurrent = family.keys() - down[s] - partners[s]
-        label = _attach(family, s, concurrent, down, label)
-
+    masks, count = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
     return RepresentationCertificate(
-        family=SetFamily(family),
+        family=SetFamily({v: _labels(mask) for v, mask in zip(events, masks)}),
         for_causality=causality,
         for_conflict=conflict,
-        fresh_label_bound=label,
+        fresh_label_bound=count,
     )
 
 

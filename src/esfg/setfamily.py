@@ -6,7 +6,7 @@ immutable.  Domain membership is an explicit ``in`` check.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .relation import Relation
 
@@ -90,26 +90,56 @@ def overlaps(a: frozenset[int] | set[int], b: frozenset[int] | set[int]) -> bool
     return bool(inter) and inter != a and inter != b
 
 
+def _rows(keys: Sequence[int], relation: Relation) -> list[int]:
+    """``relation`` over the positions of ``keys``: bit y of row x for the
+    pair (keys[x], keys[y]).  Pairs outside ``keys`` are left out."""
+    position = {key: p for p, key in enumerate(keys)}
+    rows = [0] * len(keys)
+    for x, y in relation.pairs:
+        if x in position and y in position:
+            rows[position[x]] |= 1 << position[y]
+    return rows
+
+
+def _strict_rows(keys: Sequence[int], order: Relation) -> list[int]:
+    """``_rows`` of ``order`` without the diagonal: strict up-sets."""
+    return [row & ~(1 << p) for p, row in enumerate(_rows(keys, order))]
+
+
+def _masks_represent(
+    masks: list[int], contains_rows: list[int], second_rows: list[int], *, overlap: bool
+) -> bool:
+    """The family check on positions, each label set a mask: over every
+    ordered pair x, y, bit y of ``contains_rows[x]`` is set iff masks[x]
+    contains masks[y], and bit y of ``second_rows[x]`` iff the two are
+    disjoint (properly overlap, with ``overlap``)."""
+    for fx, contains, second in zip(masks, contains_rows, second_rows):
+        sup = related = 0
+        for y, fy in enumerate(masks):
+            inter = fx & fy
+            if inter == fy:
+                sup |= 1 << y
+            if (inter and inter != fx and inter != fy) if overlap else not inter:
+                related |= 1 << y
+        if sup != contains or related != second:
+            return False
+    return True
+
+
 def represents(
     family: SetFamily, containment: Relation, second: Relation, *, overlap: bool
 ) -> bool:
     """Over every ordered pair of keys: (x, y) in ``containment`` iff
     f(x) >= f(y), and (x, y) in ``second`` iff f(x) and f(y) are disjoint
-    (properly overlap, with ``overlap``; ``overlaps`` inlined)."""
-    contains, related = containment.pairs, second.pairs
-    items = family.items()
-    for x, fx in items:
-        for y, fy in items:
-            if ((x, y) in contains) != (fx >= fy):
-                return False
-            inter = fx & fy
-            if overlap:
-                holds = bool(inter) and inter != fx and inter != fy
-            else:
-                holds = not inter
-            if ((x, y) in related) != holds:
-                return False
-    return True
+    (properly overlap, with ``overlap``).  The labels are numbered 0, 1,
+    ... first, so a label's size never matters, and ``_masks_represent``
+    checks the masks."""
+    number = {label: i for i, label in enumerate(family.union_of_range())}
+    masks = [sum(1 << number[label] for label in labels) for labels in family.values()]
+    keys = family.keys
+    return _masks_represent(
+        masks, _rows(keys, containment), _rows(keys, second), overlap=overlap
+    )
 
 
 def family_failures(

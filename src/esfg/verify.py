@@ -2,36 +2,39 @@
 to a given size and report per-check outcomes.
 
 This is the library behind ``esfg verify``.  Each check covers sizes 0..n
-exhaustively: the builder must succeed on every event structure, the
-conversion certificate must witness both sides, conversions must round
-trip, complementation must be a size-preserving bijection per order, and
-the structural ``count_es`` must match the full graphs the filter finds.
-The witness for both sides is the certificate ``es_to_fg`` attaches: the
-builder's family, checked on the event-structure side as a
-``RepresentationCertificate`` and on the full-graph side by the
-``FullGraph`` constructor.
-At very small sizes the brute-force existence oracle is also played
-against the validity predicate over a complete scan of relation pairs.
+exhaustively, on masks.  ``enumeration._posets`` yields each order as
+the strict up-set mask of each position, the scalar filters list its
+conflict masks m and edge-set masks t over ``bijection._pair_kernel``'s
+incomparable pairs, and ``full`` holds every such pair.  A relation on
+positions is a list of row masks: bit y of row x for the pair (x, y).
+
+- built: ``_label_masks`` gives one nonempty label mask per position, no
+  two equal, all below its label count;
+- certifies both sides: ``_masks_represent`` accepts those masks with the
+  rows of m as disjointness and with the rows of ``full ^ m`` as overlap;
+- round trip: the rows of ``full ^ m``, complemented inside the
+  incomparability square, are the rows of m;
+- bijection: ``full ^ t`` over the edge-set masks is the set of m;
+- counts: the edge-set masks on k events number ``count_es(k)``;
+- oracle: at very small sizes the brute-force existence oracle is played
+  against the validity predicate over every pair of relations.
+
+A failure's detail is decoded from the masks, in the words of relations:
+``D=[...] U=[...]`` (or ``order [...]``) with their sorted pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
-from .bijection import (
-    bijection_report,
-    check_size,
-    enumerate_admissible_conflicts,
-    enumerate_fullgraph_edge_sets,
-    es_to_fg,
-    fg_to_es,
-)
-from .enumeration import count_es, enumerate_partial_orders
-from .event_structure import EventStructure, is_event_structure
-from .fullgraph import FullGraphError
-from .relation import Relation
-from .representation import find_representation_bruteforce
+from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, check_size
+from .enumeration import _order_pairs, _posets, count_es
+from .event_structure import is_event_structure
+from .relation import Pair, Relation
+from .representation import _label_masks, find_representation_bruteforce
+from .setfamily import _masks_represent
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,33 @@ def _all_relations(universe: int) -> list[Relation]:
     return out
 
 
+def _tag(above: Sequence[int], pairs: Sequence[Pair], mask: int) -> str:
+    """A structure's order and conflict mask worded as sorted pairs."""
+    conflict = [p for i, (a, b) in enumerate(pairs) if mask >> i & 1 for p in ((a, b), (b, a))]
+    return f"D={_order_pairs(above)} U={sorted(conflict)}"
+
+
+def _pair_rows(k: int, pairs: Sequence[Pair], mask: int) -> list[int]:
+    """The symmetric relation of a pair mask as k row masks."""
+    rows = [0] * k
+    for i, (a, b) in enumerate(pairs):
+        if mask >> i & 1:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+def _complement_rows(square: Sequence[int], rows: Sequence[int]) -> list[int]:
+    """Each row's complement inside the square, as ``fg_to_es`` maps edges."""
+    return [inside & ~row for inside, row in zip(square, rows)]
+
+
 def run_theorem_suite(n: int) -> SuiteReport:
     """Run every check on all instances of sizes 0..n, in one pass over
-    the orders: each order's conflicts and edge sets are enumerated once
-    and feed the structure checks and the bijection check, and the edge
-    sets' total is matched against the structural ``count_es``."""
-    check_size(n, "list")
+    the orders as masks: each order's conflicts and edge sets are listed
+    once and feed the structure checks and the bijection check, and the
+    edge sets' total is matched against the structural ``count_es``."""
+    check_size(n, "verify")
 
     build_bad: list[str] = []
     witness_bad: list[str] = []
@@ -78,36 +102,31 @@ def run_theorem_suite(n: int) -> SuiteReport:
 
     for k in range(n + 1):
         fg_total = 0
-        for order in enumerate_partial_orders(k):
+        for above in _posets(k):
             orders += 1
-            conflicts = enumerate_admissible_conflicts(order)
-            edge_sets = enumerate_fullgraph_edge_sets(order)
+            pairs, rules = _pair_kernel(above)
+            full = (1 << len(pairs)) - 1
+            conflicts = list(_conflict_masks(len(pairs), rules))
+            edge_sets = list(_edge_set_masks(len(pairs), rules))
             fg_total += len(edge_sets)
-            report = bijection_report(order, edge_sets, conflicts)
-            if not report.all_hold or report.x_size != report.y_size:
-                bijection_bad.append(f"order {sorted(order.pairs)}")
-            for conflict in conflicts:
+            if {full ^ t for t in edge_sets} != set(conflicts):
+                bijection_bad.append(f"order {_order_pairs(above)}")
+            contains = [up | 1 << v for v, up in enumerate(above)]
+            square = _pair_rows(k, pairs, full)
+            for m in conflicts:
                 structures += 1
-                tag = f"D={sorted(order.pairs)} U={sorted(conflict.pairs)}"
-                structure = EventStructure(order, conflict)
-                try:
-                    graph = es_to_fg(structure)
-                except FullGraphError as exc:
-                    witness_bad.append(f"{tag}: {exc}")
-                    continue
-                except ValueError as exc:
-                    build_bad.append(f"{tag}: {exc}")
-                    continue
-                # The certificate is the builder's family, which
-                # RepresentationCertificate checked against (order, conflict)
-                # and the FullGraph constructor against (order, undirected):
-                # holding it is the proof for both sides, so only a missing
-                # one (or FullGraphError above) fails this check.
-                if graph.certificate is None:
-                    witness_bad.append(tag)
-                # the graph side's round trip is bijection_report's to check
-                if fg_to_es(graph) != structure:
-                    roundtrip_bad.append(tag)
+                partners = _pair_rows(k, pairs, m)
+                edges = _pair_rows(k, pairs, full ^ m)
+                masks, count = _label_masks(above, partners)
+                if len(set(masks)) != k or 0 in masks or max(masks, default=0) >> count:
+                    build_bad.append(_tag(above, pairs, m))
+                if not (
+                    _masks_represent(masks, contains, partners, overlap=False)
+                    and _masks_represent(masks, contains, edges, overlap=True)
+                ):
+                    witness_bad.append(_tag(above, pairs, m))
+                if _complement_rows(square, edges) != partners:
+                    roundtrip_bad.append(_tag(above, pairs, m))
         es_total = count_es(k)
         if es_total != fg_total:
             count_bad.append(f"n={k}: es={es_total} fg={fg_total}")
@@ -122,9 +141,7 @@ def run_theorem_suite(n: int) -> SuiteReport:
             scanned += 1
             found = find_representation_bruteforce(base, conflict, k * k)
             if (found is not None) != is_event_structure(base, conflict):
-                oracle_bad.append(
-                    f"D={sorted(base.pairs)} U={sorted(conflict.pairs)}"
-                )
+                oracle_bad.append(f"D={sorted(base.pairs)} U={sorted(conflict.pairs)}")
 
     def result(name: str, bad: list[str], ok_detail: str) -> CheckResult:
         if bad:
@@ -133,24 +150,13 @@ def run_theorem_suite(n: int) -> SuiteReport:
             return CheckResult(name, False, shown + more)
         return CheckResult(name, True, ok_detail)
 
+    each = f"{structures} structures"
     checks = (
-        result(
-            "representation-built-for-every-structure",
-            build_bad,
-            f"{structures} structures",
-        ),
-        result(
-            "one-family-certifies-both-sides", witness_bad, f"{structures} structures"
-        ),
-        result("conversions-round-trip", roundtrip_bad, f"{structures} structures"),
-        result(
-            "complement-is-a-bijection-per-order", bijection_bad, f"{orders} orders"
-        ),
+        result("representation-built-for-every-structure", build_bad, each),
+        result("one-family-certifies-both-sides", witness_bad, each),
+        result("conversions-round-trip", roundtrip_bad, each),
+        result("complement-is-a-bijection-per-order", bijection_bad, f"{orders} orders"),
         result("counts-agree-on-both-paths", count_bad, f"sizes 0..{n}"),
-        result(
-            "oracle-agrees-with-validity-check",
-            oracle_bad,
-            f"{scanned} relation pairs",
-        ),
+        result("oracle-agrees-with-validity-check", oracle_bad, f"{scanned} relation pairs"),
     )
     return SuiteReport(n=n, checks=checks)

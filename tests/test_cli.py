@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import esfg.cli as cli_mod
+import esfg.verify as verify_mod
 from esfg.cli import main
 
 ES_DISCRETE = '{"kind":"es","universe":2,"causality":[[0,0],[1,1]],"conflict":[]}'
@@ -90,6 +91,18 @@ def test_check_prints_every_family_failure(capsys, tmp_path, document, lines):
     path.write_text(document)
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_check_accepts_a_huge_label(capsys, tmp_path):
+    """The family check numbers the labels before it makes masks, so a
+    label of 10**18 costs what a label of 1 does."""
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"kind":"representation","universe":2,"causality":[[0,0],[0,1],[1,1]],'
+        f'"conflict":[],"family":[[0,[0,{10**18}]],[1,[{10**18}]]]}}'
+    )
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "valid representation document (2 vertices)\n"
 
 
 def test_check_rejects_deep_nesting_as_syntax(capsys, tmp_path):
@@ -187,6 +200,25 @@ def test_enumerate_size_gate(capsys):
         assert main(args + ["--slow"]) == 2
     assert main(["enumerate", "--n", "-1", "--kind", "es", "--count-only"]) == 2
     assert main(["verify", "--n", "-1"]) == 2
+
+
+def test_verify_size_gate(capsys):
+    """verify has its own limit: its largest n needs --slow, one more is
+    refused even with it."""
+    assert main(["verify", "--n", "6"]) == 2
+    assert "--slow" in capsys.readouterr().err
+    assert main(["verify", "--n", "7", "--slow"]) == 2
+    assert "verify limit 6" in capsys.readouterr().err
+
+
+def test_main_calls_parse_independently(capsys, monkeypatch):
+    """The parser is built once per process; a flag given to one call
+    does not carry over to the next."""
+    passed = verify_mod.SuiteReport(n=6, checks=())
+    monkeypatch.setattr(cli_mod, "run_theorem_suite", lambda n: passed)
+    assert main(["verify", "--n", "6", "--slow"]) == 0
+    assert main(["verify", "--n", "6"]) == 2
+    assert "--slow" in capsys.readouterr().err
 
 
 def test_verify_small(capsys):

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from esfg import SetFamily
+from esfg import (
+    SetFamily,
+    build_representation,
+    enumerate_admissible_conflicts,
+    incomparable_complement,
+)
+from esfg.setfamily import represents
+
+from .strategies import posets, relations
 
 
 def test_is_injective_examples():
@@ -36,3 +44,50 @@ def test_accessors_come_out_in_key_order(keys):
     assert shuffled.values() == tuple(frozenset({k, 10 + k % 3}) for k in range(6))
     assert list(shuffled) == list(range(6))
     assert shuffled == ordered and hash(shuffled) == hash(ordered)
+
+
+def reference_represents(family, containment, second, *, overlap):
+    """The frozenset check ``represents`` replaced: both biconditionals
+    over every ordered pair of keys, on the label sets themselves."""
+    items = family.items()
+    for x, fx in items:
+        for y, fy in items:
+            if ((x, y) in containment.pairs) != (fx >= fy):
+                return False
+            inter = fx & fy
+            holds = bool(inter) and inter != fx and inter != fy if overlap else not inter
+            if ((x, y) in second.pairs) != holds:
+                return False
+    return True
+
+
+@st.composite
+def builder_families(draw):
+    """The builder's family of a small event structure, sometimes with one
+    label added to or dropped from one set, and the structure's relations."""
+    order = draw(posets())
+    conflict = draw(st.sampled_from(enumerate_admissible_conflicts(order)))
+    sets = dict(build_representation(order, conflict).family.items())
+    if sets and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(sets)))
+        label = draw(st.integers(0, max(set().union(*sets.values())) + 1))
+        sets[key] = sets[key] ^ {label}
+    undirected = incomparable_complement(order, conflict)
+    return SetFamily(sets), order, draw(st.sampled_from((conflict, undirected)))
+
+
+@given(
+    st.one_of(
+        builder_families(),
+        st.tuples(
+            st.dictionaries(st.integers(0, 3), st.frozensets(st.integers(0, 4))).map(SetFamily),
+            relations(),
+            relations(),
+        ),
+    )
+)
+def test_represents_agrees_with_the_frozenset_reference(case):
+    family, containment, second = case
+    for overlap in (False, True):
+        expected = reference_represents(family, containment, second, overlap=overlap)
+        assert represents(family, containment, second, overlap=overlap) == expected

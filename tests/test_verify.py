@@ -1,8 +1,82 @@
+from itertools import product
+
 import pytest
 
-import esfg.bijection as bijection_mod
 import esfg.verify as verify_mod
-from esfg import EventStructure, Relation, run_theorem_suite
+from esfg import (
+    EventStructure,
+    FullGraphError,
+    count_es,
+    enumerate_admissible_conflicts,
+    enumerate_fullgraph_edge_sets,
+    enumerate_partial_orders,
+    es_to_fg,
+    fg_to_es,
+    find_representation_bruteforce,
+    is_event_structure,
+    run_theorem_suite,
+    verify_bijection,
+)
+from esfg.verify import CheckResult
+
+
+def reference_suite(n):
+    """The suite as a loop over ``Relation`` objects: the conversions, the
+    builder's certificates and ``verify_bijection`` on every order that
+    ``enumerate_partial_orders`` lists (the mask pass's reference)."""
+    build_bad, witness_bad, roundtrip_bad, bijection_bad, count_bad = [], [], [], [], []
+    structures = orders = 0
+    for k in range(n + 1):
+        fg_total = 0
+        for order in enumerate_partial_orders(k):
+            orders += 1
+            conflicts = enumerate_admissible_conflicts(order)
+            edge_sets = enumerate_fullgraph_edge_sets(order)
+            fg_total += len(edge_sets)
+            report = verify_bijection(order)
+            if not report.all_hold or report.x_size != report.y_size:
+                bijection_bad.append(f"order {sorted(order.pairs)}")
+            for conflict in conflicts:
+                structures += 1
+                tag = f"D={sorted(order.pairs)} U={sorted(conflict.pairs)}"
+                structure = EventStructure(order, conflict)
+                try:
+                    graph = es_to_fg(structure)
+                except FullGraphError as exc:
+                    witness_bad.append(f"{tag}: {exc}")
+                    continue
+                except ValueError as exc:
+                    build_bad.append(f"{tag}: {exc}")
+                    continue
+                if graph.certificate is None:
+                    witness_bad.append(tag)
+                if fg_to_es(graph) != structure:
+                    roundtrip_bad.append(tag)
+        if count_es(k) != fg_total:
+            count_bad.append(f"n={k}: es={count_es(k)} fg={fg_total}")
+    oracle_bad = []
+    scanned = 0
+    for k in range(min(n, 2) + 1):
+        relations = verify_mod._all_relations(k)
+        for base, conflict in product(relations, relations):
+            if not set(conflict.field) <= set(base.field):
+                continue
+            scanned += 1
+            found = find_representation_bruteforce(base, conflict, k * k)
+            if (found is not None) != is_event_structure(base, conflict):
+                oracle_bad.append(f"D={sorted(base.pairs)} U={sorted(conflict.pairs)}")
+    outcomes = (
+        ("representation-built-for-every-structure", build_bad, f"{structures} structures"),
+        ("one-family-certifies-both-sides", witness_bad, f"{structures} structures"),
+        ("conversions-round-trip", roundtrip_bad, f"{structures} structures"),
+        ("complement-is-a-bijection-per-order", bijection_bad, f"{orders} orders"),
+        ("counts-agree-on-both-paths", count_bad, f"sizes 0..{n}"),
+        ("oracle-agrees-with-validity-check", oracle_bad, f"{scanned} relation pairs"),
+    )
+    return tuple(
+        CheckResult(name, not bad, "; ".join(bad[:3]) if bad else ok)
+        for name, bad, ok in outcomes
+    )
 
 
 def test_suite_passes_at_small_sizes():
@@ -18,20 +92,27 @@ def test_suite_passes_at_small_sizes():
     ]
 
 
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+)
+def test_mask_pass_agrees_with_the_object_loop(n):
+    assert run_theorem_suite(n).checks == reference_suite(n)
+
+
 def test_suite_catches_a_dropped_edge_set(monkeypatch):
     """The count check sums the lists the bijection check uses; losing one
     graph-side edge set must fail both, not neither."""
-    original = verify_mod.enumerate_fullgraph_edge_sets
+    original = verify_mod._edge_set_masks
     dropped = []
 
-    def drop_one(base):
-        found = original(base)
+    def drop_one(size, rules):
+        found = list(original(size, rules))
         if found and not dropped:
             dropped.append(found[-1])
             return found[:-1]
         return found
 
-    monkeypatch.setattr(verify_mod, "enumerate_fullgraph_edge_sets", drop_one)
+    monkeypatch.setattr(verify_mod, "_edge_set_masks", drop_one)
     outcome = run_theorem_suite(2)
     assert len(dropped) == 1
     failed = {check.name for check in outcome.checks if not check.passed}
@@ -42,21 +123,22 @@ def test_suite_catches_a_dropped_edge_set(monkeypatch):
 
 
 def test_suite_catches_a_broken_round_trip(monkeypatch):
-    """fg_to_es losing one conflict pair on one structure fails the
-    round-trip check, and only it."""
-    original = verify_mod.fg_to_es
+    """The row complement that maps a full graph back losing one conflict
+    pair on one structure fails the round-trip check, and only it."""
+    original = verify_mod._complement_rows
     broken = []
 
-    def drop_a_conflict(graph):
-        structure = original(graph)
-        if structure.conflict.pairs and not broken:
-            a, b = min(structure.conflict.pairs)
+    def drop_a_conflict(square, rows):
+        back = original(square, rows)
+        if any(back) and not broken:
+            a = next(v for v, row in enumerate(back) if row)
+            b = (back[a] & -back[a]).bit_length() - 1
             broken.append((a, b))
-            dropped = Relation(structure.conflict.universe, {(a, b), (b, a)})
-            return EventStructure(structure.causality, structure.conflict - dropped)
-        return structure
+            back[a] &= ~(1 << b)
+            back[b] &= ~(1 << a)
+        return back
 
-    monkeypatch.setattr(verify_mod, "fg_to_es", drop_a_conflict)
+    monkeypatch.setattr(verify_mod, "_complement_rows", drop_a_conflict)
     outcome = run_theorem_suite(2)
     assert len(broken) == 1
     failed = {check.name for check in outcome.checks if not check.passed}
@@ -64,16 +146,16 @@ def test_suite_catches_a_broken_round_trip(monkeypatch):
 
 
 def test_suite_catches_a_family_that_does_not_certify_the_pair(monkeypatch):
-    """The witness check reads the certificate ``es_to_fg`` attaches.  A
-    builder handing back the family of the order without conflict (so
-    every incomparable pair overlaps) certifies no structure with a
-    conflict, and that must fail the witness check, and only it."""
-    original = bijection_mod.build_representation
+    """A builder that ignores the conflict partners hands back the family
+    of the order without conflict (so every incomparable pair overlaps).
+    It certifies no structure with a conflict, and that must fail the
+    witness check, and only it."""
+    original = verify_mod._label_masks
 
-    def conflict_free(causality, conflict):
-        return original(causality, Relation(conflict.universe))
+    def conflict_free(above, partners):
+        return original(above, [0] * len(partners))
 
-    monkeypatch.setattr(bijection_mod, "build_representation", conflict_free)
+    monkeypatch.setattr(verify_mod, "_label_masks", conflict_free)
     outcome = run_theorem_suite(2)
     failed = {check.name: check.detail for check in outcome.checks if not check.passed}
     assert list(failed) == ["one-family-certifies-both-sides"]
@@ -82,6 +164,44 @@ def test_suite_catches_a_family_that_does_not_certify_the_pair(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda masks: masks[:1] * len(masks),  # one set for every event
+        lambda masks: masks[:-1] + [0],  # the last event's set empty
+    ],
+    ids=["not-injective", "empty-set"],
+)
+def test_suite_catches_a_builder_family_that_is_no_family(monkeypatch, spoil):
+    """Two events sharing a set, or an event with the empty set, fail the
+    build check on the first structure with two events."""
+    original = verify_mod._label_masks
+
+    def spoiled(above, partners):
+        masks, count = original(above, partners)
+        return (spoil(masks) if len(masks) == 2 else masks), count
+
+    monkeypatch.setattr(verify_mod, "_label_masks", spoiled)
+    outcome = run_theorem_suite(2)
+    built = outcome.checks[0]
+    assert built.name == "representation-built-for-every-structure"
+    assert not built.passed
+    assert built.detail.startswith("D=[(0, 0), (1, 1)] U=[];")
+
+
 def test_suite_rejects_oversized_requests():
     with pytest.raises(ValueError):
         run_theorem_suite(7)
+
+
+@pytest.mark.slow
+def test_suite_passes_at_n6():
+    outcome = run_theorem_suite(6)
+    assert [(check.name, check.passed, check.detail) for check in outcome.checks] == [
+        ("representation-built-for-every-structure", True, "3570320 structures"),
+        ("one-family-certifies-both-sides", True, "3570320 structures"),
+        ("conversions-round-trip", True, "3570320 structures"),
+        ("complement-is-a-bijection-per-order", True, "134497 orders"),
+        ("counts-agree-on-both-paths", True, "sizes 0..6"),
+        ("oracle-agrees-with-validity-check", True, "217 relation pairs"),
+    ]

@@ -36,18 +36,10 @@ def is_representation(family: SetFamily, causality: Relation, conflict: Relation
     return represents(family, causality, conflict, overlap=False)
 
 
-def _label_masks(above: Sequence[int], partners: Sequence[int]) -> tuple[list[int], int]:
-    """Each position's label mask in the builder's family, and the label
-    count; ``above`` holds each position's strict up-set mask and
-    ``partners`` its conflict partners.
-
-    Terminal positions are peeled off, smallest first, and attached again
-    in reverse.  Attaching s gives a fresh label to s and to each attached
-    x (ascending) neither below s nor its partner, then a closing label to
-    s alone; a position holds its own labels and those of all above it.
-    So ancestors of s contain its set, conflicting positions miss it, and
-    concurrent ones properly overlap it.
-    """
+def _peel_order(above: Sequence[int]) -> list[int]:
+    """The positions in the order the builder peels them off: each time
+    the smallest one with nothing left above it.  ``above`` holds each
+    position's strict up-set mask."""
     k = len(above)
     peeled = []
     remaining = (1 << k) - 1
@@ -59,6 +51,28 @@ def _label_masks(above: Sequence[int], partners: Sequence[int]) -> tuple[list[in
             raise ValueError("the causality order has a cycle")
         remaining ^= 1 << s
         peeled.append(s)
+    return peeled
+
+
+def _label_masks(
+    above: Sequence[int], partners: Sequence[int], peeled: Sequence[int] | None = None
+) -> tuple[list[int], int]:
+    """Each position's label mask in the builder's family, and the label
+    count; ``above`` holds each position's strict up-set mask and
+    ``partners`` its conflict partners.  ``peeled`` is
+    ``_peel_order(above)``, computed here when not given, so that callers
+    with many conflicts on one order peel it once.
+
+    Terminal positions are peeled off, smallest first, and attached again
+    in reverse.  Attaching s gives a fresh label to s and to each attached
+    x (ascending) neither below s nor its partner, then a closing label to
+    s alone; a position holds its own labels and those of all above it.
+    So ancestors of s contain its set, conflicting positions miss it, and
+    concurrent ones properly overlap it.
+    """
+    k = len(above)
+    if peeled is None:
+        peeled = _peel_order(above)
     own = [0] * k
     label = attached = 0
     for s in reversed(peeled):

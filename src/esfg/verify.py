@@ -33,7 +33,7 @@ from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, check_siz
 from .enumeration import _order_pairs, _posets, count_es
 from .event_structure import is_event_structure
 from .relation import Pair, Relation
-from .representation import _label_masks, find_representation_bruteforce
+from .representation import _label_masks, _peel_order, find_representation_bruteforce
 from .setfamily import _masks_represent
 
 
@@ -113,11 +113,12 @@ def run_theorem_suite(n: int) -> SuiteReport:
                 bijection_bad.append(f"order {_order_pairs(above)}")
             contains = [up | 1 << v for v, up in enumerate(above)]
             square = _pair_rows(k, pairs, full)
+            peeled = _peel_order(above)
             for m in conflicts:
                 structures += 1
                 partners = _pair_rows(k, pairs, m)
                 edges = _pair_rows(k, pairs, full ^ m)
-                masks, count = _label_masks(above, partners)
+                masks, count = _label_masks(above, partners, peeled)
                 if len(set(masks)) != k or 0 in masks or max(masks, default=0) >> count:
                     build_bad.append(_tag(above, pairs, m))
                 if not (

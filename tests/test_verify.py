@@ -152,8 +152,8 @@ def test_suite_catches_a_family_that_does_not_certify_the_pair(monkeypatch):
     witness check, and only it."""
     original = verify_mod._label_masks
 
-    def conflict_free(above, partners):
-        return original(above, [0] * len(partners))
+    def conflict_free(above, partners, *peeled):
+        return original(above, [0] * len(partners), *peeled)
 
     monkeypatch.setattr(verify_mod, "_label_masks", conflict_free)
     outcome = run_theorem_suite(2)
@@ -177,8 +177,8 @@ def test_suite_catches_a_builder_family_that_is_no_family(monkeypatch, spoil):
     build check on the first structure with two events."""
     original = verify_mod._label_masks
 
-    def spoiled(above, partners):
-        masks, count = original(above, partners)
+    def spoiled(above, partners, *peeled):
+        masks, count = original(above, partners, *peeled)
         return (spoil(masks) if len(masks) == 2 else masks), count
 
     monkeypatch.setattr(verify_mod, "_label_masks", spoiled)

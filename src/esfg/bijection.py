@@ -16,11 +16,8 @@ the two accepted sets, so the two filters' per-order sizes agree by
 construction; the independent checks of the filters are the structural
 ``enumeration.count_es`` and the brute-force oracle.
 
-The kernel reads an order as the strict up-set mask of each position;
-the enumerators map its pairs back through ``Relation.field``, and
-``verify`` keeps the masks.  Both list with the scalar filters, one mask
-at a time, and these are the reference for the bit-parallel full-graph
-count, ``enumeration._edge_set_counts``.
+The scalar filters here are the reference for the bit-parallel count
+of ``enumeration``, whose docstring describes the walk over the orders.
 """
 
 from __future__ import annotations
@@ -38,11 +35,11 @@ from .setfamily import _strict_rows
 
 Rules = tuple[tuple[int, int], ...]
 
-#: Largest event count each kind of exhaustive work accepts: the
-#: structural count (``count_es``), the mask filters over every labeled
-#: order (``count_fg``), listing structures one by one (the enumerators,
-#: emitted documents), and the mask pass of ``verify``.
-SIZE_LIMITS = {"count": 7, "filter": 7, "list": 5, "verify": 6}
+#: Largest event count each kind of exhaustive work accepts: the counts
+#: and the order walk behind them (``count_es``, ``count_fg``), listing
+#: structures one by one (the enumerators, emitted documents), and the
+#: mask pass of ``verify``.
+SIZE_LIMITS = {"count": 7, "list": 5, "verify": 6}
 
 
 def check_size(n: int, work: str) -> None:

@@ -114,14 +114,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return OK
 
 
-def _count_work(kind: str) -> str:
-    """The ``SIZE_LIMITS`` entry a count of this kind falls under."""
-    return "count" if kind == "es" else "filter"
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    work = _count_work(args.kind) if args.count_only else "list"
-    if _refuse_size(args.n, args.slow, work):
+    if _refuse_size(args.n, args.slow, "count" if args.count_only else "list"):
         return USAGE
     if args.count_only:
         total = count_es(args.n) if args.kind == "es" else count_fg(args.n)
@@ -167,7 +161,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
-    if _refuse_size(args.upto, args.slow, _count_work(args.kind)):
+    if _refuse_size(args.upto, args.slow, "count"):
         return USAGE
     fetched = fetch_bfile(args.sequence, args.cache, offline=args.offline)
     counter = count_es if args.kind == "es" else count_fg
@@ -193,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event structures, full graphs, representations, enumeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    counts = f"{SIZE_LIMITS['count']} for es counts, {SIZE_LIMITS['filter']} for fg counts"
+    counts = f"{SIZE_LIMITS['count']} for counts"
     listing = f"{SIZE_LIMITS['list']} for listing"
 
     def add_io(p: argparse.ArgumentParser) -> None:

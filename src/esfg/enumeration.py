@@ -3,10 +3,8 @@
 Counting is over vertex set exactly ``{0..n-1}`` (labeled structures, not
 isomorphism classes), building no ``Relation``, along two independent
 paths.  ``count_fg`` runs the full-graph mask filter of ``bijection`` on
-every labeled order, testing all of an order's candidates bit-parallel
-and carrying the table of rejected candidates down the poset walk from
-each order to its extensions; listing (``enumerate_fullgraph_edge_sets``)
-uses the scalar filter.
+every labeled order, testing all of an order's candidates bit-parallel;
+listing (``enumerate_fullgraph_edge_sets``) uses the scalar filter.
 ``count_es`` counts by structure: by the conflict axioms, a valid
 conflict on an order P is exactly an up-set of the poset Q(P) of event
 pairs with no common upper bound, ordered componentwise.
@@ -15,14 +13,16 @@ labeled orders only (i below j only if i < j), each weighted by the
 n!/e(P) labeled orders it stands for, e(P) being its number of linear
 extensions.  Each entry point rejects n above its ``SIZE_LIMITS`` entry.
 
-Labeled orders stream depth first: vertex k joins an order on 0..k-1
-above a down-closed set B and below an up-closed set A, with B wholly
-below A.  That is transitive as it stands, and each order arises once: B
-and A are k's strict down-set and up-set, and the rest is an order on
-0..k-1.  ``_extensions`` is that step, shared by ``_posets`` and the
-full-graph count.  Each order is yielded as the strict up-set mask of
-each vertex.
-Naturally labeled orders are the case A = {}.
+Every exhaustive path walks the orders depth first through ``_joins``:
+vertex k joins an order on 0..k-1 above a down-closed set B and below
+an up-closed set A, with B wholly below A.  That is transitive as it
+stands, and each order arises once: B and A are k's strict down-set and
+up-set, and the rest is an order on 0..k-1.  Naturally labeled orders
+are the case A = {}.  ``_posets`` yields each labeled order as the strict
+up-set mask of each vertex, and ``_natural_posets`` each natural one as
+its strict down-set masks.  The full-graph count carries the table of
+the candidates an order rejects down the walk to the orders that extend
+it, so each join only adds the rules of vertex k.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
 from .relation import Relation
+
+#: A step of the order walk: ``(above, below, low, high)``, see ``_joins``.
+Step = tuple[list[int], list[int], int, int]
 
 
 def _closed(sets: Sequence[int]) -> list[int]:
@@ -63,128 +66,116 @@ def _order_pairs(above: Sequence[int]) -> list[tuple[int, int]]:
     return [(v, w) for v in range(k) for w in range(k) if v == w or above[v] >> w & 1]
 
 
-def _extensions(above: Sequence[int], below: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Each way vertex k = len(above) joins the order on 0..k-1 with these
-    strict up-set and down-set masks, as its strict down-set ``low`` and
-    up-set ``high``: ``low`` down-closed, ``high`` up-closed and inside
-    ``cap``, the part of the order above every vertex of ``low``."""
-    ups = _closed(above)
-    everything = (1 << len(above)) - 1
-    for low in _closed(below):
-        cap = everything
-        for v, m in enumerate(above):
-            if low >> v & 1:
-                cap &= m
-        for high in ups:
-            if not high & ~cap:
-                yield low, high
+def _joins(n: int, natural: bool = False) -> Iterator[Step]:
+    """The steps of the depth-first walk over the orders on {0..n-1}, as
+    ``(above, below, low, high)``: the strict up-set and down-set masks of
+    an order on 0..k-1, and a way vertex k joins it, above ``low`` and
+    below ``high``.  ``low`` is down-closed, and ``high`` is up-closed and
+    inside ``cap``, the part of the order above every vertex of ``low``.
+    The walk goes on from each step with k + 1 < n to the joined order,
+    so the steps with k = n - 1 are the leaves, one per order on
+    {0..n-1}.  With ``natural``, ``high`` is 0."""
+    check_size(n, "count")
+    members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
 
+    def walk(above: list[int], below: list[int]) -> Iterator[Step]:
+        k = len(above)
+        ups = [0] if natural else _closed(above)
+        for low in _closed(below):
+            cap = (1 << k) - 1
+            for v in members[low]:
+                cap &= above[v]
+            for high in ups:
+                if high & ~cap:
+                    continue
+                yield above, below, low, high
+                if k + 1 < n:
+                    yield from walk(
+                        [m | (low >> v & 1) << k for v, m in enumerate(above)] + [high],
+                        [m | (high >> v & 1) << k for v, m in enumerate(below)] + [low],
+                    )
 
-def _join(
-    above: Sequence[int], below: Sequence[int], low: int, high: int
-) -> tuple[list[int], list[int]]:
-    """The strict up-set and down-set masks once vertex k = len(above)
-    joins above ``low`` and below ``high``."""
-    k = len(above)
-    return (
-        [m | (low >> v & 1) << k for v, m in enumerate(above)] + [high],
-        [m | (high >> v & 1) << k for v, m in enumerate(below)] + [low],
-    )
+    return walk([], []) if n else iter(())
 
 
 def _posets(n: int) -> Iterator[tuple[int, ...]]:
     """Every partial order on {0..n-1}, each once, as the strict up-set
-    mask of each vertex.  ``above`` and ``below`` hold the strict up-set
-    and down-set masks of the vertices placed so far."""
-    check_size(n, "filter")
-
-    def grow(above: list[int], below: list[int]) -> Iterator[tuple[int, ...]]:
-        k = len(above)
-        if k == n:
-            yield tuple(above)
-            return
-        for low, high in _extensions(above, below):
-            yield from grow(*_join(above, below, low, high))
-
-    return grow([], [])
+    mask of each vertex."""
+    if n == 0:
+        yield ()
+    for above, _, low, high in _joins(n):
+        if len(above) == n - 1:
+            yield (*(m | (low >> v & 1) << n - 1 for v, m in enumerate(above)), high)
 
 
 def _edge_set_counts(n: int) -> Iterator[int]:
     """How many edge sets the full-graph filter accepts on each labeled
     order on {0..n-1}, in the order ``_posets(n)`` yields the orders.
 
-    One walk carries, from each order to its extensions, the bit of each
-    incomparable pair and the truth table of the masks it rejects (bit m
-    set when mask m fails a rule; see ``bijection._truth_tables``).  A mask
-    holds the edges, so a rule of pair i rejects the masks that lack i and
-    hold a pair i requires, or all that lack i if it requires a comparable
-    pair.  Vertex k joins above ``low`` and below ``high``; its new pairs
+    ``carried[k]`` holds, for the order on 0..k-1 the walk is at, its
+    number of incomparable pairs and the truth table of the masks it
+    rejects (bit m set when mask m fails a rule; see
+    ``bijection._truth_tables``).  A mask holds the edges, so a rule of
+    pair i rejects the masks that lack i and hold a pair i requires, or
+    all that lack i if it requires a comparable pair.  The new pairs
     (v, k) take the next bits, and the table is copied across each new
     bit.  An old pair {a, b} keeps its rules and gains the need {k, b}
     when k is above a.  A new pair (v, k) needs {y, k} for each y above v,
     and {v, w} for each w above k.  Every candidate still meets every
     rule, so the count is independent of the structural one."""
-    check_size(n, "filter")
+    steps = _joins(n)
+    if n == 0:
+        yield 1  # the one order on no events has one edge set
     members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
     # bit[v][w]: the bit of the incomparable pair {v, w}.  A vertex
     # placed at depth k writes row and column k afresh, and deeper
     # vertices write only higher ones, so the walk shares one grid.
     bit = [[0] * n for _ in range(n)]
     tables: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def grow(above: list[int], below: list[int], size: int, rejected: int) -> Iterator[int]:
+    carried = [(0, 0)] * n
+    for above, below, low, high in steps:
         k = len(above)
+        size, r = carried[k]
         everything = (1 << k) - 1
-        for low, high in _extensions(above, below):
-            new = members[everything & ~(low | high)]
-            grown = size + len(new)
-            if grown not in tables:
-                tables[grown] = (1 << (1 << grown)) - 1, _truth_tables(grown)
-            full, holding = tables[grown]
-            r = rejected
-            for j in range(size, grown):
-                r |= r << (1 << j)
-            for j, v in enumerate(new, size):
-                bit[v][k] = bit[k][v] = j
-            for a in members[low]:
-                for b in members[everything & ~(above[a] | below[a] | 1 << a)]:
-                    if low >> b & 1:
-                        r |= full ^ holding[bit[a][b]]  # {k, b} is comparable
-                    else:
-                        r |= holding[bit[k][b]] & ~holding[bit[a][b]]
-            for j, v in enumerate(new, size):
-                if (above[v] | below[v]) & high:
-                    r |= full ^ holding[j]  # some {v, w} with w above k is comparable
-                    continue
-                holds = 0
-                for y in members[above[v]]:
-                    holds |= holding[bit[y][k]]
-                for w in members[high]:
-                    holds |= holding[bit[v][w]]
-                r |= holds & ~holding[j]
-            if k + 1 == n:
-                yield (1 << grown) - r.bit_count()
+        new = members[everything & ~(low | high)]
+        grown = size + len(new)
+        if grown not in tables:
+            tables[grown] = (1 << (1 << grown)) - 1, _truth_tables(grown)
+        full, holding = tables[grown]
+        for j in range(size, grown):
+            r |= r << (1 << j)
+        for j, v in enumerate(new, size):
+            bit[v][k] = bit[k][v] = j
+        for a in members[low]:
+            for b in members[everything & ~(above[a] | below[a] | 1 << a)]:
+                if low >> b & 1:
+                    r |= full ^ holding[bit[a][b]]  # {k, b} is comparable
+                else:
+                    r |= holding[bit[k][b]] & ~holding[bit[a][b]]
+        for j, v in enumerate(new, size):
+            if (above[v] | below[v]) & high:
+                r |= full ^ holding[j]  # some {v, w} with w above k is comparable
                 continue
-            yield from grow(*_join(above, below, low, high), grown, r)
-
-    if n == 0:
-        return iter((1,))  # the one order on no events has one edge set
-    return grow([], [], 0, 0)
+            holds = 0
+            for y in members[above[v]]:
+                holds |= holding[bit[y][k]]
+            for w in members[high]:
+                holds |= holding[bit[v][w]]
+            r |= holds & ~holding[j]
+        if k + 1 == n:
+            yield (1 << grown) - r.bit_count()
+        else:
+            carried[k + 1] = grown, r
 
 
 def _natural_posets(n: int) -> Iterator[tuple[int, ...]]:
     """Every naturally labeled partial order on {0..n-1}, each once, as
     the strict down-set mask of each vertex (OEIS A006455)."""
-    check_size(n, "count")
-
-    def grow(below: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(below) == n:
-            yield below
-            return
-        for low in _closed(below):
-            yield from grow(below + (low,))
-
-    return grow(())
+    if n == 0:
+        yield ()
+    for _, below, low, _ in _joins(n, natural=True):
+        if len(below) == n - 1:
+            yield (*below, low)
 
 
 def _linear_extensions(below: Sequence[int]) -> int:
@@ -265,19 +256,16 @@ def emit_structures(n: int, kind: str, write: Callable[[bytes], None]) -> int:
     one canonical document per call, in a deterministic order (orders as
     enumerated, each order's relations sorted by pair list); returns how
     many."""
-    check_size(n, "list")
-    if kind not in ("es", "fg"):
+    sides = {
+        "es": (enumerate_admissible_conflicts, EventStructure, from_event_structure),
+        "fg": (enumerate_fullgraph_edge_sets, FullGraph, from_full_graph),
+    }
+    if kind not in sides:
         raise ValueError(f"kind must be 'es' or 'fg', got {kind!r}")
+    lister, structure, document = sides[kind]
     emitted = 0
     for order in enumerate_partial_orders(n):
-        if kind == "es":
-            for conflict in enumerate_admissible_conflicts(order):
-                doc = from_event_structure(EventStructure(order, conflict))
-                write(serialize_document(doc))
-                emitted += 1
-        else:
-            for undirected in enumerate_fullgraph_edge_sets(order):
-                doc = from_full_graph(FullGraph(order, undirected))
-                write(serialize_document(doc))
-                emitted += 1
+        for relation in lister(order):
+            write(serialize_document(document(structure(order, relation))))
+            emitted += 1
     return emitted

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -270,6 +271,75 @@ def test_natural_orders_weighted_by_extensions_give_the_labeled_orders():
         assert weights == total
         if n <= 5:
             assert weights == len(list(esfg.enumeration._posets(n)))
+
+
+#: sha256 of ``repr(list(walk(n)))`` for n = 0..6.  The carried table's
+#: counts come out in ``_posets`` order, so that order is part of the
+#: walk's contract and is frozen here.
+WALK_DIGESTS = {
+    "_posets": (
+        "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+        "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+        "0d2b79cb842645ee767e6ed5878f2899f65f375601f178c5aa3c1f4e0b4b3cc2",
+        "42b2b9a9929a0dc2e57b71e7da8e91b9a1e3b4e25d824f664a9d335c5f521118",
+        "3ed2aee23b3d8d920700105a51dae006b34129ad10cb71c42c18c4a93c031638",
+        "fa3401c38d61121360f5f21fdae93d1d14b1d235d0f3bbde2562260e8b7da9ad",
+        "9bcf5dba135d784042e8e5e30c420d624da3ac53c38d82433dc5cdd0be6a0505",
+    ),
+    "_natural_posets": (
+        "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+        "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+        "6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a",
+        "bbac89ee09f4fcd42fbcfd0e12ad28781646ae46e7c7ba8eb417f11206ddf8bf",
+        "994fbb6082b8c5ad407970940d52cc28a2114eec5a36c890e1ed891a4ea9c3d5",
+        "46780a943dd1eb84665136aa749660f38a72a31e7654f82ed54d9207edba2fa8",
+        "66bc02ad755fc8fcf1c4016979b5d8107e8995676b2bf580b0393abcf5f1a2b5",
+    ),
+}
+
+
+def _assert_walk_digest(name, n):
+    listed = list(getattr(esfg.enumeration, name)(n))
+    assert hashlib.sha256(repr(listed).encode()).hexdigest() == WALK_DIGESTS[name][n]
+
+
+def test_walk_order_is_pinned():
+    for n in range(6):
+        _assert_walk_digest("_posets", n)
+    for n in range(7):
+        _assert_walk_digest("_natural_posets", n)
+
+
+@pytest.mark.slow
+def test_walk_order_is_pinned_at_six():
+    _assert_walk_digest("_posets", 6)
+
+
+def _joined(above, low, high):
+    """The strict up-set masks once vertex len(above) joins a step."""
+    k = len(above)
+    return (*(m | (low >> v & 1) << k for v, m in enumerate(above)), high)
+
+
+def test_each_depth_of_the_walk_lists_the_smaller_orders():
+    """Joining the steps of ``_joins(n)`` at depth k gives the orders on
+    k + 1 events in ``_posets`` order, so every smaller order is visited
+    once; the natural walk never joins below anything, and its steps at
+    depth k give the natural orders on k + 1 events."""
+    for n in range(6):
+        steps = list(esfg.enumeration._joins(n))
+        natural = list(esfg.enumeration._joins(n, natural=True))
+        assert all(high == 0 for _, _, _, high in natural)
+        for k in range(n):
+            joined = [_joined(a, low, high) for a, _, low, high in steps if len(a) == k]
+            assert joined == list(esfg.enumeration._posets(k + 1))
+            grown = [(*below, low) for _, below, low, _ in natural if len(below) == k]
+            assert grown == list(esfg.enumeration._natural_posets(k + 1))
+            labeled = set(joined)
+            for above, below, low, _ in natural:
+                if len(above) == k:
+                    assert _joined(above, low, 0) in labeled
+                    assert all(m >> v == 0 for v, m in enumerate((*below, low)))
 
 
 def test_structural_count_at_six():

@@ -70,3 +70,24 @@ def test_the_oracle_imports_nothing_from_the_package():
         for alias in node.names
     }
     assert "esfg" not in sources
+
+
+def test_every_size_limit_is_enforced():
+    """Each ``SIZE_LIMITS`` key is named, as a string, in some
+    ``check_size`` or ``_refuse_size`` call: a limit nothing enforces is
+    dead."""
+    from esfg.bijection import SIZE_LIMITS
+
+    named = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "check_size",
+                "_refuse_size",
+            ):
+                named |= {
+                    arg.value
+                    for arg in ast.walk(node)
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                }
+    assert sorted(set(SIZE_LIMITS) - named) == []

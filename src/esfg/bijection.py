@@ -13,8 +13,9 @@ a per-order guard covers causality, and each pair lists the pairs
 propagation requires with it.  The conflict filter tests a mask,
 the edge-set filter ``full ^ mask``.  That map is a bijection between
 the two accepted sets, so the two filters' per-order sizes agree by
-construction; the independent checks of the filters are the structural
-``enumeration.count_es`` and the brute-force oracle.
+construction.  The filters are checked by the brute-force oracle and by
+the structural ``enumeration.count_es``, which shares the order side of
+``count_fg`` (natural orders, n!/e(P)) but not its conflict side.
 
 The scalar filters here are the reference for the bit-parallel count
 of ``enumeration``, whose docstring describes the walk over the orders.

@@ -1,17 +1,17 @@
 """Exhaustive labeled enumeration of event structures and full graphs.
 
 Counting is over vertex set exactly ``{0..n-1}`` (labeled structures, not
-isomorphism classes), building no ``Relation``, along two independent
-paths.  ``count_fg`` runs the full-graph mask filter of ``bijection`` on
-every labeled order, testing all of an order's candidates bit-parallel;
-listing (``enumerate_fullgraph_edge_sets``) uses the scalar filter.
-``count_es`` counts by structure: by the conflict axioms, a valid
-conflict on an order P is exactly an up-set of the poset Q(P) of event
-pairs with no common upper bound, ordered componentwise.
-The count is isomorphism invariant, so it sums over the naturally
-labeled orders only (i below j only if i < j), each weighted by the
-n!/e(P) labeled orders it stands for, e(P) being its number of linear
-extensions.  Each entry point rejects n above its ``SIZE_LIMITS`` entry.
+isomorphism classes), building no ``Relation``.  Both counts share the
+order side: they sum over the naturally labeled orders (i below j only
+if i < j), each weighted by the n!/e(P) labeled orders it stands for,
+e(P) being its number of linear extensions.  Their conflict sides are
+independent.  ``count_es`` counts the up-sets of the poset Q(P) of event
+pairs with no common upper bound, ordered componentwise: by the conflict
+axioms, those are exactly the valid conflicts on P.  ``count_fg`` runs
+the full-graph mask filter of ``bijection`` on all of an order's
+candidates bit-parallel; ``_edge_set_counts`` runs it on every labeled
+order, as the reference.  Each entry point rejects n above its
+``SIZE_LIMITS`` entry.
 
 Every exhaustive path walks the orders depth first through ``_joins``:
 vertex k joins an order on 0..k-1 above a down-closed set B and below
@@ -20,17 +20,17 @@ stands, and each order arises once: B and A are k's strict down-set and
 up-set, and the rest is an order on 0..k-1.  Naturally labeled orders
 are the case A = {}.  ``_posets`` yields each labeled order as the strict
 up-set mask of each vertex, and ``_natural_posets`` each natural one as
-its strict down-set masks.  The full-graph count carries the table of
-the candidates an order rejects down the walk to the orders that extend
-it, so each join only adds the rules of vertex k.
+its strict down-set masks.  The counts carry tables down the walk, so
+each join only adds what vertex k brings: to the candidates an order
+rejects, and to the linear extensions of its down-sets.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
-from math import factorial
-from typing import Callable, Iterator, Sequence
+from itertools import combinations, repeat
+from math import factorial, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import (
     _truth_tables,
@@ -82,9 +82,11 @@ def _joins(n: int, natural: bool = False) -> Iterator[Step]:
         k = len(above)
         ups = [0] if natural else _closed(above)
         for low in _closed(below):
-            cap = (1 << k) - 1
-            for v in members[low]:
-                cap &= above[v]
+            cap = -1  # every cap admits the natural high, 0
+            if not natural:
+                cap = (1 << k) - 1
+                for v in members[low]:
+                    cap &= above[v]
             for high in ups:
                 if high & ~cap:
                     continue
@@ -108,9 +110,36 @@ def _posets(n: int) -> Iterator[tuple[int, ...]]:
             yield (*(m | (low >> v & 1) << n - 1 for v, m in enumerate(above)), high)
 
 
-def _edge_set_counts(n: int) -> Iterator[int]:
-    """How many edge sets the full-graph filter accepts on each labeled
-    order on {0..n-1}, in the order ``_posets(n)`` yields the orders.
+def _extensions(n: int) -> Iterator[tuple[Step, int]]:
+    """The steps of ``_joins(n, natural=True)``, each with e(P) of the
+    order it joins.  ``pre[D]`` is e of the order on the down-set D.  As
+    vertex k joins above ``low``, a linear extension of a down-set D + k
+    ends in k or in a vertex of D - ``low`` maximal in D.  Only depth k
+    writes entries with top bit k, so the walk shares one table.
+    ``downs[k]`` lists the down-sets of the order on 0..k-1, ascending."""
+    steps = _joins(n, natural=True)
+    members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+    pre = [1] + [0] * ((1 << n) - 1)
+    downs = [[0]] * n
+    for step in steps:
+        above, _, low, _ = step
+        k = len(above)
+        top = 1 << k
+        grown = [d | top for d in downs[k] if not low & ~d]
+        for d in grown:
+            e = pre[d ^ top]
+            for v in members[(d ^ top) & ~low]:
+                if not above[v] & d:
+                    e += pre[d ^ 1 << v]
+            pre[d] = e
+        if k + 1 < n:
+            downs[k + 1] = downs[k] + grown
+        yield step, pre[(top << 1) - 1]
+
+
+def _filter_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[int, int]]:
+    """How many edge sets the full-graph filter accepts on each order on
+    {0..n-1} the walk reaches, each with the number its leaf step has.
 
     ``carried[k]`` holds, for the order on 0..k-1 the walk is at, its
     number of incomparable pairs and the truth table of the masks it
@@ -122,10 +151,10 @@ def _edge_set_counts(n: int) -> Iterator[int]:
     bit.  An old pair {a, b} keeps its rules and gains the need {k, b}
     when k is above a.  A new pair (v, k) needs {y, k} for each y above v,
     and {v, w} for each w above k.  Every candidate still meets every
-    rule, so the count is independent of the structural one."""
-    steps = _joins(n)
+    rule, so the conflict side is independent of the structural count."""
+    check_size(n, "count")
     if n == 0:
-        yield 1  # the one order on no events has one edge set
+        yield 1, 1  # the one order on no events has one edge set, one extension
     members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
     # bit[v][w]: the bit of the incomparable pair {v, w}.  A vertex
     # placed at depth k writes row and column k afresh, and deeper
@@ -133,7 +162,7 @@ def _edge_set_counts(n: int) -> Iterator[int]:
     bit = [[0] * n for _ in range(n)]
     tables: dict[int, tuple[int, tuple[int, ...]]] = {}
     carried = [(0, 0)] * n
-    for above, below, low, high in steps:
+    for (above, below, low, high), e in walk:
         k = len(above)
         size, r = carried[k]
         everything = (1 << k) - 1
@@ -163,9 +192,15 @@ def _edge_set_counts(n: int) -> Iterator[int]:
                 holds |= holding[bit[v][w]]
             r |= holds & ~holding[j]
         if k + 1 == n:
-            yield (1 << grown) - r.bit_count()
+            yield (1 << grown) - r.bit_count(), e
         else:
             carried[k + 1] = grown, r
+
+
+def _edge_set_counts(n: int) -> Iterator[int]:
+    """The filter's count on each labeled order on {0..n-1}, in the order
+    ``_posets(n)`` yields the orders: the reference for ``count_fg``."""
+    return (count for count, _ in _filter_counts(zip(_joins(n), repeat(1)), n))
 
 
 def _natural_posets(n: int) -> Iterator[tuple[int, ...]]:
@@ -176,20 +211,6 @@ def _natural_posets(n: int) -> Iterator[tuple[int, ...]]:
     for _, below, low, _ in _joins(n, natural=True):
         if len(below) == n - 1:
             yield (*below, low)
-
-
-def _linear_extensions(below: Sequence[int]) -> int:
-    """e(P) for the order with these strict down-set masks: a DP over its
-    down-sets, one vertex more per layer, each added once its down-set is in."""
-    ways = {0: 1}
-    for _ in below:
-        grown: dict[int, int] = {}
-        for s, w in ways.items():
-            for v, low in enumerate(below):
-                if not (s >> v & 1 or low & ~s):
-                    grown[s | 1 << v] = grown.get(s | 1 << v, 0) + w
-        ways = grown
-    return ways[(1 << len(below)) - 1]
 
 
 def _count_conflict_upsets(below: Sequence[int]) -> int:
@@ -230,25 +251,32 @@ def enumerate_partial_orders(n: int) -> Iterator[Relation]:
         yield Relation(n, pairs)
 
 
+def _weighted_sum(n: int, counts: Iterable[tuple[int, int]]) -> int:
+    """The sum of c * n!/e over ``(c, e)`` pairs in exact integers: the
+    counts grouped by e, divided once over the lcm of the e."""
+    by_extensions: dict[int, int] = {}
+    for c, e in counts:
+        by_extensions[e] = by_extensions.get(e, 0) + c
+    common = lcm(*by_extensions)
+    scaled = sum(c * (common // e) for e, c in by_extensions.items())
+    total, rest = divmod(factorial(n) * scaled, common)
+    if rest:
+        raise ArithmeticError(f"the weighted count {total} + {rest}/{common} is not an integer")
+    return total
+
+
 def count_es(n: int) -> int:
     """Number of labeled event structures on exactly n events: the
     conflict count of each naturally labeled order times n!/e(P)."""
-    from fractions import Fraction  # here, so that ``import esfg`` does not pay for it
-
-    by_extensions: dict[int, int] = {}
-    for below in _natural_posets(n):
-        e = _linear_extensions(below)
-        by_extensions[e] = by_extensions.get(e, 0) + _count_conflict_upsets(below)
-    total = sum(Fraction(factorial(n) * c, e) for e, c in by_extensions.items())
-    if total.denominator != 1:
-        raise ArithmeticError(f"the weighted count {total} is not an integer")
-    return int(total)
+    leaves = (((*b, low), e) for (_, b, low, _), e in _extensions(n) if len(b) == n - 1)
+    return _weighted_sum(n, ((_count_conflict_upsets(b), e) for b, e in leaves)) if n else 1
 
 
 def count_fg(n: int) -> int:
-    """Number of labeled full graphs on exactly n vertices, via the
-    graph-side filter."""
-    return sum(_edge_set_counts(n))
+    """Number of labeled full graphs on exactly n vertices: the filter's
+    count on each naturally labeled order times n!/e(P), the order side
+    ``count_es`` has too; the conflict side is the filter's rules."""
+    return _weighted_sum(n, _filter_counts(_extensions(n), n))
 
 
 def emit_structures(n: int, kind: str, write: Callable[[bytes], None]) -> int:

@@ -71,9 +71,10 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 
 def test_limit_is_enforced():
-    """Each kind of work has its own largest n: 7 for the structural
-    count and for the filter count over every labeled order, 5 for
-    listing."""
+    """Each kind of work has its own largest n: 7 for the counts, which
+    share the natural orders and their n!/e(P) weights but not the
+    conflict side (Q(P) up-sets on one, the filter on the other), and for
+    the labeled walk, 5 for listing."""
     with pytest.raises(ValueError):
         list(enumerate_partial_orders(6))
     with pytest.raises(ValueError):
@@ -260,17 +261,83 @@ def test_natural_generator_yields_each_naturally_labeled_order_once():
             assert all(u < v for u, v in pairs if u != v)
 
 
+def _linear_extensions(below):
+    """e(P) for the order with these strict down-set masks: a DP over its
+    down-sets, one vertex more per layer, each added once its down-set is
+    in (the reference for the carried table)."""
+    ways = {0: 1}
+    for _ in below:
+        grown = {}
+        for s, w in ways.items():
+            for v, low in enumerate(below):
+                if not (s >> v & 1 or low & ~s):
+                    grown[s | 1 << v] = grown.get(s | 1 << v, 0) + w
+        ways = grown
+    return ways[(1 << len(below)) - 1]
+
+
+def _carried_extensions(n):
+    """Each naturally labeled order on {0..n-1}, as strict down-set masks,
+    with the e(P) the natural walk carries to it."""
+    return [
+        ((*below, low), e)
+        for (_, below, low, _), e in esfg.enumeration._extensions(n)
+        if len(below) == n - 1
+    ]
+
+
+def test_carried_extensions_match_the_down_set_dp():
+    """The prefix-count table carried down the natural walk gives, for
+    every naturally labeled order up to six events, the e(P) of a DP run
+    on that order alone, and reaches the orders in ``_natural_posets``
+    order."""
+    for n in range(1, 7):
+        carried = _carried_extensions(n)
+        assert [below for below, _ in carried] == list(esfg.enumeration._natural_posets(n))
+        for below, e in carried:
+            assert e == _linear_extensions(below), below
+
+
 def test_natural_orders_weighted_by_extensions_give_the_labeled_orders():
-    """Sum of n!/e(P) over the naturally labeled orders is the number of
-    labeled orders (OEIS A001035), and matches the labeled generator."""
-    for n, total in enumerate((1, 1, 3, 19, 219, 4231, 130023)):
-        weights = sum(
-            Fraction(factorial(n), esfg.enumeration._linear_extensions(below))
-            for below in esfg.enumeration._natural_posets(n)
-        )
+    """Sum of n!/e(P) over the naturally labeled orders, with the carried
+    e(P), is the number of labeled orders (OEIS A001035), and matches the
+    labeled generator; the exact integer weighting agrees."""
+    for n, total in enumerate((1, 3, 19, 219, 4231, 130023), start=1):  # no steps at n=0
+        carried = _carried_extensions(n)
+        weights = sum(Fraction(factorial(n), e) for _, e in carried)
         assert weights == total
+        assert esfg.enumeration._weighted_sum(n, ((1, e) for _, e in carried)) == total
         if n <= 5:
             assert weights == len(list(esfg.enumeration._posets(n)))
+
+
+def test_weighted_sum_refuses_a_fraction():
+    assert esfg.enumeration._weighted_sum(3, [(1, 2), (1, 3), (1, 6)]) == 6
+    with pytest.raises(ArithmeticError):
+        esfg.enumeration._weighted_sum(2, [(1, 3)])
+
+
+def _assert_natural_counts_match_the_labeled_counts(n):
+    labeled = dict(
+        zip(esfg.enumeration._posets(n), esfg.enumeration._edge_set_counts(n), strict=True)
+    )
+    natural = esfg.enumeration._filter_counts(esfg.enumeration._extensions(n), n)
+    for below, (count, _) in zip(esfg.enumeration._natural_posets(n), natural, strict=True):
+        above = tuple(_strict_down_sets(below))  # transposing down-sets gives up-sets
+        assert count == labeled[above], below
+
+
+def test_natural_filter_counts_match_the_labeled_counts():
+    """The filter run down the natural walk accepts, on each naturally
+    labeled order up to five events, as many edge sets as the labeled
+    walk does on the same order."""
+    for n in range(6):
+        _assert_natural_counts_match_the_labeled_counts(n)
+
+
+@pytest.mark.slow
+def test_natural_filter_counts_match_the_labeled_counts_at_six():
+    _assert_natural_counts_match_the_labeled_counts(6)
 
 
 #: sha256 of ``repr(list(walk(n)))`` for n = 0..6.  The carried table's
@@ -362,6 +429,15 @@ def test_structural_count_at_seven():
 
 @pytest.mark.slow
 def test_filter_count_at_seven():
-    """The filter over all 6,129,859 labeled orders on seven events agrees
-    with the structural count, a path it shares nothing with."""
+    """The filter over the 96,428 naturally labeled orders on seven
+    events agrees with the structural count.  The two share the order
+    side (the natural orders and their n!/e(P) weights) but not the
+    conflict side: the filter's rules against the up-sets of Q(P)."""
     assert count_fg(7) == 561_658_287
+
+
+@pytest.mark.slow
+def test_labeled_filter_count_at_seven():
+    """The filter over all 6,129,859 labeled orders on seven events, which
+    shares neither side with the structural count, still gives the term."""
+    assert sum(esfg.enumeration._edge_set_counts(7)) == 561_658_287

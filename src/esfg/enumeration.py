@@ -117,7 +117,7 @@ def _extensions(n: int) -> Iterator[tuple[Step, int]]:
     ends in k or in a vertex of D - ``low`` maximal in D.  Only depth k
     writes entries with top bit k, so the walk shares one table.
     ``downs[k]`` lists the down-sets of the order on 0..k-1, ascending."""
-    steps = _joins(n, natural=True)
+    steps = _joins(n, natural=True)  # checks n before the tables below use it
     members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
     pre = [1] + [0] * ((1 << n) - 1)
     downs = [[0]] * n

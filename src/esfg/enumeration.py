@@ -22,13 +22,13 @@ are the case A = {}.  ``_posets`` yields each labeled order as the strict
 up-set mask of each vertex, and ``_natural_posets`` each natural one as
 its strict down-set masks.  The counts carry tables down the walk, so
 each join only adds what vertex k brings: to the candidates an order
-rejects, and to the linear extensions of its down-sets.
+rejects, to the linear extensions of its down-sets, and to Q(P), whose
+pairs inside k's down-set leave it as the pairs {v, k} join.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations, repeat
+from itertools import repeat
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -213,34 +213,71 @@ def _natural_posets(n: int) -> Iterator[tuple[int, ...]]:
             yield (*below, low)
 
 
-def _count_conflict_upsets(below: Sequence[int]) -> int:
-    """How many valid conflicts the order with these strict down-set
-    masks has: the up-sets of Q(P), its pairs {x,z} with no common upper
-    bound, {x,z} below {y,w} when x <= y and z <= w.  The memoised count
-    includes or excludes the first pair left, and with it every pair
-    above or below it."""
-    n = len(below)
-    up = [1 << v | sum(1 << u for u in range(n) if below[u] >> v & 1) for v in range(n)]
-    members = [[y for y in range(n) if m >> y & 1] for m in up]
-    pairs = [(x, z) for x, z in combinations(range(n), 2) if not up[x] & up[z]]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    above = [0] * len(pairs)
-    under = [0] * len(pairs)
-    for i, (x, z) in enumerate(pairs):
-        for y in members[x]:
-            for w in members[z]:
-                j = index[min(y, w), max(y, w)]
-                above[i] |= 1 << j
-                under[j] |= 1 << i
+def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[int, int]]:
+    """How many up-sets Q(P) has on each naturally labeled order on
+    {0..n-1} the walk reaches, each with the number its leaf step has.
+    Q(P) is the order's pairs {x, z} with no common upper bound, {x, z}
+    below {y, w} when x <= y and z <= w; its up-sets are the valid
+    conflicts.
 
-    @cache
-    def upsets(rest: int) -> int:
-        if not rest:
-            return 1
-        i = (rest & -rest).bit_length() - 1
-        return upsets(rest & ~above[i]) + upsets(rest & ~under[i])
+    ``carried[k]`` holds, for the order on 0..k-1 the walk is at, the
+    mask of Q's pairs, pair {x, z} (x < z) at bit x*n + z, and the list
+    ``above`` of each pair's up-set in Q, itself included.  As vertex k
+    joins above ``low``, the pairs inside ``low`` gain k as a common upper
+    bound and leave Q.  An old pair with one end in ``low`` and the other,
+    z, outside gains the pairs {w, k} for w >= z; the new pairs are {v, k}
+    for v outside ``low``, each below the pairs {y, k} for y >= v.  The
+    bits rise with a linear extension of Q, so the lowest pair left is
+    minimal, and leaving it out leaves out no other: the memoised count
+    takes or leaves that pair."""
+    check_size(n, "count")
+    if n == 0:
+        yield 1, 1  # the one order on no events has one conflict, the empty one
+    grid = 1 << n
+    members = [[v for v in range(n) if m >> v & 1] for m in range(grid)]
+    # inside[s]: the pairs with both ends in s.  ends[k][s]: the pairs
+    # {w, k} for w in s, a set of vertices below k.
+    inside = [0] * grid
+    ends = []
+    for k in range(n):
+        row = [0] * (1 << k)
+        for s in range(1, 1 << k):
+            w = (s & -s).bit_length() - 1
+            row[s] = row[s & (s - 1)] | 1 << (w * n + k)
+        ends.append(row)
+        for s in range(1 << k):
+            inside[s | 1 << k] = inside[s] | row[s]
+    carried = [(0, [0] * (n * n))] * n
+    for (up, _, low, high), e in walk:
+        if high:
+            raise ValueError("the up-set count needs naturally labeled orders")
+        k = len(up)
+        alive, above = carried[k]
+        alive &= ~inside[low]
+        above = above.copy()
+        row = ends[k]
+        for v in members[((1 << k) - 1) & ~low]:
+            gained = row[up[v] | 1 << v]
+            above[v * n + k] = gained
+            alive |= 1 << (v * n + k)
+            for x in members[low]:
+                i = x * n + v if x < v else v * n + x
+                if alive >> i & 1:
+                    above[i] |= gained
+        if k + 1 < n:
+            carried[k + 1] = alive, above
+            continue
+        memo: dict[int, int] = {0: 1}
 
-    return upsets((1 << len(pairs)) - 1)
+        def upsets(rest: int) -> int:
+            count = memo.get(rest)
+            if count is None:
+                lowest = rest & -rest
+                count = upsets(rest & ~above[lowest.bit_length() - 1]) + upsets(rest ^ lowest)
+                memo[rest] = count
+            return count
+
+        yield upsets(alive), e
 
 
 def enumerate_partial_orders(n: int) -> Iterator[Relation]:
@@ -267,9 +304,9 @@ def _weighted_sum(n: int, counts: Iterable[tuple[int, int]]) -> int:
 
 def count_es(n: int) -> int:
     """Number of labeled event structures on exactly n events: the
-    conflict count of each naturally labeled order times n!/e(P)."""
-    leaves = (((*b, low), e) for (_, b, low, _), e in _extensions(n) if len(b) == n - 1)
-    return _weighted_sum(n, ((_count_conflict_upsets(b), e) for b, e in leaves)) if n else 1
+    up-sets of each naturally labeled order's Q(P), carried down the
+    natural walk, times n!/e(P)."""
+    return _weighted_sum(n, _upset_counts(_extensions(n), n))
 
 
 def count_fg(n: int) -> int:

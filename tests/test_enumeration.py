@@ -1,5 +1,7 @@
 import hashlib
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, repeat
 from math import factorial
 
 import pytest
@@ -213,15 +215,72 @@ def test_closed_sets_match_the_direct_test():
             assert esfg.enumeration._closed(below) == _closed_directly(below), above
 
 
+def _count_conflict_upsets(below):
+    """How many up-sets Q(P) has, for the order with these strict
+    down-set masks, built from scratch (the reference for the count the
+    natural walk carries): Q(P) is its pairs {x,z} with no common upper
+    bound, {x,z} below {y,w} when x <= y and z <= w.  The memoised count
+    includes or excludes the first pair left, and with it every pair
+    above or below it."""
+    n = len(below)
+    up = [1 << v | sum(1 << u for u in range(n) if below[u] >> v & 1) for v in range(n)]
+    members = [[y for y in range(n) if m >> y & 1] for m in up]
+    pairs = [(x, z) for x, z in combinations(range(n), 2) if not up[x] & up[z]]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    above = [0] * len(pairs)
+    under = [0] * len(pairs)
+    for i, (x, z) in enumerate(pairs):
+        for y in members[x]:
+            for w in members[z]:
+                j = index[min(y, w), max(y, w)]
+                above[i] |= 1 << j
+                under[j] |= 1 << i
+
+    @cache
+    def upsets(rest):
+        if not rest:
+            return 1
+        i = (rest & -rest).bit_length() - 1
+        return upsets(rest & ~above[i]) + upsets(rest & ~under[i])
+
+    return upsets((1 << len(pairs)) - 1)
+
+
 def test_structural_count_matches_the_filter_per_order():
     """For every labeled order up to five events, the up-sets of Q(P)
     are exactly the conflicts the mask filter accepts."""
     for n in range(6):
         for above in esfg.enumeration._posets(n):
             below = _strict_down_sets(above)
-            assert esfg.enumeration._count_conflict_upsets(below) == _count_conflicts(
-                above
-            ), above
+            assert _count_conflict_upsets(below) == _count_conflicts(above), above
+
+
+def _assert_carried_upsets_match_the_reference(n):
+    carried = esfg.enumeration._upset_counts(esfg.enumeration._extensions(n), n)
+    for below, (count, _) in zip(esfg.enumeration._natural_posets(n), carried, strict=True):
+        assert count == _count_conflict_upsets(below), below
+
+
+def test_carried_upsets_match_the_reference_per_order():
+    """The Q(P) carried down the natural walk has, on every naturally
+    labeled order up to six events, as many up-sets as Q(P) built from
+    scratch, and the counts come in ``_natural_posets`` order."""
+    for n in range(1, 7):
+        _assert_carried_upsets_match_the_reference(n)
+
+
+@pytest.mark.slow
+def test_carried_upsets_match_the_reference_per_order_at_seven():
+    _assert_carried_upsets_match_the_reference(7)
+
+
+def test_upset_counts_need_naturally_labeled_orders():
+    """The carried count pivots on the lowest pair left, which is minimal
+    in Q(P) only under natural labels, so a step joining below a vertex
+    is refused; on no events it counts the one empty conflict."""
+    with pytest.raises(ValueError):
+        list(esfg.enumeration._upset_counts(zip(esfg.enumeration._joins(3), repeat(1)), 3))
+    assert list(esfg.enumeration._upset_counts(esfg.enumeration._extensions(0), 0)) == [(1, 1)]
 
 
 def test_truth_table_bit_m_is_bit_i_of_m():

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .event_structure import EventStructure, is_event_structure
+from .event_structure import EventStructure
 from .fullgraph import FullGraph, FullGraphError, fg_failures
 from .fullgraph import find_fg_representation_bruteforce
 from .relation import Pair, Relation, pairs_key
@@ -159,8 +159,8 @@ def _relations(
 def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
     """All conflict relations U making (base, U) a valid event structure,
     sorted by pair list; empty for a ``base`` that is not an order."""
-    if not is_event_structure(base, Relation(base.universe)):
-        return ()  # the empty conflict is valid exactly when base is an order
+    if not base.is_partial_order:
+        return ()
     pairs, rules = _relation_kernel(base)
     return _relations(base.universe, pairs, _conflict_masks(len(pairs), rules))
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .event_structure import es_failures
-from .familysearch import causes_first_order, search_set_family
 from .relation import Relation
-from .setfamily import SetFamily, family_failures, represents
+from .setfamily import SetFamily, _find_family, family_failures, represents
 
 
 class FullGraphError(ValueError):
@@ -67,18 +66,8 @@ def find_fg_representation_bruteforce(
 ) -> SetFamily | None:
     """Exhaustive independent search for an injective, empty-free family
     certifying (D, T) with labels below ``label_bound``; None if there is
-    no such family within the bound."""
-    order = causes_first_order(directed.field, directed.pairs)
-    found = search_set_family(
-        order,
-        directed.pairs,
-        undirected.pairs,
-        second_overlap=True,
-        label_bound=label_bound,
-    )
-    if found is None:
-        return None
-    return SetFamily(found)
+    no such family within the bound.  ``_find_family`` in overlap mode."""
+    return _find_family(directed, undirected, label_bound, overlap=True)
 
 
 @dataclass(frozen=True)

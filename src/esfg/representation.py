@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .event_structure import EventStructureError, es_failures
-from .familysearch import causes_first_order, search_set_family
+from .event_structure import EventStructureError, es_failures, is_conflict_propagating
 from .relation import Relation
-from .setfamily import SetFamily, _rows, _strict_rows, family_failures, represents
+from .setfamily import SetFamily, _find_family, _rows, _strict_rows
+from .setfamily import family_failures, represents
 
 
 def is_representation(family: SetFamily, causality: Relation, conflict: Relation) -> bool:
@@ -191,22 +191,10 @@ def find_representation_bruteforce(
     causality: Relation, conflict: Relation, label_bound: int
 ) -> SetFamily | None:
     """Exhaustively search for an injective, empty-free representation with
-    keys = the event set and labels below ``label_bound``.
-
-    Independent of the constructive builder; absence is a value.  Events
-    are assigned causes-first so containment constraints prune early.
-    """
-    order = causes_first_order(causality.field, causality.pairs)
-    found = search_set_family(
-        order,
-        causality.pairs,
-        conflict.pairs,
-        second_overlap=False,
-        label_bound=label_bound,
-    )
-    if found is None:
-        return None
-    return SetFamily(found)
+    keys = the event set and labels below ``label_bound``; None if there
+    is none within the bound.  Independent of the constructive builder:
+    ``_find_family`` in disjointness mode."""
+    return _find_family(causality, conflict, label_bound, overlap=False)
 
 
 @dataclass(frozen=True)
@@ -245,8 +233,6 @@ def structure_from_representation(
     Requires that ``family`` actually represents the pair and that both
     relations live on the family's keys.
     """
-    from .event_structure import is_conflict_propagating
-
     if not is_representation(family, causality, conflict):
         raise ValueError("family is not a representation of the given pair")
     keys = set(family.keys)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .familysearch import causes_first_order, search_set_family
 from .relation import Relation
 
 
@@ -106,24 +107,30 @@ def _strict_rows(keys: Sequence[int], order: Relation) -> list[int]:
     return [row & ~(1 << p) for p, row in enumerate(_rows(keys, order))]
 
 
-def _masks_represent(
-    masks: list[int], contains_rows: list[int], second_rows: list[int], *, overlap: bool
-) -> bool:
-    """The family check on positions, each label set a mask: over every
-    ordered pair x, y, bit y of ``contains_rows[x]`` is set iff masks[x]
-    contains masks[y], and bit y of ``second_rows[x]`` iff the two are
-    disjoint (properly overlap, with ``overlap``)."""
-    for fx, contains, second in zip(masks, contains_rows, second_rows):
-        sup = related = 0
-        for y, fy in enumerate(masks):
+def _mask_relations(masks: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The three relations a family realises, read off its label masks as
+    row masks over positions: bit y of row x is set in the first when
+    masks[x] contains masks[y], in the second when the two are disjoint,
+    and in the third when they properly overlap."""
+    contains, partners, edges = [], [], []
+    for fx in masks:
+        sup = apart = over = 0
+        bit = 1
+        for fy in masks:
             inter = fx & fy
-            if inter == fy:
-                sup |= 1 << y
-            if (inter and inter != fx and inter != fy) if overlap else not inter:
-                related |= 1 << y
-        if sup != contains or related != second:
-            return False
-    return True
+            if not inter:
+                apart |= bit
+                if not fy:  # the empty set lies inside every set
+                    sup |= bit
+            elif inter == fy:
+                sup |= bit
+            elif inter != fx:
+                over |= bit
+            bit <<= 1
+        contains.append(sup)
+        partners.append(apart)
+        edges.append(over)
+    return contains, partners, edges
 
 
 def represents(
@@ -132,14 +139,31 @@ def represents(
     """Over every ordered pair of keys: (x, y) in ``containment`` iff
     f(x) >= f(y), and (x, y) in ``second`` iff f(x) and f(y) are disjoint
     (properly overlap, with ``overlap``).  The labels are numbered 0, 1,
-    ... first, so a label's size never matters, and ``_masks_represent``
-    checks the masks."""
+    ... first, so a label's size never matters, and the rows
+    ``_mask_relations`` reads off the masks are compared."""
     number = {label: i for i, label in enumerate(family.union_of_range())}
     masks = [sum(1 << number[label] for label in labels) for labels in family.values()]
     keys = family.keys
-    return _masks_represent(
-        masks, _rows(keys, containment), _rows(keys, second), overlap=overlap
+    contains, partners, edges = _mask_relations(masks)
+    related = edges if overlap else partners
+    return contains == _rows(keys, containment) and related == _rows(keys, second)
+
+
+def _find_family(
+    containment: Relation, second: Relation, label_bound: int, *, overlap: bool
+) -> SetFamily | None:
+    """The exhaustive search behind both oracles: an injective, empty-free
+    family keyed by the field of ``containment``, with labels below
+    ``label_bound``, that ``represents`` the pair; None if there is none.
+    Events are assigned causes-first, so containment prunes early."""
+    found = search_set_family(
+        causes_first_order(containment.field, containment.pairs),
+        containment.pairs,
+        second.pairs,
+        second_overlap=overlap,
+        label_bound=label_bound,
     )
+    return None if found is None else SetFamily(found)
 
 
 def family_failures(

@@ -10,8 +10,9 @@ positions is a list of row masks: bit y of row x for the pair (x, y).
 
 - built: ``_label_masks`` gives one nonempty label mask per position, no
   two equal, all below its label count;
-- certifies both sides: ``_masks_represent`` accepts those masks with the
-  rows of m as disjointness and with the rows of ``full ^ m`` as overlap;
+- certifies both sides: ``_mask_relations`` reads those masks once, and
+  its containment, disjointness and overlap rows are the order's up-sets
+  with the diagonal, the rows of m and the rows of ``full ^ m``;
 - round trip: the rows of ``full ^ m``, complemented inside the
   incomparability square, are the rows of m;
 - bijection: ``full ^ t`` over the edge-set masks is the set of m;
@@ -34,7 +35,7 @@ from .enumeration import _order_pairs, _posets, count_es
 from .event_structure import is_event_structure
 from .relation import Pair, Relation
 from .representation import _label_masks, _peel_order, find_representation_bruteforce
-from .setfamily import _masks_represent
+from .setfamily import _mask_relations
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,7 @@ def run_theorem_suite(n: int) -> SuiteReport:
                 masks, count = _label_masks(above, partners, peeled)
                 if len(set(masks)) != k or 0 in masks or max(masks, default=0) >> count:
                     build_bad.append(_tag(above, pairs, m))
-                if not (
-                    _masks_represent(masks, contains, partners, overlap=False)
-                    and _masks_represent(masks, contains, edges, overlap=True)
-                ):
+                if _mask_relations(masks) != (contains, partners, edges):
                     witness_bad.append(_tag(above, pairs, m))
                 if _complement_rows(square, edges) != partners:
                     roundtrip_bad.append(_tag(above, pairs, m))

@@ -16,6 +16,8 @@ from esfg import (
     find_fg_representation_bruteforce,
     find_representation_bruteforce,
     is_event_structure,
+    is_fg_representation,
+    is_full_graph,
 )
 from esfg.familysearch import (
     _ascending_submasks,
@@ -337,5 +339,25 @@ def test_es_oracle_agrees_with_the_validity_check_on_four_points():
         assert (family is not None) == is_event_structure(order, conflict), (order, conflict)
         if family is not None:
             assert is_representation(family, order, conflict)
+            found += 1
+    assert found == 916
+
+
+@pytest.mark.slow
+def test_fg_oracle_agrees_with_recognition_on_four_points():
+    """The full-graph twin of the test above: every order on 4 points
+    against every symmetric subset of its incomparable pairs, bound 10."""
+    cases = [
+        (order, undirected)
+        for order in orders_on(4)
+        for undirected in symmetric_relations(4, order.sym_complement().pairs)
+    ]
+    assert len(cases) == 1784
+    found = 0
+    for order, undirected in cases:
+        family = find_fg_representation_bruteforce(order, undirected, 10)
+        assert (family is not None) == is_full_graph(order, undirected), (order, undirected)
+        if family is not None:
+            assert is_fg_representation(family, order, undirected)
             found += 1
     assert found == 916

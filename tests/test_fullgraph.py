@@ -15,6 +15,9 @@ from esfg import (
     is_full_graph,
     overlaps,
 )
+from esfg.setfamily import family_failures
+
+from .test_familysearch import orders_on, symmetric_relations
 
 
 def all_relations(n):
@@ -181,3 +184,44 @@ def test_oracle_agrees_with_recognition_n3():
                 is not None
             )
             assert by_search == is_full_graph(directed, undirected)
+
+
+def canonical_family(order, undirected):
+    """The full-graph definition's own witness: each vertex v gets a label
+    that goes in f(x) when x <= v, and each edge {a, b} of T a label that
+    goes in f(x) when x <= a or x <= b."""
+    vertices = order.field
+    tops = [(v,) for v in vertices] + sorted((a, b) for a, b in undirected.pairs if a < b)
+    return SetFamily(
+        {
+            x: {i for i, top in enumerate(tops) if any((x, v) in order.pairs for v in top)}
+            for x in vertices
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "n, candidates, accepted",
+    [
+        (0, 1, 1),
+        (1, 1, 1),
+        (2, 4, 4),
+        (3, 50, 41),
+        (4, 1784, 916),
+        pytest.param(5, 172864, 41099, marks=pytest.mark.slow),
+    ],
+)
+def test_recognition_agrees_with_the_canonical_family(n, candidates, accepted):
+    """Every order D against every symmetric T inside its incomparable
+    pairs: (D, T) is a full graph exactly when the canonical family
+    certifies it as containment plus proper overlap, a check read off the
+    definition with no event-structure axiom in it."""
+    seen = found = 0
+    for order in orders_on(n):
+        for undirected in symmetric_relations(n, order.sym_complement().pairs):
+            family = canonical_family(order, undirected)
+            certifies = not family_failures(family, order, undirected, overlap=True)
+            assert is_full_graph(order, undirected) == certifies, (order, undirected)
+            seen += 1
+            found += certifies
+    assert (seen, found) == (candidates, accepted)

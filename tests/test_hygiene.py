@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, no
+package function imports for itself but the lazy OEIS download, and every
 probe of the benchmark tracer names a callable that exists."""
 
 import ast
@@ -91,3 +92,28 @@ def test_every_size_limit_is_enforced():
                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
                 }
     assert sorted(set(SIZE_LIMITS) - named) == []
+
+
+#: The only imports a package function may make for itself: the OEIS
+#: download stays lazy, so that ``import esfg`` does not pay for it.
+LAZY_IMPORTS = {
+    ("oeis.py", "_download", "http.client"),
+    ("oeis.py", "_download", "urllib.request"),
+}
+
+
+def test_imports_sit_at_module_level():
+    """A function-local import hides a module's dependencies; every one
+    outside ``LAZY_IMPORTS`` fails."""
+    local = set()
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    local |= {(path.name, func.name, alias.name) for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    source = "." * node.level + (node.module or "")
+                    local.add((path.name, func.name, source))
+    assert sorted(local - LAZY_IMPORTS) == []

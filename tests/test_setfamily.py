@@ -7,8 +7,9 @@ from esfg import (
     build_representation,
     enumerate_admissible_conflicts,
     incomparable_complement,
+    overlaps,
 )
-from esfg.setfamily import represents
+from esfg.setfamily import _mask_relations, represents
 
 from .strategies import posets, relations
 
@@ -76,18 +77,38 @@ def builder_families(draw):
     return SetFamily(sets), order, draw(st.sampled_from((conflict, undirected)))
 
 
-@given(
-    st.one_of(
-        builder_families(),
-        st.tuples(
-            st.dictionaries(st.integers(0, 3), st.frozensets(st.integers(0, 4))).map(SetFamily),
-            relations(),
-            relations(),
-        ),
-    )
+#: The cases both family checks below are drawn from: builder families,
+#: some with one label flipped, and arbitrary small families with relations.
+drawn_cases = st.one_of(
+    builder_families(),
+    st.tuples(
+        st.dictionaries(st.integers(0, 3), st.frozensets(st.integers(0, 4))).map(SetFamily),
+        relations(),
+        relations(),
+    ),
 )
+
+
+@given(drawn_cases)
 def test_represents_agrees_with_the_frozenset_reference(case):
     family, containment, second = case
     for overlap in (False, True):
         expected = reference_represents(family, containment, second, overlap=overlap)
         assert represents(family, containment, second, overlap=overlap) == expected
+
+
+@given(drawn_cases)
+def test_mask_relations_agree_with_the_frozenset_relations(case):
+    """All three rows, the one ``represents`` skips in each mode included,
+    against containment, disjointness and overlap of the label sets."""
+    sets = case[0].values()
+    masks = [sum(1 << label for label in labels) for labels in sets]
+
+    def rows(holds):
+        return [sum(1 << y for y, fy in enumerate(sets) if holds(fx, fy)) for fx in sets]
+
+    assert _mask_relations(masks) == (
+        rows(lambda fx, fy: fx >= fy),
+        rows(lambda fx, fy: not fx & fy),
+        rows(overlaps),
+    )

@@ -71,16 +71,6 @@ class StructureDocument:
                         "bounds", f"family key {key} outside universe {self.universe}"
                     )
 
-    # ------------------------------------------------------------------
-
-    @property
-    def directed(self) -> Relation:
-        return self.causality
-
-    @property
-    def undirected(self) -> Relation:
-        return self.conflict
-
     def to_event_structure(self) -> EventStructure:
         if self.kind == "fg":
             raise DocumentError("schema", "fg documents do not hold an event structure")
@@ -92,15 +82,9 @@ class StructureDocument:
         return FullGraph(self.causality, self.conflict, self.family)
 
 
-def from_event_structure(
-    structure: EventStructure, family: SetFamily | None = None
-) -> StructureDocument:
+def from_event_structure(structure: EventStructure) -> StructureDocument:
     return StructureDocument(
-        "es",
-        structure.causality.universe,
-        structure.causality,
-        structure.conflict,
-        family,
+        "es", structure.causality.universe, structure.causality, structure.conflict
     )
 
 

@@ -18,12 +18,14 @@ vertex k joins an order on 0..k-1 above a down-closed set B and below
 an up-closed set A, with B wholly below A.  That is transitive as it
 stands, and each order arises once: B and A are k's strict down-set and
 up-set, and the rest is an order on 0..k-1.  Naturally labeled orders
-are the case A = {}.  ``_posets`` yields each labeled order as the strict
-up-set mask of each vertex, and ``_natural_posets`` each natural one as
-its strict down-set masks.  The counts carry tables down the walk, so
-each join only adds what vertex k brings: to the candidates an order
-rejects, to the linear extensions of its down-sets, and to Q(P), whose
-pairs inside k's down-set leave it as the pairs {v, k} join.
+are the case A = {}.  The walk carries each order's down-sets and
+up-sets from its parent's, so it never searches for them, and hands the
+down-sets to its readers.  ``_posets`` yields each labeled order as the
+strict up-set mask of each vertex, and ``_natural_posets`` each natural
+one as its strict down-set masks.  The counts carry tables down the
+walk, so each join only adds what vertex k brings: to the candidates an
+order rejects, to the linear extensions of its down-sets, and to Q(P),
+whose pairs inside k's down-set leave it as the pairs {v, k} join.
 """
 
 from __future__ import annotations
@@ -43,21 +45,10 @@ from .event_structure import EventStructure
 from .fullgraph import FullGraph
 from .relation import Relation
 
-#: A step of the order walk: ``(above, below, low, high)``, see ``_joins``.
-Step = tuple[list[int], list[int], int, int]
-
-
-def _closed(sets: Sequence[int]) -> list[int]:
-    """The vertex sets s with sets[v] inside s for every v in s, ascending.
-    ``reach[s]``, the union of sets[v] over v in s, is ``reach`` of s
-    without its lowest vertex plus that vertex's set."""
-    reach = [0] * (1 << len(sets))
-    found = [0]
-    for s in range(1, len(reach)):
-        r = reach[s] = reach[s & (s - 1)] | sets[(s & -s).bit_length() - 1]
-        if not r & ~s:
-            found.append(s)
-    return found
+#: A step of the order walk: ``(above, below, low, high, downs)``, see
+#: ``_joins``.  ``downs`` lists the down-sets of the order on 0..k-1 that
+#: vertex k joins, ascending.
+Step = tuple[list[int], list[int], int, int, list[int]]
 
 
 def _order_pairs(above: Sequence[int]) -> list[tuple[int, int]]:
@@ -66,22 +57,33 @@ def _order_pairs(above: Sequence[int]) -> list[tuple[int, int]]:
     return [(v, w) for v in range(k) for w in range(k) if v == w or above[v] >> w & 1]
 
 
+def _joined_sets(sets: list[int], missed: int, held: int, k: int) -> list[int]:
+    """The down-sets (or up-sets) of an order once vertex k joins it,
+    ascending, from its ``sets``: those that miss the vertices above (or
+    below) k, then those that hold the vertices below (or above) k, with
+    k added."""
+    return [s for s in sets if not s & missed] + [s | 1 << k for s in sets if not held & ~s]
+
+
 def _joins(n: int, natural: bool = False) -> Iterator[Step]:
     """The steps of the depth-first walk over the orders on {0..n-1}, as
-    ``(above, below, low, high)``: the strict up-set and down-set masks of
-    an order on 0..k-1, and a way vertex k joins it, above ``low`` and
-    below ``high``.  ``low`` is down-closed, and ``high`` is up-closed and
-    inside ``cap``, the part of the order above every vertex of ``low``.
-    The walk goes on from each step with k + 1 < n to the joined order,
-    so the steps with k = n - 1 are the leaves, one per order on
-    {0..n-1}.  With ``natural``, ``high`` is 0."""
+    ``(above, below, low, high, downs)``: the strict up-set and down-set
+    masks of an order on 0..k-1, a way vertex k joins it, above ``low``
+    and below ``high``, and the order's down-sets, ascending.  ``low`` is
+    one of those down-sets, and ``high`` is an up-set inside ``cap``, the
+    part of the order above every vertex of ``low``.  The walk goes on
+    from each step with k + 1 < n to the joined order, so the steps with
+    k = n - 1 are the leaves, one per order on {0..n-1}.  Each order's
+    down-sets and up-sets come from its parent's by ``_joined_sets``.
+    With ``natural``, ``high`` is 0, so no up-sets are carried."""
     check_size(n, "count")
     members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
 
-    def walk(above: list[int], below: list[int]) -> Iterator[Step]:
+    def walk(
+        above: list[int], below: list[int], downs: list[int], ups: list[int]
+    ) -> Iterator[Step]:
         k = len(above)
-        ups = [0] if natural else _closed(above)
-        for low in _closed(below):
+        for low in downs:
             cap = -1  # every cap admits the natural high, 0
             if not natural:
                 cap = (1 << k) - 1
@@ -90,14 +92,16 @@ def _joins(n: int, natural: bool = False) -> Iterator[Step]:
             for high in ups:
                 if high & ~cap:
                     continue
-                yield above, below, low, high
+                yield above, below, low, high, downs
                 if k + 1 < n:
                     yield from walk(
                         [m | (low >> v & 1) << k for v, m in enumerate(above)] + [high],
                         [m | (high >> v & 1) << k for v, m in enumerate(below)] + [low],
+                        _joined_sets(downs, high, low, k),
+                        ups if natural else _joined_sets(ups, low, high, k),
                     )
 
-    return walk([], []) if n else iter(())
+    return walk([], [], [0], [0]) if n else iter(())
 
 
 def _posets(n: int) -> Iterator[tuple[int, ...]]:
@@ -105,7 +109,7 @@ def _posets(n: int) -> Iterator[tuple[int, ...]]:
     mask of each vertex."""
     if n == 0:
         yield ()
-    for above, _, low, high in _joins(n):
+    for above, _, low, high, _ in _joins(n):
         if len(above) == n - 1:
             yield (*(m | (low >> v & 1) << n - 1 for v, m in enumerate(above)), high)
 
@@ -114,26 +118,23 @@ def _extensions(n: int) -> Iterator[tuple[Step, int]]:
     """The steps of ``_joins(n, natural=True)``, each with e(P) of the
     order it joins.  ``pre[D]`` is e of the order on the down-set D.  As
     vertex k joins above ``low``, a linear extension of a down-set D + k
-    ends in k or in a vertex of D - ``low`` maximal in D.  Only depth k
-    writes entries with top bit k, so the walk shares one table.
-    ``downs[k]`` lists the down-sets of the order on 0..k-1, ascending."""
+    ends in k or in a vertex of D - ``low`` maximal in D, for each D of
+    the step's ``downs`` that holds ``low``.  Only depth k writes entries
+    with top bit k, so the walk shares one table."""
     steps = _joins(n, natural=True)  # checks n before the tables below use it
     members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
     pre = [1] + [0] * ((1 << n) - 1)
-    downs = [[0]] * n
     for step in steps:
-        above, _, low, _ = step
-        k = len(above)
-        top = 1 << k
-        grown = [d | top for d in downs[k] if not low & ~d]
-        for d in grown:
-            e = pre[d ^ top]
-            for v in members[(d ^ top) & ~low]:
+        above, _, low, _, downs = step
+        top = 1 << len(above)
+        for d in downs:
+            if low & ~d:
+                continue
+            e = pre[d]
+            for v in members[d & ~low]:
                 if not above[v] & d:
-                    e += pre[d ^ 1 << v]
-            pre[d] = e
-        if k + 1 < n:
-            downs[k + 1] = downs[k] + grown
+                    e += pre[(d ^ 1 << v) | top]
+            pre[d | top] = e
         yield step, pre[(top << 1) - 1]
 
 
@@ -162,7 +163,7 @@ def _filter_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[i
     bit = [[0] * n for _ in range(n)]
     tables: dict[int, tuple[int, tuple[int, ...]]] = {}
     carried = [(0, 0)] * n
-    for (above, below, low, high), e in walk:
+    for (above, below, low, high, _), e in walk:
         k = len(above)
         size, r = carried[k]
         everything = (1 << k) - 1
@@ -208,7 +209,7 @@ def _natural_posets(n: int) -> Iterator[tuple[int, ...]]:
     the strict down-set mask of each vertex (OEIS A006455)."""
     if n == 0:
         yield ()
-    for _, below, low, _ in _joins(n, natural=True):
+    for _, below, low, _, _ in _joins(n, natural=True):
         if len(below) == n - 1:
             yield (*below, low)
 
@@ -248,7 +249,7 @@ def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[in
         for s in range(1 << k):
             inside[s | 1 << k] = inside[s] | row[s]
     carried = [(0, [0] * (n * n))] * n
-    for (up, _, low, high), e in walk:
+    for (up, _, low, high, _), e in walk:
         if high:
             raise ValueError("the up-set count needs naturally labeled orders")
         k = len(up)

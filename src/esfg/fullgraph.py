@@ -97,7 +97,3 @@ class FullGraph:
             )
             if problems:
                 raise FullGraphError(tuple("certificate-" + p for p in problems))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.directed.field

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 _ID_PATTERN = re.compile(r"\AA\d{6,7}\Z")
-CACHE_ENV_VAR = "ESFG_CACHE"
 
 
 class OeisError(ValueError):
@@ -53,9 +52,7 @@ class OeisCheck:
 
 
 def default_cache_dir() -> Path:
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return Path(override)
+    """``esfg/oeis`` under ``$XDG_CACHE_HOME``, or under ``~/.cache``."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,9 +7,12 @@ import pytest
 
 import esfg.cli as cli_mod
 import esfg.verify as verify_mod
+from esfg import DocumentError, parse_document
 from esfg.cli import main
 
 ES_DISCRETE = '{"kind":"es","universe":2,"causality":[[0,0],[1,1]],"conflict":[]}'
+ES_PAIRS = '"causality":[[0,0],[1,1]],"conflict":[]'
+FG_DISCRETE = '{"kind":"fg","universe":2,"directed":[[0,0],[1,1]],"undirected":[]}'
 ES_INVALID = (
     '{"kind":"es","universe":2,"causality":[[0,0],[1,1],[0,1]],'
     '"conflict":[[0,1],[1,0]]}'
@@ -146,6 +150,52 @@ def test_convert_requires_the_other_kind(capsys, es_file):
     assert main(["convert", "--to", "es", str(es_file)]) == 2
 
 
+def test_an_fg_document_is_refused_where_an_es_one_is_needed(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(FG_DISCRETE)
+    assert main(["represent", str(path)]) == 2
+    assert "represent expects an es document" in capsys.readouterr().err
+    assert main(["convert", "--to", "fg", str(path)]) == 2
+    assert "already a fg document" in capsys.readouterr().err
+
+
+def test_a_missing_input_file_is_an_io_error(capsys, tmp_path):
+    for command in (["check"], ["represent"], ["convert", "--to", "fg"], ["dot"]):
+        assert main(command + [str(tmp_path / "absent.json")]) == 2, command
+        assert capsys.readouterr().err.startswith("io error:"), command
+
+
+def test_check_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ES_DISCRETE))
+    assert main(["check", "-"]) == 0
+    assert capsys.readouterr().out == "valid es document (2 vertices)\n"
+
+
+#: Documents that each break one rule ``parse_document`` enforces, with
+#: the code it raises.
+HOSTILE = {
+    "relation-not-a-list": ('"causality":{"0":0},"conflict":[]', "schema"),
+    "entry-not-a-pair-of-ints": ('"causality":[[0,"1"]],"conflict":[]', "schema"),
+    "family-not-a-list": (f'{ES_PAIRS},"family":{{"0":[0]}}', "schema"),
+    "family-entry-malformed": (f'{ES_PAIRS},"family":[[0,0],[1,[1]]]', "schema"),
+    "label-not-an-integer": (f'{ES_PAIRS},"family":[[0,[0.5]],[1,[1]]]', "schema"),
+    "label-negative": (f'{ES_PAIRS},"family":[[0,[-1]],[1,[1]]]', "bounds"),
+    "key-outside-universe": (f'{ES_PAIRS},"family":[[0,[0]],[2,[1]]]', "bounds"),
+}
+
+
+@pytest.mark.parametrize("fields, code", HOSTILE.values(), ids=HOSTILE)
+def test_hostile_documents_are_input_errors(capsys, tmp_path, fields, code):
+    document = '{"kind":"es","universe":2,' + fields + "}"
+    with pytest.raises(DocumentError) as err:
+        parse_document(document)
+    assert err.value.code == code
+    path = tmp_path / "hostile.json"
+    path.write_text(document)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {code}:")
+
+
 ES_CONFLICT_OUTSIDE = (
     '{"kind":"es","universe":2,"causality":[[0,0]],"conflict":[[0,1],[1,0]]}'
 )
@@ -178,6 +228,15 @@ def test_enumerate_count_only(capsys):
     assert capsys.readouterr().out.strip() == "4"
     assert main(["enumerate", "--n", "3", "--kind", "fg", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "41"
+
+
+def test_enumerate_lists_documents_on_stdout(capsysbinary):
+    assert main(["enumerate", "--n", "3", "--kind", "es"]) == 0
+    captured = capsysbinary.readouterr()
+    documents = captured.out.splitlines()
+    assert len(documents) == len(set(documents)) == 41
+    assert all(parse_document(document).kind == "es" for document in documents)
+    assert captured.err == b"41\n"
 
 
 def test_enumerate_emits_files(tmp_path, capsys):
@@ -314,6 +373,18 @@ def test_oeis_rejects_a_negative_size(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "natural number" in captured.err
+
+
+def test_oeis_refuses_the_largest_size_without_slow(capsys, monkeypatch):
+    def no_fetching(*args, **kwargs):
+        raise AssertionError("fetched before checking the size")
+
+    monkeypatch.setattr(cli_mod, "fetch_bfile", no_fetching)
+    code = main(["oeis", "--sequence", "A000112", "--kind", "es", "--upto", "7"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pass --slow" in captured.err
 
 
 def test_oeis_offline_cache_miss(capsys, tmp_path, monkeypatch):

@@ -204,15 +204,14 @@ def _closed_directly(sets):
     ]
 
 
-def test_closed_sets_match_the_direct_test():
-    """The subset-union DP in ``_closed`` lists the same sets, ascending,
-    as testing each subset, for the up-set and the down-set masks of every
-    labeled order up to five events."""
+def test_each_step_carries_its_orders_down_sets():
+    """The down-sets each step hands on, carried down the walk from the
+    parent's, are those of the step's order, ascending, on both walks up
+    to five events."""
     for n in range(6):
-        for above in esfg.enumeration._posets(n):
-            below = _strict_down_sets(above)
-            assert esfg.enumeration._closed(above) == _closed_directly(above), above
-            assert esfg.enumeration._closed(below) == _closed_directly(below), above
+        for natural in (False, True):
+            for _, below, _, _, downs in esfg.enumeration._joins(n, natural):
+                assert downs == _closed_directly(below), below
 
 
 def _count_conflict_upsets(below):
@@ -340,7 +339,7 @@ def _carried_extensions(n):
     with the e(P) the natural walk carries to it."""
     return [
         ((*below, low), e)
-        for (_, below, low, _), e in esfg.enumeration._extensions(n)
+        for (_, below, low, _, _), e in esfg.enumeration._extensions(n)
         if len(below) == n - 1
     ]
 
@@ -455,14 +454,14 @@ def test_each_depth_of_the_walk_lists_the_smaller_orders():
     for n in range(6):
         steps = list(esfg.enumeration._joins(n))
         natural = list(esfg.enumeration._joins(n, natural=True))
-        assert all(high == 0 for _, _, _, high in natural)
+        assert all(high == 0 for _, _, _, high, _ in natural)
         for k in range(n):
-            joined = [_joined(a, low, high) for a, _, low, high in steps if len(a) == k]
+            joined = [_joined(a, low, high) for a, _, low, high, _ in steps if len(a) == k]
             assert joined == list(esfg.enumeration._posets(k + 1))
-            grown = [(*below, low) for _, below, low, _ in natural if len(below) == k]
+            grown = [(*below, low) for _, below, low, _, _ in natural if len(below) == k]
             assert grown == list(esfg.enumeration._natural_posets(k + 1))
             labeled = set(joined)
-            for above, below, low, _ in natural:
+            for above, below, low, _, _ in natural:
                 if len(above) == k:
                     assert _joined(above, low, 0) in labeled
                     assert all(m >> v == 0 for v, m in enumerate((*below, low)))

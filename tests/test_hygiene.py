@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, no
-package function imports for itself but the lazy OEIS download, and every
-probe of the benchmark tracer names a callable that exists."""
+package function imports for itself but the lazy OEIS download, the
+package reads no environment variable it does not list, and every probe
+of the benchmark tracer names a callable that exists."""
 
 import ast
 import importlib
@@ -117,3 +118,72 @@ def test_imports_sit_at_module_level():
                     source = "." * node.level + (node.module or "")
                     local.add((path.name, func.name, source))
     assert sorted(local - LAZY_IMPORTS) == []
+
+
+#: The only environment variables the package reads, by module: the OEIS
+#: cache follows the XDG base directory convention.
+ENVIRONMENT_READS = {("oeis.py", "XDG_CACHE_HOME")}
+
+
+def _environment_reads(tree):
+    """``(variable, line)``, by line, for each read of ``os.environ`` or
+    ``os.getenv`` in the tree; the variable is None unless it is a string
+    literal read by subscript, ``os.environ.get`` or ``os.getenv``."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {alias.name for alias in node.names}
+            reads += [(None, node.lineno)] * len(names & {"environ", "getenv"})
+        if not (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            continue
+        parent, key = parents[node], None
+        if node.attr == "environ" and isinstance(parent, ast.Subscript):
+            key = parent.slice
+        elif node.attr == "environ" and isinstance(parent, ast.Attribute) and parent.attr == "get":
+            call = parents[parent]
+            key = call.args[0] if isinstance(call, ast.Call) and call.args else None
+        elif node.attr == "getenv" and isinstance(parent, ast.Call) and parent.args:
+            key = parent.args[0]
+        literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        reads.append((key.value if literal else None, node.lineno))
+    return sorted(reads, key=lambda read: read[1])
+
+
+def test_environment_reads_are_found():
+    source = (
+        "import os\n"
+        "os.environ.get('A')\n"
+        "os.getenv('B', 'b')\n"
+        "os.environ['C']\n"
+        "os.getenv(name)\n"
+        "dict(os.environ)\n"
+        "from os import environ\n"
+    )
+    assert _environment_reads(ast.parse(source)) == [
+        ("A", 2),
+        ("B", 3),
+        ("C", 4),
+        (None, 5),
+        (None, 6),
+        (None, 7),
+    ]
+
+
+def test_environment_reads_are_listed():
+    """Each environment variable the package reads is named by a string
+    literal and listed in ``ENVIRONMENT_READS``: a setting that only an
+    environment variable can reach is one that no test, option or
+    document shows."""
+    unlisted = [
+        (path.name, variable, line)
+        for path in MODULES
+        for variable, line in _environment_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.name, variable) not in ENVIRONMENT_READS
+    ]
+    assert unlisted == []

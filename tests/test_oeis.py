@@ -99,3 +99,13 @@ def test_import_loads_no_http_client():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_default_cache_dir_follows_xdg_then_home(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert oeis_mod.default_cache_dir() == tmp_path / "xdg" / "esfg" / "oeis"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert oeis_mod.default_cache_dir() == tmp_path / "home" / ".cache" / "esfg" / "oeis"
+    monkeypatch.setenv("XDG_CACHE_HOME", "")  # set but empty counts as unset
+    assert oeis_mod.default_cache_dir() == tmp_path / "home" / ".cache" / "esfg" / "oeis"

@@ -38,8 +38,9 @@ Rules = tuple[tuple[int, int], ...]
 
 #: Largest event count each kind of exhaustive work accepts: the counts
 #: and the order walk behind them (``count_es``, ``count_fg``), listing
-#: structures one by one (the enumerators, emitted documents), and the
-#: mask pass of ``verify``.
+#: structures one by one (``enumerate_partial_orders``, emitted documents,
+#: and the enumerators and ``verify_bijection`` below, by the field of
+#: their base), and the mask pass of ``verify``.
 SIZE_LIMITS = {"count": 7, "list": 5, "verify": 6}
 
 
@@ -149,16 +150,17 @@ def _truth_tables(size: int) -> tuple[int, ...]:
 def _relations(
     universe: int, pairs: Sequence[Pair], masks: Iterable[int]
 ) -> tuple[Relation, ...]:
-    """The symmetric relation of each mask, sorted by pair list; the
-    pairs are mapped back through a relation's field, so already valid."""
+    """The symmetric relation of each mask, sorted by pair list."""
     chosen = ([pair for i, pair in enumerate(pairs) if m >> i & 1] for m in masks)
-    found = (Relation._of(universe, frozenset(c + [(b, a) for a, b in c])) for c in chosen)
+    found = (Relation(universe, c + [(b, a) for a, b in c]) for c in chosen)
     return tuple(sorted(found, key=pairs_key))
 
 
 def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
     """All conflict relations U making (base, U) a valid event structure,
-    sorted by pair list; empty for a ``base`` that is not an order."""
+    sorted by pair list; empty for a ``base`` that is not an order.  A
+    field above the ``list`` size limit raises ``ValueError``."""
+    check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
     pairs, rules = _relation_kernel(base)
@@ -171,7 +173,9 @@ def enumerate_fullgraph_edge_sets(
     """All undirected edge sets T making (base, T) a full graph, sorted by
     pair list; empty for a ``base`` that is not an order.  ``oracle=True``
     (desk scale only) vets every candidate with the exhaustive search for
-    an fg-representation instead of the filter."""
+    an fg-representation instead of the filter.  A field above the
+    ``list`` size limit raises ``ValueError``."""
+    check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
     pairs, rules = _relation_kernel(base)

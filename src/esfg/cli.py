@@ -39,12 +39,7 @@ def _read_document(path: str) -> StructureDocument:
     return parse_document(Path(path).read_bytes())
 
 
-def _write_output(text_or_bytes: str | bytes, out: str | None) -> None:
-    data = (
-        text_or_bytes
-        if isinstance(text_or_bytes, bytes)
-        else text_or_bytes.encode()
-    )
+def _write_output(data: bytes, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.buffer.write(data)
         if not data.endswith(b"\n"):
@@ -156,7 +151,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     if args.hasse and not doc.causality.is_partial_order:
         print("violation: --hasse needs a partial order", file=sys.stderr)
         return VIOLATION
-    _write_output(export_dot(doc, hasse=args.hasse), args.output)
+    _write_output(export_dot(doc, hasse=args.hasse).encode(), args.output)
     return OK
 
 

@@ -143,7 +143,7 @@ def parse_document(data: bytes | str) -> StructureDocument:
         data = data.decode("utf-8", errors="replace")
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise DocumentError("syntax", str(exc)) from exc
     if not isinstance(obj, dict):
         raise DocumentError("syntax", "top-level value must be an object")

@@ -18,14 +18,15 @@ vertex k joins an order on 0..k-1 above a down-closed set B and below
 an up-closed set A, with B wholly below A.  That is transitive as it
 stands, and each order arises once: B and A are k's strict down-set and
 up-set, and the rest is an order on 0..k-1.  Naturally labeled orders
-are the case A = {}.  The walk carries each order's down-sets and
-up-sets from its parent's, so it never searches for them, and hands the
-down-sets to its readers.  ``_posets`` yields each labeled order as the
-strict up-set mask of each vertex, and ``_natural_posets`` each natural
-one as its strict down-set masks.  The counts carry tables down the
-walk, so each join only adds what vertex k brings: to the candidates an
-order rejects, to the linear extensions of its down-sets, and to Q(P),
-whose pairs inside k's down-set leave it as the pairs {v, k} join.
+are the case A = {}.  The walk carries each order's down-sets from its
+parent's, so it never searches for them, hands them to its readers, and
+takes the up-sets as their complements.  ``_posets`` yields each labeled
+order as the strict up-set mask of each vertex, and ``_natural_posets``
+each natural one as its strict down-set masks.  The counts carry tables
+down the walk, so each join only adds what vertex k brings: to the
+candidates an order rejects, to the linear extensions of its down-sets,
+and to Q(P), whose pairs inside k's down-set leave it as the pairs
+{v, k} join.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .relation import Relation
 
 #: A step of the order walk: ``(above, below, low, high, downs)``, see
 #: ``_joins``.  ``downs`` lists the down-sets of the order on 0..k-1 that
-#: vertex k joins, ascending.
+#: vertex k joins, ascending; its up-sets are their complements.
 Step = tuple[list[int], list[int], int, int, list[int]]
 
 
@@ -57,12 +58,11 @@ def _order_pairs(above: Sequence[int]) -> list[tuple[int, int]]:
     return [(v, w) for v in range(k) for w in range(k) if v == w or above[v] >> w & 1]
 
 
-def _joined_sets(sets: list[int], missed: int, held: int, k: int) -> list[int]:
-    """The down-sets (or up-sets) of an order once vertex k joins it,
-    ascending, from its ``sets``: those that miss the vertices above (or
-    below) k, then those that hold the vertices below (or above) k, with
-    k added."""
-    return [s for s in sets if not s & missed] + [s | 1 << k for s in sets if not held & ~s]
+def _joined_sets(downs: list[int], low: int, high: int, k: int) -> list[int]:
+    """The down-sets of an order once vertex k joins it above ``low`` and
+    below ``high``, ascending, from its ``downs``: those that miss
+    ``high``, then those that hold ``low``, with k added."""
+    return [d for d in downs if not d & high] + [d | 1 << k for d in downs if not low & ~d]
 
 
 def _joins(n: int, natural: bool = False) -> Iterator[Step]:
@@ -74,19 +74,20 @@ def _joins(n: int, natural: bool = False) -> Iterator[Step]:
     part of the order above every vertex of ``low``.  The walk goes on
     from each step with k + 1 < n to the joined order, so the steps with
     k = n - 1 are the leaves, one per order on {0..n-1}.  Each order's
-    down-sets and up-sets come from its parent's by ``_joined_sets``.
-    With ``natural``, ``high`` is 0, so no up-sets are carried."""
+    down-sets come from its parent's by ``_joined_sets``, and its up-sets
+    are their complements, ascending as the down-sets descend.  With
+    ``natural``, ``high`` is 0, the one up-set it tries."""
     check_size(n, "count")
     members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
 
-    def walk(
-        above: list[int], below: list[int], downs: list[int], ups: list[int]
-    ) -> Iterator[Step]:
+    def walk(above: list[int], below: list[int], downs: list[int]) -> Iterator[Step]:
         k = len(above)
+        everything = (1 << k) - 1
+        ups = [0] if natural else [everything ^ d for d in reversed(downs)]
         for low in downs:
             cap = -1  # every cap admits the natural high, 0
             if not natural:
-                cap = (1 << k) - 1
+                cap = everything
                 for v in members[low]:
                     cap &= above[v]
             for high in ups:
@@ -97,11 +98,10 @@ def _joins(n: int, natural: bool = False) -> Iterator[Step]:
                     yield from walk(
                         [m | (low >> v & 1) << k for v, m in enumerate(above)] + [high],
                         [m | (high >> v & 1) << k for v, m in enumerate(below)] + [low],
-                        _joined_sets(downs, high, low, k),
-                        ups if natural else _joined_sets(ups, low, high, k),
+                        _joined_sets(downs, low, high, k),
                     )
 
-    return walk([], [], [0], [0]) if n else iter(())
+    return walk([], [], [0]) if n else iter(())
 
 
 def _posets(n: int) -> Iterator[tuple[int, ...]]:

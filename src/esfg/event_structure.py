@@ -31,13 +31,12 @@ class EventStructureError(ValueError):
 def is_conflict_propagating(conflict: Relation, causality: Relation) -> bool:
     """Conflicts inherited along causality: x#z and x<=y imply y#z.
 
-    Evaluated as: for every causality pair (x, y), the conflict image of
-    {x} is contained in the conflict image of {y}.
+    Evaluated as: for every causality pair (x, y), the conflict partners
+    of x are among those of y, read from the successor map the conflict
+    relation caches.
     """
-    partners: dict[int, set[int]] = {}
-    for a, b in conflict.pairs:
-        partners.setdefault(a, set()).add(b)
-    empty: set[int] = set()
+    partners = conflict._successors
+    empty: frozenset[int] = frozenset()
     return all(
         partners.get(x, empty) <= partners.get(y, empty)
         for x, y in causality.pairs

@@ -97,7 +97,8 @@ def fetch_bfile(
 ) -> tuple[int, ...]:
     """The sequence's published terms.
 
-    Cache first: a hit is used verbatim; otherwise the b-file is fetched,
+    Cache first: a hit is used verbatim (one that is not UTF-8 is
+    ``malformed`` and stays where it is); otherwise the b-file is fetched,
     parsed, and only then cached by an atomic rename, so a body that does
     not parse is never kept (``offline`` instead requires the hit).
     """
@@ -107,7 +108,11 @@ def fetch_bfile(
     cache_file = directory / f"{sequence_id}.bfile.txt"
 
     if cache_file.exists():
-        return parse_bfile(cache_file.read_text(encoding="utf-8"))
+        try:
+            text = cache_file.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise OeisError("malformed", f"{cache_file} is not UTF-8: {exc}") from exc
+        return parse_bfile(text)
     if offline:
         raise OeisError("cache-miss", f"no cached b-file for {sequence_id}")
     try:

@@ -7,7 +7,9 @@ this type, so the operations here are the shared algebraic substrate:
 converse, relational image, override, symmetric complement, and the
 elementary order/symmetry predicates evaluated by direct quantification.
 
-All values are immutable after construction and safe to share freely.
+Every relation, the results of set operations included, is built by the
+one checking constructor, which holds each pair inside the universe.  All
+values are immutable after construction and safe to share freely.
 """
 
 from __future__ import annotations
@@ -45,17 +47,6 @@ class Relation:
                     f"pair ({a}, {b}) outside universe of size {self.universe}"
                 )
 
-    @classmethod
-    def _of(cls, universe: int, pairs: frozenset[Pair]) -> Relation:
-        """A relation from a frozenset of int pairs already known to lie
-        inside ``range(universe)``, such as set algebra on valid relations
-        yields: no conversion and no bounds test.  Input from outside the
-        package goes through the checking constructor."""
-        relation = object.__new__(cls)
-        object.__setattr__(relation, "universe", universe)
-        object.__setattr__(relation, "pairs", pairs)
-        return relation
-
     # ------------------------------------------------------------------
     # container protocol
     # ------------------------------------------------------------------
@@ -70,13 +61,13 @@ class Relation:
         return iter(sorted(self.pairs))
 
     def __or__(self, other: Relation) -> Relation:
-        return Relation._of(max(self.universe, other.universe), self.pairs | other.pairs)
+        return Relation(max(self.universe, other.universe), self.pairs | other.pairs)
 
     def __and__(self, other: Relation) -> Relation:
-        return Relation._of(max(self.universe, other.universe), self.pairs & other.pairs)
+        return Relation(max(self.universe, other.universe), self.pairs & other.pairs)
 
     def __sub__(self, other: Relation) -> Relation:
-        return Relation._of(max(self.universe, other.universe), self.pairs - other.pairs)
+        return Relation(max(self.universe, other.universe), self.pairs - other.pairs)
 
     # ------------------------------------------------------------------
     # field and domain
@@ -139,7 +130,7 @@ class Relation:
     def _incomparability_square(self) -> Relation:
         fld, pairs = self.field, self.pairs
         square = {(a, b) for a in fld for b in fld if (a, b) not in pairs}
-        return Relation._of(self.universe, frozenset(square - {(b, a) for a, b in pairs}))
+        return Relation(self.universe, square - {(b, a) for a, b in pairs})
 
     def transitive_reduction(self) -> Relation:
         """Covering pairs of a finite order: self-loops dropped, implied

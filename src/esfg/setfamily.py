@@ -1,7 +1,13 @@
-"""Set-valued maps: one finite set of natural-number labels per vertex.
+"""Set-valued maps, one finite set of natural-number labels per vertex,
+and the package's one reader and checker of them.
 
 A ``SetFamily`` is right-unique by construction (it is a map) and
-immutable.  Domain membership is an explicit ``in`` check.
+immutable.  Domain membership is an explicit ``in`` check.  For event
+structures and full graphs alike, ``_mask_relations`` reads containment,
+disjointness and overlap off a family's label masks, ``represents``
+checks them against a pair of relations, ``family_failures`` checks a
+whole certificate, and ``_find_family`` is the search behind both
+brute-force oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from .relation import Relation
 class SetFamily:
     """Immutable finite map from vertex ids to finite label sets."""
 
-    __slots__ = ("_entries", "_keys")
+    __slots__ = ("_entries",)
 
     def __init__(
         self,
@@ -34,14 +40,13 @@ class SetFamily:
                 raise ValueError(f"duplicate key {key}")
             store[key] = value
         # stored in key order, so the accessors below never sort
-        self._keys = tuple(sorted(store))
-        self._entries = {key: store[key] for key in self._keys}
+        self._entries = dict(sorted(store.items()))
 
     # ------------------------------------------------------------------
 
     @property
     def keys(self) -> tuple[int, ...]:
-        return self._keys
+        return tuple(self._entries)
 
     def items(self) -> tuple[tuple[int, frozenset[int]], ...]:
         return tuple(self._entries.items())
@@ -56,7 +61,7 @@ class SetFamily:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._keys)
+        return iter(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):

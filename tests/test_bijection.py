@@ -151,9 +151,19 @@ def test_verify_bijection_examples():
 
 
 def test_verify_bijection_enforces_the_size_limit():
+    """``verify_bijection`` and both enumerators refuse a field above the
+    list limit, before any candidate is built."""
     wide = Relation(6, {(v, v) for v in range(6)})
-    with pytest.raises(ValueError):
-        verify_bijection(wide)
+    for lister in (
+        verify_bijection,
+        enumerate_admissible_conflicts,
+        enumerate_fullgraph_edge_sets,
+        lambda base: enumerate_fullgraph_edge_sets(base, oracle=True),
+    ):
+        with pytest.raises(ValueError):
+            lister(wide)
+    antichain = Relation(5, {(v, v) for v in range(5)})
+    assert len(enumerate_admissible_conflicts(antichain)) == 1 << 10
 
 
 @given(posets(), st.integers(0, 63))

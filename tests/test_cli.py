@@ -7,12 +7,25 @@ import pytest
 
 import esfg.cli as cli_mod
 import esfg.verify as verify_mod
-from esfg import DocumentError, parse_document
+from esfg import (
+    DocumentError,
+    build_representation,
+    export_dot,
+    parse_document,
+    representation_document,
+    serialize_document,
+)
 from esfg.cli import main
 
 ES_DISCRETE = '{"kind":"es","universe":2,"causality":[[0,0],[1,1]],"conflict":[]}'
 ES_PAIRS = '"causality":[[0,0],[1,1]],"conflict":[]'
 FG_DISCRETE = '{"kind":"fg","universe":2,"directed":[[0,0],[1,1]],"undirected":[]}'
+#: A chain 0 < 1 < 2 with 3 in conflict with all of it: arrows that
+#: ``--hasse`` reduces, and dashed lines.
+ES_CHAIN_IN_CONFLICT = (
+    '{"kind":"es","universe":4,"causality":[[0,0],[0,1],[0,2],[1,1],[1,2],[2,2],[3,3]],'
+    '"conflict":[[0,3],[1,3],[2,3],[3,0],[3,1],[3,2]]}'
+)
 ES_INVALID = (
     '{"kind":"es","universe":2,"causality":[[0,0],[1,1],[0,1]],'
     '"conflict":[[0,1],[1,0]]}'
@@ -181,6 +194,9 @@ HOSTILE = {
     "label-not-an-integer": (f'{ES_PAIRS},"family":[[0,[0.5]],[1,[1]]]', "schema"),
     "label-negative": (f'{ES_PAIRS},"family":[[0,[-1]],[1,[1]]]', "bounds"),
     "key-outside-universe": (f'{ES_PAIRS},"family":[[0,[0]],[2,[1]]]', "bounds"),
+    # past CPython's limit on int digits, which json.loads raises as ValueError
+    "label-of-5000-digits": (f'{ES_PAIRS},"family":[[0,[{"9" * 5000}]],[1,[1]]]', "syntax"),
+    "vertex-of-5000-digits": (f'"causality":[[{"9" * 5000},0]],"conflict":[]', "syntax"),
 }
 
 
@@ -297,6 +313,34 @@ def test_dot_hasse(capsys, tmp_path):
     rendered = capsys.readouterr().out
     assert "0 -> 1;" in rendered and "1 -> 2;" in rendered
     assert "0 -> 2;" not in rendered
+
+
+@pytest.mark.parametrize("hasse", [False, True], ids=["dot", "hasse"])
+def test_dot_writes_the_same_bytes_to_a_file_and_to_stdout(
+    capsysbinary, tmp_path, hasse
+):
+    path = tmp_path / "chain.json"
+    path.write_text(ES_CHAIN_IN_CONFLICT)
+    expected = export_dot(parse_document(ES_CHAIN_IN_CONFLICT), hasse=hasse).encode()
+    flags = ["dot", str(path)] + (["--hasse"] if hasse else [])
+    out = tmp_path / "chain.dot"
+    assert main(flags + ["-o", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert main(flags) == 0
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_represent_ends_stdout_with_a_newline_and_a_file_without(capsysbinary, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(ES_CHAIN_IN_CONFLICT)
+    doc = parse_document(ES_CHAIN_IN_CONFLICT)
+    family = build_representation(doc.causality, doc.conflict).family
+    expected = serialize_document(representation_document(doc.causality, doc.conflict, family))
+    out = tmp_path / "representation.json"
+    assert main(["represent", str(path), "-o", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert main(["represent", str(path)]) == 0
+    assert capsysbinary.readouterr().out == expected + b"\n"
 
 
 def test_dot_hasse_calls_a_non_order_a_violation(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Every name a package module imports is used in that module, no
 package function imports for itself but the lazy OEIS download, the
-package reads no environment variable it does not list, and every probe
-of the benchmark tracer names a callable that exists."""
+package reads no environment variable it does not list, every module
+parses at the declared Python floor, and every probe of the benchmark
+tracer names a callable that exists."""
 
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +32,20 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_module_parses_at_the_python_floor():
+    """The tests run on one Python, newer than the ``requires-python``
+    floor, so each module's grammar is held to the floor here: below 3.11,
+    ``except*`` fails.  The floor is read by regex, since ``tomllib`` is
+    newer than 3.10."""
+    root = Path(__file__).parent.parent
+    declared = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', declared).groups()))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted((root / "src" / "esfg").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=floor)
 
 
 def _benchmark_probes():

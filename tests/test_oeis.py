@@ -5,6 +5,7 @@ import pytest
 
 import esfg.oeis as oeis_mod
 from esfg import OeisError, oeis_crosscheck
+from esfg.cli import main
 
 
 def test_cached_bfile_full_match(tmp_path):
@@ -36,11 +37,17 @@ def test_comments_and_blanks_are_skipped(tmp_path):
     assert check.is_full_match  # every comparable position agreed
 
 
-def test_malformed_bfile(tmp_path):
-    (tmp_path / "A000001.bfile.txt").write_text("1 1\nnot numbers here\n")
-    with pytest.raises(OeisError) as err:
-        oeis_crosscheck("A000001", [1], cache_dir=tmp_path, offline=True)
-    assert err.value.code == "malformed"
+def test_malformed_bfile(capsys, tmp_path):
+    cached = tmp_path / "A000001.bfile.txt"
+    argv = ["oeis", "--sequence", "A000001", "--kind", "es", "--upto", "1", "--offline"]
+    for body in (b"1 1\nnot numbers here\n", b"\xff\xfe1 1\n"):
+        cached.write_bytes(body)
+        with pytest.raises(OeisError) as err:
+            oeis_crosscheck("A000001", [1], cache_dir=tmp_path, offline=True)
+        assert err.value.code == "malformed"
+        assert main(argv + ["--cache", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("oeis error: malformed:")
+        assert cached.read_bytes() == body  # left where it is
 
 
 def test_invalid_sequence_id(tmp_path):

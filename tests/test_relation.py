@@ -117,9 +117,9 @@ def test_bounds_are_enforced():
 
 @given(relations(), relations())
 def test_set_operations_match_the_public_constructor(a, b):
-    """``-``, ``|``, ``&`` and the incomparability square build their
-    result without validation; each equals, hashes and prints like the
-    relation the public constructor builds from the same pairs."""
+    """``-``, ``|``, ``&`` and the incomparability square each give the
+    relation the public constructor builds from the same pairs: it
+    equals, hashes and prints alike."""
     universe = max(a.universe, b.universe)
     incomparable = {
         (x, y)

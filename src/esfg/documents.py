@@ -169,15 +169,18 @@ def parse_document(data: bytes | str) -> StructureDocument:
             raise DocumentError("schema", f"{name} must be a list of pairs")
         pairs = []
         for item in raw:
+            # json.loads makes exact lists and ints, so ``type`` tests them
+            # and refuses a bool, whose type is not int
             if (
-                not isinstance(item, list)
+                type(item) is not list
                 or len(item) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
+                or type(item[0]) is not int
+                or type(item[1]) is not int
             ):
                 raise DocumentError("schema", f"{name} entries must be [int, int]")
             pairs.append((item[0], item[1]))
         try:
-            return Relation(universe, pairs)
+            return Relation(universe, frozenset(pairs))
         except ValueError as exc:
             raise DocumentError("bounds", f"{name}: {exc}") from exc
 

@@ -26,7 +26,10 @@ each natural one as its strict down-set masks.  The counts carry tables
 down the walk, so each join only adds what vertex k brings: to the
 candidates an order rejects, to the linear extensions of its down-sets,
 and to Q(P), whose pairs inside k's down-set leave it as the pairs
-{v, k} join.
+{v, k} join.  Q(P) goes down to the parents of the leaves only: a leaf's
+up-sets are counted on its parent's Q(P), one term for each of the
+parent's down-sets that holds B, with one memo for all the parent's
+leaves.
 """
 
 from __future__ import annotations
@@ -229,8 +232,24 @@ def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[in
     z, outside gains the pairs {w, k} for w >= z; the new pairs are {v, k}
     for v outside ``low``, each below the pairs {y, k} for y >= v.  The
     bits rise with a linear extension of Q, so the lowest pair left is
-    minimal, and leaving it out leaves out no other: the memoised count
-    takes or leaves that pair."""
+    minimal, and leaving it out leaves out no other: the memoised
+    ``upsets`` takes or leaves that pair.
+
+    A leaf P' is its parent P with k = n - 1 joined above ``low``, and
+    its count comes from Q(P), with one memo that all of P's leaves share:
+
+        count(P') = sum over down-sets D of P holding ``low`` of
+                    upsets(Q(P) - (inside[D] ^ inside[D - low]))
+
+    - The new pairs form an up-set of Q(P'), ordered like P - ``low``,
+      and nothing old lies above them.
+    - So an up-set of Q(P') picks a down-set D holding ``low``, which
+      fixes its new pairs as {w, k} for w outside D, and an up-set of Q(P)
+      with no pair inside ``low`` and none with one end in ``low`` and
+      the other in D, since such a pair lies below {w, k} for w in D.
+    - Those pairs are ``inside[D] ^ inside[D - low]``, a down-set of Q(P),
+      so the pairs left are an up-set of Q(P), and their up-sets are the
+      up-sets of Q(P) inside them."""
     check_size(n, "count")
     if n == 0:
         yield 1, 1  # the one order on no events has one conflict, the empty one
@@ -249,11 +268,28 @@ def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[in
         for s in range(1 << k):
             inside[s | 1 << k] = inside[s] | row[s]
     carried = [(0, [0] * (n * n))] * n
-    for (up, _, low, high, _), e in walk:
+    # upsets reads the ``above`` of the leaf's parent and the memo of that
+    # parent, which starts afresh each time the walk reaches a new parent.
+    memo: dict[int, int] = {0: 1}
+
+    def upsets(rest: int) -> int:
+        count = memo.get(rest)
+        if count is None:
+            lowest = rest & -rest
+            count = upsets(rest & ~above[lowest.bit_length() - 1]) + upsets(rest ^ lowest)
+            memo[rest] = count
+        return count
+
+    for (up, _, low, high, downs), e in walk:
         if high:
             raise ValueError("the up-set count needs naturally labeled orders")
         k = len(up)
         alive, above = carried[k]
+        if k + 1 == n:
+            yield sum(
+                upsets(alive & ~(inside[d] ^ inside[d & ~low])) for d in downs if not low & ~d
+            ), e
+            continue
         alive &= ~inside[low]
         above = above.copy()
         row = ends[k]
@@ -265,20 +301,9 @@ def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[in
                 i = x * n + v if x < v else v * n + x
                 if alive >> i & 1:
                     above[i] |= gained
-        if k + 1 < n:
-            carried[k + 1] = alive, above
-            continue
-        memo: dict[int, int] = {0: 1}
-
-        def upsets(rest: int) -> int:
-            count = memo.get(rest)
-            if count is None:
-                lowest = rest & -rest
-                count = upsets(rest & ~above[lowest.bit_length() - 1]) + upsets(rest ^ lowest)
-                memo[rest] = count
-            return count
-
-        yield upsets(alive), e
+        carried[k + 1] = alive, above
+        if k + 2 == n:
+            memo = {0: 1}
 
 
 def enumerate_partial_orders(n: int) -> Iterator[Relation]:
@@ -305,8 +330,9 @@ def _weighted_sum(n: int, counts: Iterable[tuple[int, int]]) -> int:
 
 def count_es(n: int) -> int:
     """Number of labeled event structures on exactly n events: the
-    up-sets of each naturally labeled order's Q(P), carried down the
-    natural walk, times n!/e(P)."""
+    up-sets of each naturally labeled order's Q(P) times n!/e(P).  Q(P)
+    is carried down the natural walk to each leaf's parent, and the
+    leaf's up-sets are counted on the parent's Q(P)."""
     return _weighted_sum(n, _upset_counts(_extensions(n), n))
 
 

@@ -35,10 +35,15 @@ class Relation:
     pairs: frozenset[Pair]
 
     def __init__(self, universe: int, pairs: Iterable[Pair] = ()):
+        # A frozenset of exact int pairs, as the set operations pass, is
+        # kept as it is; anything else is rebuilt as int tuples.
+        if type(pairs) is not frozenset or not all(
+            type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+            for p in pairs
+        ):
+            pairs = frozenset((int(a), int(b)) for a, b in pairs)
         object.__setattr__(self, "universe", int(universe))
-        object.__setattr__(
-            self, "pairs", frozenset((int(a), int(b)) for a, b in pairs)
-        )
+        object.__setattr__(self, "pairs", pairs)
         if self.universe < 0:
             raise ValueError("universe must be a natural number")
         for a, b in self.pairs:

@@ -19,6 +19,7 @@ from esfg import (
     representation_document,
     serialize_document,
 )
+from esfg.cli import main
 
 
 def test_minimal_es_document_round_trips_byte_identically():
@@ -74,6 +75,22 @@ def test_schema_errors():
     with pytest.raises(DocumentError) as err:
         parse_document('{"kind":"representation","universe":0,"causality":[],"conflict":[]}')
     assert err.value.code == "schema"
+
+
+@pytest.mark.parametrize(
+    "entry", ["[true, 0]", "[0.5, 1]", "[0, 1, 2]", '"01"'], ids=["bool", "float", "triple", "string"]
+)
+def test_a_relation_entry_must_be_two_ints(capsys, tmp_path, entry):
+    """A relation entry that is not a list of exactly two ints, a bool not
+    counting as one, is a schema error, and ``esfg check`` exits 2 on it."""
+    raw = f'{{"kind":"es","universe":2,"causality":[[0,0],{entry}],"conflict":[]}}'
+    with pytest.raises(DocumentError) as err:
+        parse_document(raw)
+    assert err.value.code == "schema"
+    path = tmp_path / "entry.json"
+    path.write_text(raw)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: schema:")
 
 
 def test_duplicate_family_key_error():

@@ -115,6 +115,18 @@ def test_bounds_are_enforced():
         Relation(-1)
 
 
+@pytest.mark.parametrize("wrap", [list, frozenset], ids=["list", "frozenset"])
+def test_the_constructor_normalises_pairs_and_checks_bounds(wrap):
+    """Pairs come out as tuples of exact ints, whether or not they come in
+    a frozenset, and a pair outside the universe is refused either way."""
+    rel = Relation(2, wrap([(True, 0)]))
+    assert [type(v) for pair in rel.pairs for v in pair] == [int, int]
+    assert repr(rel) == "Relation(2, [(1, 0)])"
+    assert Relation(2, [[0, 1], [1, 1]]).pairs == {(0, 1), (1, 1)}
+    with pytest.raises(ValueError, match=r"^pair \(0, 2\) outside universe of size 2$"):
+        Relation(2, wrap([(0, 0), (0, 2)]))
+
+
 @given(relations(), relations())
 def test_set_operations_match_the_public_constructor(a, b):
     """``-``, ``|``, ``&`` and the incomparability square each give the

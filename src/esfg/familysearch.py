@@ -25,12 +25,22 @@ solution in ascending-mask order stays first.  It is the one returned,
 which makes results deterministic.  ``None`` means unsatisfiable within
 the bound.
 
-- **Pairs.**  Two sets have at most three Venn regions, so a pair's own
-  clauses hold for some two distinct nonempty masks iff they hold for
-  two such masks over ``min(label_bound, 3)`` labels.  ``_PAIR_PATTERNS``
-  lists the satisfiable patterns (width, mode, each containment, second
-  relation), and a search with an unsatisfiable pair returns ``None``
-  before it tries a candidate.  This is set semantics only.
+- **Venn tables.**  k sets cut their labels into 2 ** k - 1 nonempty
+  Venn regions, and which regions are empty decides every containment,
+  disjointness and overlap among the sets.  A family showing a pattern
+  has a label in each of its nonempty regions, and one label per region
+  shows the same pattern, so the pattern fits ``label_bound`` iff its
+  fewest nonempty regions (``_venn_widths``) do.  Every pair and every
+  triple i < j < l of positions must fit, or the search returns ``None``
+  before it tries a candidate.  This is set semantics only, with no ES
+  or FG axiom in it.  Each validity conjunct of an event structure (the
+  order axioms, irreflexive and symmetric conflict, conflict inherited
+  along causality) names at most three events, and a family of sets
+  satisfies it, so a pair that breaks one fails the table of those
+  events; full-graph recognition is that check on the complement.  The
+  tests see every absence on 4 points refused this way.  Where the bound
+  is tight, every triple fitting but the whole family needing more
+  labels, the exhaustive search still has to prove the absence.
 - **Intervals.**  Each unassigned position carries an interval
   ``low <= S <= high``.  Assigning mask c at position i sets
   ``high &= c`` along ``sup[i]``, ``low |= c`` along ``sub[i]`` and
@@ -50,7 +60,9 @@ the bound.
 
 from __future__ import annotations
 
+import functools
 import heapq
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
@@ -96,38 +108,38 @@ def _ascending_submasks(low: int, high: int) -> Iterator[int]:
         sub = (sub - free) & free
 
 
-def _pair_pattern(a: int, b: int, overlap: bool) -> tuple[bool, bool, bool]:
-    """Whether a holds b, b holds a, and a, b are disjoint (or properly
-    overlap, with ``overlap``)."""
+def _pair_code(a: int, b: int, overlap: bool) -> int:
+    """The pattern of masks a and b as bits: 1 if a holds b, 2 if b holds
+    a, 4 if they are disjoint (or properly overlap, with ``overlap``)."""
     inter = a & b
     if overlap:
         related = inter != 0 and inter != a and inter != b
     else:
         related = inter == 0
-    return inter == b, inter == a, related
+    return (inter == b) | (inter == a) << 1 | related << 2
 
 
-#: (width, overlap, holds, held, related) for every pattern some two
-#: distinct nonempty masks below ``2 ** width`` realise, width 1..3.
-_PAIR_PATTERNS = frozenset(
-    (width, overlap, *_pair_pattern(a, b, overlap))
-    for width in (1, 2, 3)
-    for overlap in (False, True)
-    for a in range(1, 1 << width)
-    for b in range(1, 1 << width)
-    if a != b
-)
+@functools.cache
+def _venn_widths(k: int, overlap: bool) -> dict[int, int]:
+    """The fewest labels that realise each pattern of k distinct nonempty
+    sets, keyed by the pattern: the ``_pair_code`` of each pair s < t of
+    the sets, three bits each, in ``combinations(range(k), 2)`` order.
 
-
-def _pair_satisfiable(
-    holds: bool, held: bool, related: bool, *, overlap: bool, label_bound: int
-) -> bool:
-    """Whether two distinct nonempty masks below ``2 ** label_bound`` show
-    this pattern.  Two sets have three Venn regions, and the pattern
-    depends only on which of them are empty, so three labels decide it
-    for every wider bound."""
-    pattern = (bool(holds), bool(held), bool(related))
-    return (min(label_bound, 3), overlap, *pattern) in _PAIR_PATTERNS
+    Region r of the 2 ** k - 1 nonempty Venn regions lies inside the sets
+    s with bit s of r set, and it gets label r - 1.  Each subset of the
+    regions gives the sets one label per region, and the subsets whose
+    sets are nonempty and distinct give every pattern there is."""
+    pairs = list(combinations(range(k), 2))
+    columns = [sum(1 << (r - 1) for r in range(1, 1 << k) if r >> s & 1) for s in range(k)]
+    widths: dict[int, int] = {}
+    for regions in range(1, 1 << (1 << k) - 1):
+        sets = [regions & column for column in columns]
+        if 0 in sets or len(set(sets)) < k:
+            continue
+        pattern = sum(_pair_code(sets[s], sets[t], overlap) << 3 * p for p, (s, t) in enumerate(pairs))
+        width = regions.bit_count()
+        widths[pattern] = min(width, widths.get(pattern, width))
+    return widths
 
 
 def search_set_family(
@@ -170,20 +182,23 @@ def search_set_family(
     # Assignment-independent contradictions: a nonempty set always contains
     # itself and never is disjoint from (or overlaps) itself, the second
     # biconditional reads the same intersection for (x,y) and (y,x), and
-    # each pair's own clauses must be satisfiable.
+    # every pair and triple must fit its Venn table within the bound.
     for i in range(n):
         bit = 1 << i
         if not sup[i] & bit or rel[i] & bit:
             return None
         for j in range(i + 1, n):
-            related = rel[i] >> j & 1
-            if rel[j] >> i & 1 != related or not _pair_satisfiable(
-                sup[i] >> j & 1,
-                sub[i] >> j & 1,
-                related,
-                overlap=second_overlap,
-                label_bound=label_bound,
-            ):
+            if rel[j] >> i & 1 != rel[i] >> j & 1:
+                return None
+    code = [
+        [sup[i] >> j & 1 | (sub[i] >> j & 1) << 1 | (rel[i] >> j & 1) << 2 for j in range(n)]
+        for i in range(n)
+    ]
+    for k in (2, 3):
+        widths = _venn_widths(k, second_overlap)
+        for group in combinations(range(n), k):
+            pattern = sum(code[s][t] << 3 * p for p, (s, t) in enumerate(combinations(group, 2)))
+            if widths.get(pattern, label_bound + 1) > label_bound:
                 return None
 
     everyone = (1 << n) - 1

@@ -1,10 +1,10 @@
 """The exhaustive set-family search: its candidate stream, its event
-order and pair table against bare references, a differential check
+order and Venn tables against bare references, a differential check
 against a bare reference search, and a golden digest of every family it
 returns on the 3-point sweep."""
 
 import hashlib
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +21,7 @@ from esfg import (
 )
 from esfg.familysearch import (
     _ascending_submasks,
-    _pair_satisfiable,
+    _venn_widths,
     causes_first_order,
     search_set_family,
 )
@@ -181,26 +181,52 @@ def test_causes_first_order_matches_the_reference():
                 ), (list(events), containment)
 
 
+def realised_patterns(k, label_bound, overlap):
+    """The patterns that some k distinct nonempty masks below
+    ``2 ** label_bound`` realise, read off every ordered choice of masks:
+    for each pair s < t, in ``combinations`` order and three bits each,
+    1 if s holds t, 2 if t holds s, 4 if they are disjoint (or properly
+    overlap, with ``overlap``)."""
+    pairs = list(enumerate(combinations(range(k), 2)))
+    realised = set()
+    for sets in permutations(range(1, 1 << label_bound), k):
+        pattern = 0
+        for p, (s, t) in pairs:
+            a, b = sets[s], sets[t]
+            inter = a & b
+            related = inter not in (0, a, b) if overlap else inter == 0
+            pattern |= ((a | b == a) | (a | b == b) << 1 | related << 2) << 3 * p
+        realised.add(pattern)
+    return realised
+
+
+def table_verdicts(k, label_bound, overlap):
+    return {p for p, width in _venn_widths(k, overlap).items() if width <= label_bound}
+
+
 def test_pair_table_is_the_brute_force_at_every_bound():
-    """Two sets have three Venn regions, so three labels decide whether a
-    pair's own clauses can hold: the table agrees with every pair of
-    distinct nonempty masks below 2 ** label_bound, up to 5 labels."""
+    """Two sets have three Venn regions, so three labels realise every
+    pattern a pair can show: the table agrees with every pair of distinct
+    nonempty masks below 2 ** label_bound, up to 5 labels."""
     for label_bound in range(1, 6):
-        masks = range(1, 1 << label_bound)
         for overlap in (False, True):
-            realised = set()
-            for a, b in product(masks, repeat=2):
-                if a != b:
-                    inter = a & b
-                    if overlap:
-                        related = inter not in (0, a, b)
-                    else:
-                        related = inter == 0
-                    realised.add((a | b == a, a | b == b, related))
-            for pattern in product((False, True), repeat=3):
-                assert _pair_satisfiable(*pattern, overlap=overlap, label_bound=label_bound) == (
-                    pattern in realised
-                ), (label_bound, overlap, pattern)
+            assert table_verdicts(2, label_bound, overlap) == realised_patterns(
+                2, label_bound, overlap
+            ), (label_bound, overlap)
+
+
+@pytest.mark.parametrize(
+    "label_bound",
+    [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow), pytest.param(7, marks=pytest.mark.slow)],
+)
+def test_triple_table_is_the_brute_force_at_every_bound(label_bound):
+    """Three sets have seven Venn regions, so seven labels give every
+    region subset a label each: the table agrees with every ordered triple
+    of distinct nonempty masks below 2 ** label_bound, in both modes."""
+    for overlap in (False, True):
+        assert table_verdicts(3, label_bound, overlap) == realised_patterns(
+            3, label_bound, overlap
+        ), overlap
 
 
 def test_an_unsatisfiable_pair_is_rejected_before_any_candidate(monkeypatch):
@@ -229,27 +255,30 @@ def test_intervals_carry_containment_both_ways(monkeypatch):
 
 
 def test_overlap_search_does_not_depend_on_the_labelling(monkeypatch):
-    """({0<1}, T={1-2}) has no fg-representation.  Every relabelling must
-    find that out from a few thousand candidates: the event unrelated to
-    the first one is kept disjoint from it at once.  Without that bound
-    this labelling tried 515,582 candidates and its relabellings 6,124;
-    with it, and only lowest-first fresh labels generated, 1,946 and
-    1,058."""
+    """({0<1}, T={2-3}) on 4 points needs five labels: two for the nested
+    pair, three for the overlapping one, and the two pairs are unrelated,
+    hence disjoint.  Every pair and triple fits in four labels, so at
+    bound 4 the search itself must prove that no family exists.  Every
+    relabelling must do so from a few dozen candidates: an event unrelated
+    to an assigned one is kept disjoint from it at once."""
     counter = count_candidates(monkeypatch)
-    directed = {(0, 0), (1, 1), (2, 2), (0, 1)}
-    undirected = {(1, 2), (2, 1)}
+    directed = {(v, v) for v in range(4)} | {(0, 1)}
+    undirected = {(2, 3), (3, 2)}
     tried = []
-    for p in permutations(range(3)):
+    for p in permutations(range(4)):
         counter.yielded = 0
         found = find_fg_representation_bruteforce(
-            Relation(3, {(p[a], p[b]) for a, b in directed}),
-            Relation(3, {(p[a], p[b]) for a, b in undirected}),
-            9,
+            Relation(4, {(p[a], p[b]) for a, b in directed}),
+            Relation(4, {(p[a], p[b]) for a, b in undirected}),
+            4,
         )
         assert found is None
         tried.append(counter.yielded)
-    assert tried[0] <= 4098
+    assert min(tried) > 0
+    assert max(tried) <= 100
     assert max(tried) <= 2 * min(tried)
+    family = find_fg_representation_bruteforce(Relation(4, directed), Relation(4, undirected), 5)
+    assert family is not None
 
 
 def test_search_matches_the_reference_search():
@@ -321,6 +350,29 @@ def test_fg_sweep_returns_the_golden_families():
     families = fg_sweep()
     assert sum(f is not None for f in families) == 41
     assert _digest(families) == FG_SWEEP_DIGEST
+
+
+def test_every_absence_on_four_points_is_refused_before_any_candidate(monkeypatch):
+    """Each validity conjunct of an event structure names at most three
+    events, so every pair on 4 points that the validity check (or, on the
+    graph side, recognition) rejects fails the Venn table of some pair or
+    triple, and its search returns None before it tries a candidate."""
+    counter = count_candidates(monkeypatch)
+    sides = [
+        (find_representation_bruteforce, is_event_structure),
+        (find_fg_representation_bruteforce, is_full_graph),
+    ]
+    for find, valid in sides:
+        absent = [
+            (order, second)
+            for order in orders_on(4)
+            for second in symmetric_relations(4, order.sym_complement().pairs)
+            if not valid(order, second)
+        ]
+        assert len(absent) == 1784 - 916
+        for order, second in absent:
+            assert find(order, second, 10) is None, (order, second)
+        assert counter.yielded == 0
 
 
 @pytest.mark.slow

@@ -193,7 +193,7 @@ def enumerate_fullgraph_edge_sets(
 class BijectionReport:
     """Result of materialising both sides for one base relation.  When
     every flag holds the sizes are forced equal; the constructor refuses
-    inconsistent reports."""
+    inconsistent reports.  Public API, as ``verify_bijection`` is."""
 
     base_relation: Relation
     x_size: int
@@ -220,7 +220,8 @@ class BijectionReport:
 def verify_bijection(base: Relation) -> BijectionReport:
     """Check that complementing within the incomparability square maps the
     full-graph edge sets onto the admissible conflicts and back,
-    injectively both ways."""
+    injectively both ways.  Public API for checking one order by hand;
+    ``verify`` runs the same check on masks."""
     check_size(len(base.field), "list")
     x_side = set(enumerate_fullgraph_edge_sets(base))
     y_side = set(enumerate_admissible_conflicts(base))

@@ -9,8 +9,7 @@ independent.  ``count_es`` counts the up-sets of the poset Q(P) of event
 pairs with no common upper bound, ordered componentwise: by the conflict
 axioms, those are exactly the valid conflicts on P.  ``count_fg`` runs
 the full-graph mask filter of ``bijection`` on all of an order's
-candidates bit-parallel; ``_edge_set_counts`` runs it on every labeled
-order, as the reference.  Each entry point rejects n above its
+candidates bit-parallel.  Each entry point rejects n above its
 ``SIZE_LIMITS`` entry.
 
 Every exhaustive path walks the orders depth first through ``_joins``:
@@ -21,8 +20,7 @@ up-set, and the rest is an order on 0..k-1.  Naturally labeled orders
 are the case A = {}.  The walk carries each order's down-sets from its
 parent's, so it never searches for them, hands them to its readers, and
 takes the up-sets as their complements.  ``_posets`` yields each labeled
-order as the strict up-set mask of each vertex, and ``_natural_posets``
-each natural one as its strict down-set masks.  The counts carry tables
+order as the strict up-set mask of each vertex.  The counts carry tables
 down the walk, so each join only adds what vertex k brings: to the
 candidates an order rejects, to the linear extensions of its down-sets,
 and to Q(P), whose pairs inside k's down-set leave it as the pairs
@@ -34,7 +32,6 @@ leaves.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -199,22 +196,6 @@ def _filter_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[i
             yield (1 << grown) - r.bit_count(), e
         else:
             carried[k + 1] = grown, r
-
-
-def _edge_set_counts(n: int) -> Iterator[int]:
-    """The filter's count on each labeled order on {0..n-1}, in the order
-    ``_posets(n)`` yields the orders: the reference for ``count_fg``."""
-    return (count for count, _ in _filter_counts(zip(_joins(n), repeat(1)), n))
-
-
-def _natural_posets(n: int) -> Iterator[tuple[int, ...]]:
-    """Every naturally labeled partial order on {0..n-1}, each once, as
-    the strict down-set mask of each vertex (OEIS A006455)."""
-    if n == 0:
-        yield ()
-    for _, below, low, _, _ in _joins(n, natural=True):
-        if len(below) == n - 1:
-            yield (*below, low)
 
 
 def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[int, int]]:

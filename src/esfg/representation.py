@@ -110,7 +110,8 @@ def extend_with_terminal(
     events, and concurrent events; the labels ``_label_masks`` gives when
     it attaches ``s`` last are placed on the input family, renumbered to
     start above every label in use.  The result is checked with
-    ``is_representation``.
+    ``is_representation``.  Public API: the builder's inductive step on
+    its own, which ``build_representation`` runs on masks instead.
     """
     if (s, s) not in causality.pairs or not causality.image((s,)) <= {s}:
         raise ValueError(f"event {s} is not terminal in the causality order")

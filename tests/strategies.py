@@ -1,10 +1,16 @@
-"""Hypothesis strategies for small relations and orders."""
+"""Hypothesis strategies for relations, orders and event structures, and
+every small event structure, the orders and structures taken from the
+reference definitions."""
+
+import random
 
 from hypothesis import strategies as st
 
-from esfg import Relation, enumerate_partial_orders
+from esfg import Relation
 
-_POSETS = {n: tuple(enumerate_partial_orders(n)) for n in range(4)}
+from . import reference
+
+_POSETS = {n: tuple(Relation(n, order) for order in reference.partial_orders(n)) for n in range(4)}
 
 
 def vertex_pairs(universe):
@@ -38,7 +44,24 @@ def right_unique_relations(draw, max_universe=5):
     return Relation(n, mapping.items())
 
 
+def small_structures(max_n):
+    """Every event structure on at most ``max_n`` events, as (causality,
+    conflict) relations, in the order the package enumerates them."""
+    for n in range(max_n + 1):
+        for order, conflict in reference.event_structures(n):
+            yield Relation(n, order), Relation(n, conflict)
+
+
 def posets(max_universe=3):
     return st.integers(0, max_universe).flatmap(
         lambda n: st.sampled_from(_POSETS[n])
     )
+
+
+@st.composite
+def event_structures(draw, max_events=40):
+    """A valid event structure of 8 to ``max_events`` events, labels
+    shuffled, as (causality, conflict) relations."""
+    n = draw(st.integers(8, max_events))
+    order, conflict = reference.random_structure(random.Random(draw(st.integers(0, 2**32))), n)
+    return Relation(n, order), Relation(n, conflict)

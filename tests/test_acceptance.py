@@ -18,7 +18,6 @@ from esfg import (
     build_representation,
     count_es,
     count_fg,
-    enumerate_admissible_conflicts,
     enumerate_partial_orders,
     es_to_fg,
     fg_to_es,
@@ -37,13 +36,8 @@ from esfg import (
 from esfg.documents import from_event_structure, from_full_graph
 from esfg.enumeration import emit_structures
 
-
-def all_relations(n):
-    cells = [(a, b) for a in range(n) for b in range(n)]
-    return [
-        Relation(n, (c for i, c in enumerate(cells) if mask >> i & 1))
-        for mask in range(1 << len(cells))
-    ]
+from . import reference
+from .strategies import small_structures
 
 
 def report(number, name, violations, detail=""):
@@ -52,22 +46,15 @@ def report(number, name, violations, detail=""):
     assert not violations, f"{len(violations)} violations, first: {violations[:3]}"
 
 
-def every_structure(max_n):
-    for n in range(max_n + 1):
-        for order in enumerate_partial_orders(n):
-            for conflict in enumerate_admissible_conflicts(order):
-                yield n, order, conflict
-
-
 def test_criterion_1_builder_completeness_up_to_n4():
     started = time.perf_counter()
     violations = []
     built = 0
-    for n, order, conflict in every_structure(4):
+    for order, conflict in small_structures(4):
         try:
             cert = build_representation(order, conflict)
         except ValueError as exc:
-            violations.append(f"n={n} {sorted(order.pairs)} {sorted(conflict.pairs)}: {exc}")
+            violations.append(f"{sorted(order.pairs)} {sorted(conflict.pairs)}: {exc}")
             continue
         built += 1
         # certificate construction re-validates the five requirements; spell
@@ -80,7 +67,7 @@ def test_criterion_1_builder_completeness_up_to_n4():
             and frozenset() not in set(family.values())
             and all(v < cert.fresh_label_bound for v in family.union_of_range())
         ):
-            violations.append(f"n={n} invalid certificate for {sorted(order.pairs)}")
+            violations.append(f"invalid certificate for {sorted(order.pairs)}")
     elapsed = time.perf_counter() - started
     report(1, "builder-succeeds-on-every-structure", violations,
            f"({built} structures, {elapsed:.1f}s)")
@@ -98,7 +85,7 @@ def oracle_sweep():
     scanned = 0
 
     # complete scan of all relation pairs on two points
-    rels2 = all_relations(2)
+    rels2 = [Relation(2, r) for r in reference.all_relations(2)]
     for order, conflict in product(rels2, rels2):
         if not set(conflict.field) <= set(order.field):
             continue
@@ -110,7 +97,7 @@ def oracle_sweep():
             found.append((family, order, conflict))
 
     # all orders on three points times all symmetric conflict candidates
-    sym3 = [u for u in all_relations(3) if u.is_symmetric]
+    sym3 = [Relation(3, u) for u in reference.symmetric_relations(3)]
     for order in enumerate_partial_orders(3):
         for conflict in sym3:
             scanned += 1
@@ -126,11 +113,7 @@ def oracle_sweep():
     probes = 0
     while probes < 10000:
         order = Relation(3, (c for c in cells if rng.random() < 0.5))
-        if (
-            order.is_transitive
-            and order.is_antisymmetric
-            and order.is_reflexive_over_field
-        ):
+        if reference.is_partial_order(order.pairs):
             continue
         members = set(order.field)
         conflict = Relation(
@@ -212,14 +195,7 @@ def test_criterion_5_count_coincidence():
 
     # zero-structure brute force at n <= 2: filter every relation pair
     for n in range(3):
-        rels = all_relations(n)
-        brute = sum(
-            1
-            for d in rels
-            if d.field == tuple(range(n))
-            for u in rels
-            if is_event_structure(d, u)
-        )
+        brute = reference.count_event_structures(n)
         if brute != count_es(n):
             violations.append(f"n={n}: brute={brute} count={count_es(n)}")
     if count_es(1) != 1:
@@ -233,23 +209,23 @@ def test_criterion_5_count_coincidence():
 def test_criterion_6_one_family_certifies_both_sides():
     violations = []
     checked = 0
-    for n, order, conflict in every_structure(3):
+    for order, conflict in small_structures(3):
         graph = es_to_fg(EventStructure(order, conflict))
         family = graph.certificate
         checked += 1
         if not is_representation(family, order, conflict):
-            violations.append(f"repr side n={n} {sorted(order.pairs)}")
+            violations.append(f"repr side {sorted(order.pairs)}")
         if not is_fg_representation(
             family, order, incomparable_complement(order, conflict)
         ):
-            violations.append(f"graph side n={n} {sorted(order.pairs)}")
+            violations.append(f"graph side {sorted(order.pairs)}")
     report(6, "shared-certificate", violations, f"({checked} structures)")
 
 
 def test_criterion_7_roundtrips_and_algebra():
     violations = []
 
-    for n, order, conflict in every_structure(3):
+    for order, conflict in small_structures(3):
         structure = EventStructure(order, conflict)
         graph = es_to_fg(structure)
         if fg_to_es(graph) != structure:
@@ -261,19 +237,17 @@ def test_criterion_7_roundtrips_and_algebra():
     # complement algebra over every subset of the incomparability square
     for n in range(4):
         for order in enumerate_partial_orders(n):
-            cells = sorted(order.sym_complement().pairs)
+            subsets = reference.all_relations(n, within=order.sym_complement().pairs)
             images = set()
-            for mask in range(1 << len(cells)):
-                chosen = Relation(
-                    order.universe, (c for i, c in enumerate(cells) if mask >> i & 1)
-                )
-                double = incomparable_complement(
-                    order, incomparable_complement(order, chosen)
-                )
-                if double != chosen:
-                    violations.append(f"involution {sorted(order.pairs)} {mask}")
-                images.add(incomparable_complement(order, chosen))
-            if len(images) != 1 << len(cells):
+            for pairs in subsets:
+                chosen = Relation(n, pairs)
+                image = incomparable_complement(order, chosen)
+                if image.pairs != reference.incomparable_complement(order.pairs, pairs):
+                    violations.append(f"complement {sorted(order.pairs)} {sorted(pairs)}")
+                if incomparable_complement(order, image) != chosen:
+                    violations.append(f"involution {sorted(order.pairs)} {sorted(pairs)}")
+                images.add(image)
+            if len(images) != len(subsets):
                 violations.append(f"injectivity {sorted(order.pairs)}")
 
     # override keeps right-uniqueness on seeded random function pairs
@@ -304,7 +278,7 @@ def test_criterion_8_io_round_trip_and_oeis_cache(tmp_path):
         doc = parse_document(blob)
         if serialize_document(doc) != blob:
             violations.append(f"canonical bytes changed: {blob[:60]!r}")
-    for n, order, conflict in every_structure(3):
+    for order, conflict in small_structures(3):
         doc = from_event_structure(EventStructure(order, conflict))
         if parse_document(serialize_document(doc)) != doc:
             violations.append(f"es doc {sorted(order.pairs)}")

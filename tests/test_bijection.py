@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esfg import (
@@ -8,40 +8,25 @@ from esfg import (
     FullGraph,
     FullGraphError,
     Relation,
+    build_representation,
     enumerate_admissible_conflicts,
     enumerate_fullgraph_edge_sets,
+    enumerate_partial_orders,
     es_to_fg,
     fg_to_es,
     incomparable_complement,
-    is_event_structure,
     is_fg_representation,
     is_full_graph,
     is_representation,
+    parse_document,
+    representation_document,
+    serialize_document,
     verify_bijection,
 )
 from esfg.relation import pairs_key
 
-from .strategies import posets
-
-
-def subsets_of_incomparables(order):
-    """Every subset (not only the symmetric ones) of the incomparability
-    square, as relations."""
-    cells = sorted(order.sym_complement().pairs)
-    for mask in range(1 << len(cells)):
-        yield Relation(
-            order.universe, (c for i, c in enumerate(cells) if mask >> i & 1)
-        )
-
-
-def reference_candidates(order):
-    """Every symmetric subset of the incomparability square, by
-    unordered-pair mask (mirror twins toggled together): the candidates
-    the filters drew as ``Relation``s before the mask kernel."""
-    reps = sorted({(min(a, b), max(a, b)) for a, b in order.sym_complement().pairs})
-    for mask in range(1 << len(reps)):
-        chosen = [pair for i, pair in enumerate(reps) if mask >> i & 1]
-        yield Relation(order.universe, chosen + [(b, a) for a, b in chosen])
+from . import reference
+from .strategies import event_structures, posets, small_structures
 
 
 def shifted(order):
@@ -51,14 +36,16 @@ def shifted(order):
 
 
 def test_filters_agree_with_the_reference_per_order():
-    from esfg import enumerate_partial_orders
-
+    """Each filter keeps, in pair-list order, the symmetric subsets of the
+    incomparability square that the reference event-structure definition
+    (on the conflict side) or recognition (on the graph side) accepts."""
     orders = [order for n in range(5) for order in enumerate_partial_orders(n)]
     orders += [shifted(order) for order in orders if order.universe <= 3]
     for order in orders:
-        candidates = sorted(reference_candidates(order), key=pairs_key)
+        subsets = reference.symmetric_relations(order.universe, order.sym_complement().pairs)
+        candidates = sorted((Relation(order.universe, u) for u in subsets), key=pairs_key)
         assert enumerate_admissible_conflicts(order) == tuple(
-            u for u in candidates if is_event_structure(order, u)
+            u for u in candidates if reference.is_event_structure(order.pairs, u.pairs)
         )
         assert enumerate_fullgraph_edge_sets(order) == tuple(
             t for t in candidates if is_full_graph(order, t)
@@ -172,7 +159,9 @@ def test_complement_is_an_involution_inside_the_square(order, seed):
     chosen = Relation(
         order.universe, (c for i, c in enumerate(cells) if seed >> i & 1)
     )
-    assert incomparable_complement(order, incomparable_complement(order, chosen)) == chosen
+    image = incomparable_complement(order, chosen)
+    assert image.pairs == reference.incomparable_complement(order.pairs, chosen.pairs)
+    assert incomparable_complement(order, image) == chosen
 
 
 def test_complement_is_injective_on_all_subsets():
@@ -180,46 +169,48 @@ def test_complement_is_injective_on_all_subsets():
         Relation(3, {(0, 0), (1, 1), (2, 2)}),
         Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1)}),
     ]:
-        images = {incomparable_complement(order, r) for r in subsets_of_incomparables(order)}
+        subsets = reference.all_relations(3, within=order.sym_complement().pairs)
+        images = {incomparable_complement(order, Relation(3, r)) for r in subsets}
         assert len(images) == 2 ** len(order.sym_complement().pairs)
 
 
 def test_roundtrips_on_small_structures():
-    from esfg import enumerate_partial_orders
+    for order, conflict in small_structures(3):
+        structure = EventStructure(order, conflict)
+        graph = es_to_fg(structure)
+        assert fg_to_es(graph) == structure
+        again = es_to_fg(fg_to_es(graph))
+        assert (again.directed, again.undirected) == (graph.directed, graph.undirected)
 
-    for n in range(4):
-        for order in enumerate_partial_orders(n):
-            for conflict in enumerate_admissible_conflicts(order):
-                structure = EventStructure(order, conflict)
-                graph = es_to_fg(structure)
-                assert fg_to_es(graph) == structure
-                again = es_to_fg(fg_to_es(graph))
-                assert (again.directed, again.undirected) == (
-                    graph.directed,
-                    graph.undirected,
-                )
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(event_structures(max_events=40))
+def test_random_structures_beyond_the_exhaustive_sizes(drawn):
+    """On 8 to 40 events, labels shuffled: the builder takes at most
+    n(n + 1)/2 labels, the conversions round trip, and the certificate's
+    document keeps its bytes through a parse."""
+    order, conflict = drawn
+    n = order.universe
+    cert = build_representation(order, conflict)
+    assert cert.fresh_label_bound <= n * (n + 1) // 2
+    structure = EventStructure(order, conflict)
+    assert fg_to_es(es_to_fg(structure)) == structure
+    blob = serialize_document(representation_document(order, conflict, cert.family))
+    assert serialize_document(parse_document(blob)) == blob
 
 
 def test_certified_graphs_convert_like_uncertified_ones():
-    from esfg import enumerate_partial_orders
-
-    for n in range(5):
-        for order in enumerate_partial_orders(n):
-            for conflict in enumerate_admissible_conflicts(order):
-                structure = EventStructure(order, conflict)
-                graph = es_to_fg(structure)
-                assert graph.certificate is not None
-                bare = FullGraph(graph.directed, graph.undirected)
-                assert fg_to_es(graph) == fg_to_es(bare) == structure
+    for order, conflict in small_structures(4):
+        structure = EventStructure(order, conflict)
+        graph = es_to_fg(structure)
+        assert graph.certificate is not None
+        bare = FullGraph(graph.directed, graph.undirected)
+        assert fg_to_es(graph) == fg_to_es(bare) == structure
 
 
 def test_one_family_witnesses_both_sides():
-    from esfg import enumerate_partial_orders
-
-    for n in range(4):
-        for order in enumerate_partial_orders(n):
-            for conflict in enumerate_admissible_conflicts(order):
-                graph = es_to_fg(EventStructure(order, conflict))
-                family = graph.certificate
-                assert is_representation(family, order, conflict)
-                assert is_fg_representation(family, order, graph.undirected)
+    for order, conflict in small_structures(3):
+        graph = es_to_fg(EventStructure(order, conflict))
+        family = graph.certificate
+        assert is_representation(family, order, conflict)
+        assert is_fg_representation(family, order, graph.undirected)

@@ -8,7 +8,6 @@ from esfg import (
     DocumentError,
     EventStructure,
     Relation,
-    SetFamily,
     StructureDocument,
     build_representation,
     export_dot,

@@ -1,7 +1,6 @@
 import hashlib
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, repeat
+from itertools import repeat
 from math import factorial
 
 import pytest
@@ -21,6 +20,8 @@ from esfg import (
 )
 from esfg.bijection import _conflict_masks, _edge_set_masks, _pair_kernel, _truth_tables
 
+from . import reference
+
 
 def _count_conflicts(above):
     """How many conflicts of one order the event-structure filter accepts."""
@@ -28,20 +29,21 @@ def _count_conflicts(above):
     return sum(1 for _ in _conflict_masks(len(pairs), rules))
 
 
-def brute_posets(n):
-    """Filter of all 2^(n*n) relations (independent of the generator)."""
-    cells = [(a, b) for a in range(n) for b in range(n)]
-    out = []
-    for mask in range(1 << len(cells)):
-        rel = Relation(n, (c for i, c in enumerate(cells) if mask >> i & 1))
-        if (
-            rel.field == tuple(range(n))
-            and rel.is_transitive
-            and rel.is_antisymmetric
-            and rel.is_reflexive_over_field
-        ):
-            out.append(rel)
-    return out
+def _edge_set_counts(n):
+    """The filter's count on each labeled order on {0..n-1}, in the order
+    ``_posets(n)`` yields the orders: the reference for ``count_fg``."""
+    walk = zip(esfg.enumeration._joins(n), repeat(1))
+    return (count for count, _ in esfg.enumeration._filter_counts(walk, n))
+
+
+def _natural_posets(n):
+    """Every naturally labeled partial order on {0..n-1}, each once, as
+    the strict down-set mask of each vertex (OEIS A006455)."""
+    if n == 0:
+        yield ()
+    for _, below, low, _, _ in esfg.enumeration._joins(n, natural=True):
+        if len(below) == n - 1:
+            yield (*below, low)
 
 
 def test_partial_order_examples():
@@ -56,13 +58,13 @@ def test_partial_order_examples():
 
 
 def test_partial_orders_match_brute_filter():
-    for n in range(4):
-        assert set(enumerate_partial_orders(n)) == set(brute_posets(n))
+    for n in range(5):
+        assert [r.pairs for r in enumerate_partial_orders(n)] == list(reference.partial_orders(n))
 
 
 def test_partial_order_count_n4():
-    # 219 labeled orders on four points, cross-checked against the brute
-    # filter of all 2^16 relations once during development
+    # 219 labeled orders on four points (OEIS A001035), the reference's
+    # filter of the 2^12 relations off the diagonal included
     assert sum(1 for _ in enumerate_partial_orders(4)) == 219
 
 
@@ -84,7 +86,7 @@ def test_limit_is_enforced():
     with pytest.raises(ValueError):
         count_es(8)
     with pytest.raises(ValueError):
-        list(esfg.enumeration._natural_posets(8))
+        list(_natural_posets(8))
     with pytest.raises(ValueError):
         count_fg(8)
     with pytest.raises(ValueError):
@@ -101,19 +103,7 @@ def test_count_examples():
 
 
 def test_counts_match_zero_structure_brute_force_n2():
-    cells = [(a, b) for a in range(2) for b in range(2)]
-    rels = [
-        Relation(2, (c for i, c in enumerate(cells) if mask >> i & 1))
-        for mask in range(16)
-    ]
-    total = sum(
-        1
-        for d in rels
-        if d.field == (0, 1)
-        for u in rels
-        if is_event_structure(d, u)
-    )
-    assert total == count_es(2) == 4
+    assert reference.count_event_structures(2) == count_es(2) == 4
 
 
 def test_small_count_regressions():
@@ -155,11 +145,6 @@ def test_emit_rejects_unknown_kinds():
         emit_structures(1, "graphs", lambda _: None)
 
 
-def _order_pairs(above):
-    n = len(above)
-    return {(v, w) for v in range(n) for w in range(n) if v == w or above[v] >> w & 1}
-
-
 def test_streaming_generator_yields_each_order_once():
     """Distinct partial orders on exactly {0..n-1}, as many as there are
     labeled posets (OEIS A001035), so each of them exactly once."""
@@ -167,8 +152,8 @@ def test_streaming_generator_yields_each_order_once():
         orders = list(esfg.enumeration._posets(n))
         assert len(orders) == len(set(orders)) == total
         for above in orders:
-            order = Relation(n, _order_pairs(above))
-            assert order.field == tuple(range(n)) and order.is_partial_order
+            pairs = reference.order_pairs(reference.strict_down_sets(above))
+            assert reference.field(pairs) == set(range(n)) and reference.is_partial_order(pairs)
 
 
 def test_counts_at_five():
@@ -191,19 +176,6 @@ def test_counts_build_at_most_one_relation_per_order(monkeypatch):
         assert built == 0
 
 
-def _strict_down_sets(above):
-    n = len(above)
-    return [sum(1 << u for u in range(n) if above[u] >> v & 1) for v in range(n)]
-
-
-def _closed_directly(sets):
-    """The closed vertex sets by testing each subset (the reference)."""
-    k = len(sets)
-    return [
-        s for s in range(1 << k) if all(sets[v] | s == s for v in range(k) if s >> v & 1)
-    ]
-
-
 def test_each_step_carries_its_orders_down_sets():
     """The down-sets each step hands on, carried down the walk from the
     parent's, are those of the step's order, ascending, on both walks up
@@ -211,38 +183,7 @@ def test_each_step_carries_its_orders_down_sets():
     for n in range(6):
         for natural in (False, True):
             for _, below, _, _, downs in esfg.enumeration._joins(n, natural):
-                assert downs == _closed_directly(below), below
-
-
-def _count_conflict_upsets(below):
-    """How many up-sets Q(P) has, for the order with these strict
-    down-set masks, built from scratch (the reference for the count the
-    natural walk carries): Q(P) is its pairs {x,z} with no common upper
-    bound, {x,z} below {y,w} when x <= y and z <= w.  The memoised count
-    includes or excludes the first pair left, and with it every pair
-    above or below it."""
-    n = len(below)
-    up = [1 << v | sum(1 << u for u in range(n) if below[u] >> v & 1) for v in range(n)]
-    members = [[y for y in range(n) if m >> y & 1] for m in up]
-    pairs = [(x, z) for x, z in combinations(range(n), 2) if not up[x] & up[z]]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    above = [0] * len(pairs)
-    under = [0] * len(pairs)
-    for i, (x, z) in enumerate(pairs):
-        for y in members[x]:
-            for w in members[z]:
-                j = index[min(y, w), max(y, w)]
-                above[i] |= 1 << j
-                under[j] |= 1 << i
-
-    @cache
-    def upsets(rest):
-        if not rest:
-            return 1
-        i = (rest & -rest).bit_length() - 1
-        return upsets(rest & ~above[i]) + upsets(rest & ~under[i])
-
-    return upsets((1 << len(pairs)) - 1)
+                assert downs == reference.closed_directly(below), below
 
 
 def test_structural_count_matches_the_filter_per_order():
@@ -250,14 +191,14 @@ def test_structural_count_matches_the_filter_per_order():
     are exactly the conflicts the mask filter accepts."""
     for n in range(6):
         for above in esfg.enumeration._posets(n):
-            below = _strict_down_sets(above)
-            assert _count_conflict_upsets(below) == _count_conflicts(above), above
+            below = reference.strict_down_sets(above)
+            assert reference.count_conflict_upsets(below) == _count_conflicts(above), above
 
 
 def _assert_carried_upsets_match_the_reference(n):
     carried = esfg.enumeration._upset_counts(esfg.enumeration._extensions(n), n)
-    for below, (count, _) in zip(esfg.enumeration._natural_posets(n), carried, strict=True):
-        assert count == _count_conflict_upsets(below), below
+    for below, (count, _) in zip(_natural_posets(n), carried, strict=True):
+        assert count == reference.count_conflict_upsets(below), below
 
 
 def test_carried_upsets_match_the_reference_per_order():
@@ -292,7 +233,7 @@ def test_truth_table_bit_m_is_bit_i_of_m():
 
 
 def _assert_table_count_matches_the_scalar_filter(n):
-    counts = esfg.enumeration._edge_set_counts(n)
+    counts = _edge_set_counts(n)
     for above, count in zip(esfg.enumeration._posets(n), counts, strict=True):
         pairs, rules = _pair_kernel(above)
         assert count == sum(1 for _ in _edge_set_masks(len(pairs), rules)), above
@@ -310,28 +251,12 @@ def test_natural_generator_yields_each_naturally_labeled_order_once():
     """Orders on {0..n-1} in which i below j implies i < j (OEIS A006455),
     each exactly once."""
     for n, total in enumerate((1, 1, 2, 7, 40, 357, 4824)):
-        orders = list(esfg.enumeration._natural_posets(n))
+        orders = list(_natural_posets(n))
         assert len(orders) == len(set(orders)) == total
         for below in orders:
-            pairs = {(u, v) for v in range(n) for u in range(n) if u == v or below[v] >> u & 1}
-            order = Relation(n, pairs)
-            assert order.field == tuple(range(n)) and order.is_partial_order
+            pairs = reference.order_pairs(below)
+            assert reference.field(pairs) == set(range(n)) and reference.is_partial_order(pairs)
             assert all(u < v for u, v in pairs if u != v)
-
-
-def _linear_extensions(below):
-    """e(P) for the order with these strict down-set masks: a DP over its
-    down-sets, one vertex more per layer, each added once its down-set is
-    in (the reference for the carried table)."""
-    ways = {0: 1}
-    for _ in below:
-        grown = {}
-        for s, w in ways.items():
-            for v, low in enumerate(below):
-                if not (s >> v & 1 or low & ~s):
-                    grown[s | 1 << v] = grown.get(s | 1 << v, 0) + w
-        ways = grown
-    return ways[(1 << len(below)) - 1]
 
 
 def _carried_extensions(n):
@@ -351,9 +276,9 @@ def test_carried_extensions_match_the_down_set_dp():
     order."""
     for n in range(1, 7):
         carried = _carried_extensions(n)
-        assert [below for below, _ in carried] == list(esfg.enumeration._natural_posets(n))
+        assert [below for below, _ in carried] == list(_natural_posets(n))
         for below, e in carried:
-            assert e == _linear_extensions(below), below
+            assert e == reference.linear_extensions(below), below
 
 
 def test_natural_orders_weighted_by_extensions_give_the_labeled_orders():
@@ -376,12 +301,10 @@ def test_weighted_sum_refuses_a_fraction():
 
 
 def _assert_natural_counts_match_the_labeled_counts(n):
-    labeled = dict(
-        zip(esfg.enumeration._posets(n), esfg.enumeration._edge_set_counts(n), strict=True)
-    )
+    labeled = dict(zip(esfg.enumeration._posets(n), _edge_set_counts(n), strict=True))
     natural = esfg.enumeration._filter_counts(esfg.enumeration._extensions(n), n)
-    for below, (count, _) in zip(esfg.enumeration._natural_posets(n), natural, strict=True):
-        above = tuple(_strict_down_sets(below))  # transposing down-sets gives up-sets
+    for below, (count, _) in zip(_natural_posets(n), natural, strict=True):
+        above = tuple(reference.strict_down_sets(below))  # transposing down-sets gives up-sets
         assert count == labeled[above], below
 
 
@@ -423,21 +346,21 @@ WALK_DIGESTS = {
 }
 
 
-def _assert_walk_digest(name, n):
-    listed = list(getattr(esfg.enumeration, name)(n))
-    assert hashlib.sha256(repr(listed).encode()).hexdigest() == WALK_DIGESTS[name][n]
+def _assert_walk_digest(walk, n):
+    listed = list(walk(n))
+    assert hashlib.sha256(repr(listed).encode()).hexdigest() == WALK_DIGESTS[walk.__name__][n]
 
 
 def test_walk_order_is_pinned():
     for n in range(6):
-        _assert_walk_digest("_posets", n)
+        _assert_walk_digest(esfg.enumeration._posets, n)
     for n in range(7):
-        _assert_walk_digest("_natural_posets", n)
+        _assert_walk_digest(_natural_posets, n)
 
 
 @pytest.mark.slow
 def test_walk_order_is_pinned_at_six():
-    _assert_walk_digest("_posets", 6)
+    _assert_walk_digest(esfg.enumeration._posets, 6)
 
 
 def _joined(above, low, high):
@@ -459,7 +382,7 @@ def test_each_depth_of_the_walk_lists_the_smaller_orders():
             joined = [_joined(a, low, high) for a, _, low, high, _ in steps if len(a) == k]
             assert joined == list(esfg.enumeration._posets(k + 1))
             grown = [(*below, low) for _, below, low, _, _ in natural if len(below) == k]
-            assert grown == list(esfg.enumeration._natural_posets(k + 1))
+            assert grown == list(_natural_posets(k + 1))
             labeled = set(joined)
             for above, below, low, _, _ in natural:
                 if len(above) == k:
@@ -498,4 +421,4 @@ def test_filter_count_at_seven():
 def test_labeled_filter_count_at_seven():
     """The filter over all 6,129,859 labeled orders on seven events, which
     shares neither side with the structural count, still gives the term."""
-    assert sum(esfg.enumeration._edge_set_counts(7)) == 561_658_287
+    assert sum(_edge_set_counts(7)) == 561_658_287

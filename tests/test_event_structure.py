@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import product, starmap
 
 import pytest
 from hypothesis import given
@@ -7,7 +7,6 @@ from esfg import (
     EventStructure,
     EventStructureError,
     Relation,
-    enumerate_admissible_conflicts,
     enumerate_partial_orders,
     es_failures,
     is_conflict_propagating,
@@ -15,26 +14,8 @@ from esfg import (
     terminal_events,
 )
 
-from .strategies import relation_pairs
-
-
-def propagation_brute(conflict, causality, universe):
-    """Direct scan of every x, y, z triple (independent of image logic)."""
-    for x in range(universe):
-        for y in range(universe):
-            if (x, y) not in causality.pairs:
-                continue
-            for z in range(universe):
-                if (x, z) in conflict.pairs and (y, z) not in conflict.pairs:
-                    return False
-    return True
-
-
-def small_structures(max_n):
-    for n in range(max_n + 1):
-        for order in enumerate_partial_orders(n):
-            for conflict in enumerate_admissible_conflicts(order):
-                yield EventStructure(order, conflict)
+from . import reference
+from .strategies import relation_pairs, small_structures
 
 
 def test_propagation_examples():
@@ -46,14 +27,14 @@ def test_propagation_examples():
     causality = Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1)})
     conflict = Relation(3, {(0, 2), (2, 0), (1, 2), (2, 1)})
     assert is_conflict_propagating(conflict, causality)
-    assert propagation_brute(conflict, causality, 3)
+    assert reference.is_inherited(causality.pairs, conflict.pairs)
 
 
 @given(relation_pairs(max_universe=3))
 def test_propagation_matches_brute_scan(rels):
     conflict, causality = rels
-    assert is_conflict_propagating(conflict, causality) == propagation_brute(
-        conflict, causality, causality.universe
+    assert is_conflict_propagating(conflict, causality) == reference.is_inherited(
+        causality.pairs, conflict.pairs
     )
 
 
@@ -75,35 +56,25 @@ def test_failures_name_each_conjunct():
     assert "conflict-not-irreflexive" in failures
 
 
-def all_relations(k):
-    cells = [(a, b) for a in range(k) for b in range(k)]
-    for mask in range(1 << len(cells)):
-        yield Relation(k, (c for i, c in enumerate(cells) if mask >> i & 1))
-
-
-def symmetric_relations(k):
-    cells = [(a, b) for a in range(k) for b in range(a, k)]
-    for mask in range(1 << len(cells)):
-        chosen = [c for i, c in enumerate(cells) if mask >> i & 1]
-        yield Relation(k, chosen + [(b, a) for a, b in chosen])
-
-
 def scanned_pairs():
     """Every relation pair on at most 2 points, then every order on 3
     points against every symmetric relation on 3 points."""
     for k in range(3):
-        relations = list(all_relations(k))
+        relations = [Relation(k, r) for r in reference.all_relations(k)]
         yield from product(relations, relations)
-    yield from product(enumerate_partial_orders(3), symmetric_relations(3))
+    conflicts = [Relation(3, u) for u in reference.symmetric_relations(3)]
+    yield from product(enumerate_partial_orders(3), conflicts)
 
 
 def test_predicate_agrees_with_failures_on_small_pairs():
+    """The predicate, its failure list and the reference definition give
+    one verdict on every scanned pair."""
     scanned = 0
     for causality, conflict in scanned_pairs():
         scanned += 1
-        assert is_event_structure(causality, conflict) == (
-            not es_failures(causality, conflict)
-        ), (causality, conflict)
+        verdict = reference.is_event_structure(causality.pairs, conflict.pairs)
+        assert is_event_structure(causality, conflict) == verdict, (causality, conflict)
+        assert (not es_failures(causality, conflict)) == verdict, (causality, conflict)
     assert scanned == 1 + 4 + 256 + 19 * 64
 
 
@@ -160,19 +131,19 @@ def test_constructor_rejects_conflicts_outside_event_set():
 def test_terminal_removal_keeps_validity():
     # exhaustive at n <= 3: peeling any terminal of a valid structure
     # leaves a valid structure
-    for structure in small_structures(3):
+    for structure in starmap(EventStructure, small_structures(3)):
         for s in structure.terminals:
             assert structure.remove_event(s).is_valid
 
 
 def test_every_nonempty_structure_has_a_terminal():
-    for structure in small_structures(3):
+    for structure in starmap(EventStructure, small_structures(3)):
         if structure.events:
             assert structure.terminals
 
 
 def test_causally_related_events_never_conflict():
-    for structure in small_structures(3):
+    for structure in starmap(EventStructure, small_structures(3)):
         for x, y in structure.causality.pairs:
             if x != y:
                 assert (x, y) not in structure.conflict.pairs

@@ -25,8 +25,9 @@ from esfg.familysearch import (
     causes_first_order,
     search_set_family,
 )
-from esfg.relation import pairs_key
 from esfg.representation import is_representation
+
+from . import reference
 
 # sha256 over every family returned on the 3-point sweeps at label bound 9
 # (recipe in ``_digest``).  A pruning rule may speed the search up, but it
@@ -35,36 +36,14 @@ ES_SWEEP_DIGEST = "eb42a4e41c9a7d9fbb46cf67a810ded94348d84db93b12e737d0ebc6b1c5e
 FG_SWEEP_DIGEST = "ce0718282c2f5c35dae5e50860e52806f81f7df5e551b96695bbd4935d3a4c2d"
 
 
-def all_relations(n):
-    cells = [(a, b) for a in range(n) for b in range(n)]
+def square_candidates(n):
+    """Every order on n points, each against every symmetric subset of
+    its incomparable pairs, as relations."""
     return [
-        Relation(n, (c for i, c in enumerate(cells) if mask >> i & 1))
-        for mask in range(1 << len(cells))
+        (order, Relation(n, second))
+        for order in enumerate_partial_orders(n)
+        for second in reference.symmetric_relations(n, order.sym_complement().pairs)
     ]
-
-
-def symmetric_relations(n, within=None):
-    """Every symmetric relation on ``n`` points, or every symmetric subset
-    of the pairs ``within``, by unordered-pair mask."""
-    cells = [(a, b) for a in range(n) for b in range(a, n)]
-    if within is not None:
-        cells = [c for c in cells if c in within]
-    return [
-        Relation(
-            n,
-            {
-                pair
-                for i, (a, b) in enumerate(cells)
-                if mask >> i & 1
-                for pair in ((a, b), (b, a))
-            },
-        )
-        for mask in range(1 << len(cells))
-    ]
-
-
-def orders_on(n):
-    return sorted(enumerate_partial_orders(n), key=pairs_key)
 
 
 def reference_search(order, containment, second, *, overlap, bound):
@@ -285,27 +264,21 @@ def test_search_matches_the_reference_search():
     cases = [
         (n, containment, second, bound)
         for n in range(3)
-        for containment, second in product(all_relations(n), repeat=2)
+        for containment, second in product(reference.all_relations(n), repeat=2)
         for bound in range(1, 5)
     ]
     cases += [
         (3, order, second, 3)
-        for order in orders_on(3)
-        for second in symmetric_relations(3)
+        for order in reference.partial_orders(3)
+        for second in reference.symmetric_relations(3)
     ]
     for n, containment, second, bound in cases:
-        order = causes_first_order(range(n), containment.pairs)
+        order = causes_first_order(range(n), containment)
         for overlap in (False, True):
             found = search_set_family(
-                order,
-                containment.pairs,
-                second.pairs,
-                second_overlap=overlap,
-                label_bound=bound,
+                order, containment, second, second_overlap=overlap, label_bound=bound
             )
-            expected = reference_search(
-                order, containment.pairs, second.pairs, overlap=overlap, bound=bound
-            )
+            expected = reference_search(order, containment, second, overlap=overlap, bound=bound)
             assert found == expected, (containment, second, bound, overlap)
 
 
@@ -323,9 +296,9 @@ def es_sweep():
     """The 1216 ES searches: every order on 3 points against every
     symmetric relation on 3 points."""
     return [
-        find_representation_bruteforce(order, conflict, 9)
-        for order in orders_on(3)
-        for conflict in symmetric_relations(3)
+        find_representation_bruteforce(order, Relation(3, conflict), 9)
+        for order in enumerate_partial_orders(3)
+        for conflict in reference.symmetric_relations(3)
     ]
 
 
@@ -334,8 +307,7 @@ def fg_sweep():
     subset of its incomparability square."""
     return [
         find_fg_representation_bruteforce(order, undirected, 9)
-        for order in orders_on(3)
-        for undirected in symmetric_relations(3, order.sym_complement().pairs)
+        for order, undirected in square_candidates(3)
     ]
 
 
@@ -363,12 +335,7 @@ def test_every_absence_on_four_points_is_refused_before_any_candidate(monkeypatc
         (find_fg_representation_bruteforce, is_full_graph),
     ]
     for find, valid in sides:
-        absent = [
-            (order, second)
-            for order in orders_on(4)
-            for second in symmetric_relations(4, order.sym_complement().pairs)
-            if not valid(order, second)
-        ]
+        absent = [(order, t) for order, t in square_candidates(4) if not valid(order, t)]
         assert len(absent) == 1784 - 916
         for order, second in absent:
             assert find(order, second, 10) is None, (order, second)
@@ -379,11 +346,7 @@ def test_every_absence_on_four_points_is_refused_before_any_candidate(monkeypatc
 def test_es_oracle_agrees_with_the_validity_check_on_four_points():
     """Every order on 4 points against every symmetric relation on its
     incomparable pairs, with 10 = 4 * 5 / 2 labels."""
-    cases = [
-        (order, conflict)
-        for order in orders_on(4)
-        for conflict in symmetric_relations(4, order.sym_complement().pairs)
-    ]
+    cases = square_candidates(4)
     assert len(cases) == 1784
     found = 0
     for order, conflict in cases:
@@ -399,11 +362,7 @@ def test_es_oracle_agrees_with_the_validity_check_on_four_points():
 def test_fg_oracle_agrees_with_recognition_on_four_points():
     """The full-graph twin of the test above: every order on 4 points
     against every symmetric subset of its incomparable pairs, bound 10."""
-    cases = [
-        (order, undirected)
-        for order in orders_on(4)
-        for undirected in symmetric_relations(4, order.sym_complement().pairs)
-    ]
+    cases = square_candidates(4)
     assert len(cases) == 1784
     found = 0
     for order, undirected in cases:

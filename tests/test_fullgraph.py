@@ -7,6 +7,7 @@ from esfg import (
     FullGraphError,
     Relation,
     SetFamily,
+    enumerate_fullgraph_edge_sets,
     enumerate_partial_orders,
     find_fg_representation_bruteforce,
     fg_failures,
@@ -15,30 +16,8 @@ from esfg import (
     is_full_graph,
     overlaps,
 )
-from esfg.setfamily import family_failures
 
-from .test_familysearch import orders_on, symmetric_relations
-
-
-def all_relations(n):
-    cells = [(a, b) for a in range(n) for b in range(n)]
-    return [
-        Relation(n, (c for i, c in enumerate(cells) if mask >> i & 1))
-        for mask in range(1 << len(cells))
-    ]
-
-
-def fg_representation_brute(family, directed, undirected):
-    sets = dict(family.items())
-    for x in family.keys:
-        for y in family.keys:
-            fx, fy = sets[x], sets[y]
-            if ((x, y) in directed.pairs) != (fx >= fy):
-                return False
-            touching = bool(fx & fy) and fx & fy != fx and fx & fy != fy
-            if ((x, y) in undirected.pairs) != touching:
-                return False
-    return True
+from . import reference
 
 
 def test_overlaps_examples():
@@ -55,7 +34,7 @@ def test_is_fg_representation_examples():
     discrete = Relation(2, {(0, 0), (1, 1)})
     touch = Relation(2, {(0, 1), (1, 0)})
     assert is_fg_representation(family, discrete, touch)
-    assert fg_representation_brute(family, discrete, touch)
+    assert reference.certifies(family, discrete.pairs, touch.pairs, overlap=True)
     # containment holds both ways for equal sets, so the directed edge is
     # required by the biconditional
     assert not is_fg_representation(
@@ -81,7 +60,7 @@ def test_short_circuit_recognition_agrees_with_the_diagnostics():
     """``is_full_graph`` stops at the first failed conjunct; it must give
     the verdict of the full diagnostic list on every pair with n <= 2."""
     for n in range(3):
-        rels = all_relations(n)
+        rels = [Relation(n, r) for r in reference.all_relations(n)]
         for directed, undirected in product(rels, rels):
             assert is_full_graph(directed, undirected) == (
                 not fg_failures(directed, undirected)
@@ -126,8 +105,6 @@ def test_constructor_rejects_malformed_edges():
 
 
 def test_undirected_edges_of_full_graphs_are_irreflexive():
-    from esfg import enumerate_fullgraph_edge_sets
-
     for n in range(4):
         for order in enumerate_partial_orders(n):
             for undirected in enumerate_fullgraph_edge_sets(order):
@@ -140,17 +117,7 @@ def test_derived_graphs_stay_within_the_incomparable_square():
     values = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({0, 2})]
     for va, vb, vc in product(values, repeat=3):
         family = SetFamily({0: va, 1: vb, 2: vc})
-        sets = dict(family.items())
-        directed = Relation(
-            3,
-            ((x, y) for x in (0, 1, 2) for y in (0, 1, 2)
-             if sets[x] >= sets[y]),
-        )
-        undirected = Relation(
-            3,
-            ((x, y) for x in (0, 1, 2) for y in (0, 1, 2)
-             if overlaps(sets[x], sets[y])),
-        )
+        directed, undirected = (Relation(3, r) for r in reference.realised(family, overlap=True))
         assert is_fg_representation(family, directed, undirected)
         assert undirected.pairs <= directed.sym_complement().pairs
 
@@ -160,7 +127,7 @@ def test_oracle_agrees_with_recognition_small_scan():
     a family (with the field side condition carried separately, exactly as
     the definition states it)."""
     for n in range(3):
-        rels = all_relations(n)
+        rels = [Relation(n, r) for r in reference.all_relations(n)]
         for directed, undirected in product(rels, rels):
             by_search = (
                 set(undirected.field) <= set(directed.field)
@@ -173,9 +140,11 @@ def test_oracle_agrees_with_recognition_small_scan():
 
 
 def test_oracle_agrees_with_recognition_n3():
-    # Label bound 6 = 3*4/2 suffices: any certifiable graph on 3 vertices
-    # has a certificate using at most that many consecutive labels.
-    sym = [t for t in all_relations(3) if t.is_symmetric]
+    # Label bound 6 = 3*4/2 suffices: a full graph's certificate is the
+    # builder's family for its complement structure, and the builder's
+    # i-th event brings at most i labels (the argument is in
+    # test_representation.py::test_completeness_and_growth_on_small_structures).
+    sym = [Relation(3, t) for t in reference.symmetric_relations(3)]
     for directed in enumerate_partial_orders(3):
         for undirected in sym:
             by_search = (
@@ -184,20 +153,6 @@ def test_oracle_agrees_with_recognition_n3():
                 is not None
             )
             assert by_search == is_full_graph(directed, undirected)
-
-
-def canonical_family(order, undirected):
-    """The full-graph definition's own witness: each vertex v gets a label
-    that goes in f(x) when x <= v, and each edge {a, b} of T a label that
-    goes in f(x) when x <= a or x <= b."""
-    vertices = order.field
-    tops = [(v,) for v in vertices] + sorted((a, b) for a, b in undirected.pairs if a < b)
-    return SetFamily(
-        {
-            x: {i for i, top in enumerate(tops) if any((x, v) in order.pairs for v in top)}
-            for x in vertices
-        }
-    )
 
 
 @pytest.mark.parametrize(
@@ -217,11 +172,11 @@ def test_recognition_agrees_with_the_canonical_family(n, candidates, accepted):
     certifies it as containment plus proper overlap, a check read off the
     definition with no event-structure axiom in it."""
     seen = found = 0
-    for order in orders_on(n):
-        for undirected in symmetric_relations(n, order.sym_complement().pairs):
-            family = canonical_family(order, undirected)
-            certifies = not family_failures(family, order, undirected, overlap=True)
-            assert is_full_graph(order, undirected) == certifies, (order, undirected)
+    for order in enumerate_partial_orders(n):
+        for undirected in reference.symmetric_relations(n, order.sym_complement().pairs):
+            family = reference.canonical_family(order.pairs, undirected)
+            certifies = reference.certifies(family, order.pairs, undirected, overlap=True)
+            assert is_full_graph(order, Relation(n, undirected)) == certifies, (order, undirected)
             seen += 1
             found += certifies
     assert (seen, found) == (candidates, accepted)

@@ -1,23 +1,24 @@
-"""Every name a package module imports is used in that module, no
-package function imports for itself but the lazy OEIS download, the
-package reads no environment variable it does not list, every module
-parses at the declared Python floor, and every probe of the benchmark
-tracer names a callable that exists."""
+"""Every name a package module imports is used in that module, every
+private function is called by the package, no package function imports
+for itself but the lazy OEIS download, the package reads no environment
+variable it does not list, every module parses at the declared Python
+floor, the oracle and the tests' reference import nothing from the
+package, and every probe of the benchmark tracer names a callable that
+exists."""
 
 import ast
 import importlib
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    path
-    for path in (Path(__file__).parent.parent / "src" / "esfg").glob("*.py")
-    if path.name != "__init__.py"
-)
+ROOT = Path(__file__).parent.parent
+PACKAGE = sorted((ROOT / "src" / "esfg").glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -39,17 +40,16 @@ def test_every_module_parses_at_the_python_floor():
     floor, so each module's grammar is held to the floor here: below 3.11,
     ``except*`` fails.  The floor is read by regex, since ``tomllib`` is
     newer than 3.10."""
-    root = Path(__file__).parent.parent
-    declared = (root / "pyproject.toml").read_text(encoding="utf-8")
+    declared = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', declared).groups()))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
-    for path in sorted((root / "src" / "esfg").glob("*.py")):
+    for path in PACKAGE:
         ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=floor)
 
 
 def _benchmark_probes():
-    path = Path(__file__).parent.parent / "benchmarks" / "tracing.py"
+    path = ROOT / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_esfg_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = tracing  # dataclasses look their module up
@@ -72,10 +72,15 @@ def test_every_benchmark_probe_resolves(probe):
         assert callable(getattr(module, attr, None))
 
 
-def test_the_oracle_imports_nothing_from_the_package():
+@pytest.mark.parametrize(
+    "path",
+    [ROOT / "src" / "esfg" / "familysearch.py", ROOT / "tests" / "reference.py"],
+    ids=lambda path: path.name,
+)
+def test_the_oracle_imports_nothing_from_the_package(path):
     """The brute-force search stays independent of the builder and the
-    validity predicate, so that its agreement with them proves something."""
-    path = Path(__file__).parent.parent / "src" / "esfg" / "familysearch.py"
+    validity predicate, and the tests' reference definitions of the whole
+    package, so that agreeing with them proves something."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     sources = {
         "esfg" if node.level else node.module.split(".")[0]
@@ -88,6 +93,26 @@ def test_the_oracle_imports_nothing_from_the_package():
         for alias in node.names
     }
     assert "esfg" not in sources
+
+
+def _names(tree):
+    """How often each name, attribute and imported name appears in ``tree``."""
+    return Counter(
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_private_function_is_called_by_the_package():
+    """A module-level ``_private`` function that no package module names
+    outside its own body serves only the tests, and belongs with them.
+    Public names are API, and exempt."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE]
+    named = sum(map(_names, trees), Counter())
+    defs = [f for tree in trees for f in tree.body if isinstance(f, ast.FunctionDef)]
+    unused = [f.name for f in defs if f.name[0] == "_" and named[f.name] == _names(f)[f.name]]
+    assert unused == []
 
 
 def test_every_size_limit_is_enforced():

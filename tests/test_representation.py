@@ -1,6 +1,5 @@
 import hashlib
-import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,11 +10,8 @@ from esfg import (
     Relation,
     SetFamily,
     build_representation,
-    enumerate_admissible_conflicts,
-    enumerate_partial_orders,
     extend_with_terminal,
     find_representation_bruteforce,
-    is_event_structure,
     is_representation,
     representation_document,
     serialize_document,
@@ -23,18 +19,8 @@ from esfg import (
     terminal_events,
 )
 
-
-def representation_brute(family, causality, conflict):
-    """Direct double-loop evaluation of both biconditionals (test oracle)."""
-    sets = dict(family.items())
-    for x in family.keys:
-        for y in family.keys:
-            if ((x, y) in causality.pairs) != (sets[x] >= sets[y]):
-                return False
-            disjoint = not (sets[x] & sets[y])
-            if ((x, y) in conflict.pairs) != disjoint:
-                return False
-    return True
+from . import reference
+from .strategies import small_structures
 
 
 def all_small_families():
@@ -42,14 +28,8 @@ def all_small_families():
     labels = [frozenset(s) for k in range(4) for s in combinations(range(3), k)]
     for size in range(4):
         for keys in combinations(range(3), size):
-            def grow(prefix, remaining):
-                if not remaining:
-                    yield SetFamily(dict(prefix))
-                    return
-                head, *tail = remaining
-                for value in labels:
-                    yield from grow(prefix + [(head, value)], tail)
-            yield from grow([], list(keys))
+            for values in product(labels, repeat=size):
+                yield SetFamily(zip(keys, values))
 
 
 def test_is_representation_examples():
@@ -57,7 +37,7 @@ def test_is_representation_examples():
     family = SetFamily({0: {0, 1}, 1: {1}})
     chain = Relation(2, {(0, 0), (1, 1), (0, 1)})
     assert is_representation(family, chain, Relation(2))
-    assert representation_brute(family, chain, Relation(2))
+    assert reference.certifies(family, chain.pairs, frozenset(), overlap=False)
     shared = SetFamily({0: {0}, 1: {0}})
     assert not is_representation(shared, Relation(2, {(0, 0), (1, 1)}), Relation(2))
 
@@ -172,73 +152,23 @@ def test_soundness_exhaustive_over_small_families():
     keys and labels within {0,1,2}; the structural consequences must hold."""
     checked = 0
     for family in all_small_families():
-        keys = family.keys
-        sets = dict(family.items())
-        order = Relation(
-            3,
-            (
-                (x, y)
-                for x in keys
-                for y in keys
-                if sets[x] >= sets[y]
-            ),
-        )
-        conflict = Relation(
-            3,
-            ((x, y) for x in keys for y in keys if not sets[x] & sets[y]),
-        )
+        order, conflict = (Relation(3, r) for r in reference.realised(family, overlap=False))
         assert is_representation(family, order, conflict)
         assert structure_from_representation(family, order, conflict).all_hold
         checked += 1
     assert checked == 729
 
 
-def small_structures(max_n):
-    """Every event structure with at most ``max_n`` events, in enumeration
-    order."""
-    for n in range(max_n + 1):
-        for order in enumerate_partial_orders(n):
-            for conflict in enumerate_admissible_conflicts(order):
-                yield order, conflict
-
-
-def random_structures(count, seed=2306):
-    """Seeded event structures of 10-24 events: random DAG edges closed
-    transitively, and conflict seeded on incomparable pairs with no common
-    upper bound, then closed upward along causality."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(10, 24)
-        ids = list(range(n))
-        rng.shuffle(ids)  # so that id order is not a topological order
-        edge_rate = rng.choice((0.05, 0.15, 0.3))
-        above = {v: {v} for v in ids}
-        for i in reversed(range(n)):
-            for j in range(i + 1, n):
-                if rng.random() < edge_rate:
-                    above[ids[i]] |= above[ids[j]]
-        order = Relation(n, ((a, b) for a in ids for b in above[a]))
-        seed_rate = rng.choice((0.0, 0.1, 0.4))
-        conflict = Relation(
-            n,
-            (
-                pair
-                for a, b in combinations(range(n), 2)
-                if not above[a] & above[b] and rng.random() < seed_rate
-                for x in above[a]
-                for y in above[b]
-                for pair in ((x, y), (y, x))
-            ),
-        )
-        assert is_event_structure(order, conflict)
-        yield order, conflict
-
-
 def test_completeness_and_growth_on_small_structures():
     """Replaying the peel order: each extension step grows every existing
     set, adds one fresh label per concurrent event plus a closing label,
-    and the final family is a valid certificate."""
-    cases = list(small_structures(3)) + list(random_structures(20))
+    and the final family is a valid certificate.  The event attached i-th
+    has at most i - 1 concurrent events, so it brings at most i labels,
+    and n events take at most 1 + 2 + ... + n = n(n + 1)/2."""
+    cases = list(small_structures(3)) + [
+        (Relation(n, order), Relation(n, conflict))
+        for n, order, conflict in reference.random_structures(20)
+    ]
     assert max(len(order.field) for order, _ in cases) > 20
     for order, conflict in cases:
         n = len(order.field)
@@ -266,7 +196,7 @@ def test_completeness_and_growth_on_small_structures():
             family = grown
         cert = build_representation(order, conflict)
         assert cert.family == family
-        assert cert.fresh_label_bound <= n * n + 1
+        assert cert.fresh_label_bound <= n * (n + 1) // 2
 
 
 def test_certificates_match_the_golden_digest():

@@ -7,10 +7,10 @@ from esfg import (
     build_representation,
     enumerate_admissible_conflicts,
     incomparable_complement,
-    overlaps,
 )
-from esfg.setfamily import _mask_relations, represents
+from esfg.setfamily import _mask_relations, family_failures, represents
 
+from . import reference
 from .strategies import posets, relations
 
 
@@ -47,21 +47,6 @@ def test_accessors_come_out_in_key_order(keys):
     assert shuffled == ordered and hash(shuffled) == hash(ordered)
 
 
-def reference_represents(family, containment, second, *, overlap):
-    """The frozenset check ``represents`` replaced: both biconditionals
-    over every ordered pair of keys, on the label sets themselves."""
-    items = family.items()
-    for x, fx in items:
-        for y, fy in items:
-            if ((x, y) in containment.pairs) != (fx >= fy):
-                return False
-            inter = fx & fy
-            holds = bool(inter) and inter != fx and inter != fy if overlap else not inter
-            if ((x, y) in second.pairs) != holds:
-                return False
-    return True
-
-
 @st.composite
 def builder_families(draw):
     """The builder's family of a small event structure, sometimes with one
@@ -91,24 +76,24 @@ drawn_cases = st.one_of(
 
 @given(drawn_cases)
 def test_represents_agrees_with_the_frozenset_reference(case):
+    """``represents`` and ``family_failures`` against the reference
+    representation and certificate checks, in both modes."""
     family, containment, second = case
     for overlap in (False, True):
-        expected = reference_represents(family, containment, second, overlap=overlap)
+        pairs = (containment.pairs, second.pairs)
+        expected = reference.represents(family, *pairs, overlap=overlap)
         assert represents(family, containment, second, overlap=overlap) == expected
+        certified = reference.certifies(family, *pairs, overlap=overlap)
+        assert (not family_failures(family, containment, second, overlap=overlap)) == certified
 
 
 @given(drawn_cases)
 def test_mask_relations_agree_with_the_frozenset_relations(case):
     """All three rows, the one ``represents`` skips in each mode included,
-    against containment, disjointness and overlap of the label sets."""
-    sets = case[0].values()
-    masks = [sum(1 << label for label in labels) for labels in sets]
-
-    def rows(holds):
-        return [sum(1 << y for y, fy in enumerate(sets) if holds(fx, fy)) for fx in sets]
-
-    assert _mask_relations(masks) == (
-        rows(lambda fx, fy: fx >= fy),
-        rows(lambda fx, fy: not fx & fy),
-        rows(overlaps),
-    )
+    against the relations the label sets realise, keyed by position."""
+    sets = dict(enumerate(case[0].values()))
+    masks = [sum(1 << label for label in labels) for labels in sets.values()]
+    contains, apart = reference.realised(sets, overlap=False)
+    _, over = reference.realised(sets, overlap=True)
+    rows = [[sum(1 << y for y in sets if (x, y) in r) for x in sets] for r in (contains, apart, over)]
+    assert _mask_relations(masks) == tuple(rows)

@@ -6,6 +6,7 @@ import esfg.verify as verify_mod
 from esfg import (
     EventStructure,
     FullGraphError,
+    Relation,
     count_es,
     enumerate_admissible_conflicts,
     enumerate_fullgraph_edge_sets,
@@ -18,6 +19,8 @@ from esfg import (
     verify_bijection,
 )
 from esfg.verify import CheckResult
+
+from . import reference
 
 
 def reference_suite(n):
@@ -57,7 +60,7 @@ def reference_suite(n):
     oracle_bad = []
     scanned = 0
     for k in range(min(n, 2) + 1):
-        relations = verify_mod._all_relations(k)
+        relations = [Relation(k, r) for r in reference.all_relations(k)]
         for base, conflict in product(relations, relations):
             if not set(conflict.field) <= set(base.field):
                 continue

@@ -30,9 +30,8 @@ from typing import Iterable, Iterator, Sequence
 from .event_structure import EventStructure
 from .fullgraph import FullGraph, FullGraphError, fg_failures
 from .fullgraph import find_fg_representation_bruteforce
-from .relation import Pair, Relation, pairs_key
+from .relation import Pair, Relation, _strict_rows, pairs_key
 from .representation import build_representation
-from .setfamily import _strict_rows
 
 Rules = tuple[tuple[int, int], ...]
 
@@ -110,12 +109,14 @@ def _pair_kernel(above: Sequence[int]) -> tuple[tuple[Pair, ...], Rules]:
     return tuple(pairs), tuple(rules)
 
 
-def _relation_kernel(base: Relation) -> tuple[tuple[Pair, ...], Rules]:
-    """``_pair_kernel`` of the order ``base`` over the positions of its
-    field, with the pairs mapped back through the field."""
-    field = base.field
-    pairs, rules = _pair_kernel(_strict_rows(field, base))
-    return tuple((field[a], field[b]) for a, b in pairs), rules
+def _pair_rows(k: int, pairs: Sequence[Pair], mask: int) -> list[int]:
+    """The symmetric relation of a mask over ``_pair_kernel``'s pairs, as k rows."""
+    rows = [0] * k
+    for i, (a, b) in enumerate(pairs):
+        if mask >> i & 1:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
 
 
 def _propagates(mask: int, rules: Rules) -> bool:
@@ -148,11 +149,12 @@ def _truth_tables(size: int) -> tuple[int, ...]:
 
 
 def _relations(
-    universe: int, pairs: Sequence[Pair], masks: Iterable[int]
+    base: Relation, pairs: Sequence[Pair], masks: Iterable[int]
 ) -> tuple[Relation, ...]:
-    """The symmetric relation of each mask, sorted by pair list."""
-    chosen = ([pair for i, pair in enumerate(pairs) if m >> i & 1] for m in masks)
-    found = (Relation(universe, c + [(b, a) for a, b in c]) for c in chosen)
+    """The symmetric relation of each mask over ``base``'s field, sorted by pair list."""
+    named = [(base.field[a], base.field[b]) for a, b in pairs]
+    chosen = ([pair for i, pair in enumerate(named) if m >> i & 1] for m in masks)
+    found = (Relation(base.universe, c + [(b, a) for a, b in c]) for c in chosen)
     return tuple(sorted(found, key=pairs_key))
 
 
@@ -163,8 +165,8 @@ def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
     check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
-    pairs, rules = _relation_kernel(base)
-    return _relations(base.universe, pairs, _conflict_masks(len(pairs), rules))
+    pairs, rules = _pair_kernel(_strict_rows(base.field, base))
+    return _relations(base, pairs, _conflict_masks(len(pairs), rules))
 
 
 def enumerate_fullgraph_edge_sets(
@@ -178,13 +180,13 @@ def enumerate_fullgraph_edge_sets(
     check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
-    pairs, rules = _relation_kernel(base)
+    pairs, rules = _pair_kernel(_strict_rows(base.field, base))
     if not oracle:
-        return _relations(base.universe, pairs, _edge_set_masks(len(pairs), rules))
+        return _relations(base, pairs, _edge_set_masks(len(pairs), rules))
     bound = len(base.field) ** 2
     return tuple(
         t
-        for t in _relations(base.universe, pairs, range(1 << len(pairs)))
+        for t in _relations(base, pairs, range(1 << len(pairs)))
         if find_fg_representation_bruteforce(base, t, bound) is not None
     )
 

@@ -33,7 +33,7 @@ leaves.
 from __future__ import annotations
 
 from math import factorial, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .bijection import (
     _truth_tables,
@@ -44,18 +44,12 @@ from .bijection import (
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Relation
+from .relation import Relation, _row_pairs
 
 #: A step of the order walk: ``(above, below, low, high, downs)``, see
 #: ``_joins``.  ``downs`` lists the down-sets of the order on 0..k-1 that
 #: vertex k joins, ascending; its up-sets are their complements.
 Step = tuple[list[int], list[int], int, int, list[int]]
-
-
-def _order_pairs(above: Sequence[int]) -> list[tuple[int, int]]:
-    """The sorted pairs of the order with these strict up-set masks."""
-    k = len(above)
-    return [(v, w) for v in range(k) for w in range(k) if v == w or above[v] >> w & 1]
 
 
 def _joined_sets(downs: list[int], low: int, high: int, k: int) -> list[int]:
@@ -291,7 +285,8 @@ def enumerate_partial_orders(n: int) -> Iterator[Relation]:
     """Every reflexive, transitive, antisymmetric relation with field
     exactly {0..n-1}, each once, sorted by pair list."""
     check_size(n, "list")
-    for pairs in sorted(map(_order_pairs, _posets(n))):
+    reflexive = ([up | 1 << v for v, up in enumerate(above)] for above in _posets(n))
+    for pairs in sorted(_row_pairs(range(n), rows) for rows in reflexive):
         yield Relation(n, pairs)
 
 

@@ -10,13 +10,18 @@ elementary order/symmetry predicates evaluated by direct quantification.
 Every relation, the results of set operations included, is built by the
 one checking constructor, which holds each pair inside the universe.  All
 values are immutable after construction and safe to share freely.
+
+The fast paths work on the row form of a relation over a key list: bit y
+of row x for the pair (keys[x], keys[y]).  ``_rows`` writes it,
+``_strict_rows`` writes an order's strict up-sets (the rows without the
+diagonal), and ``_row_pairs`` reads rows back as pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 
@@ -220,3 +225,25 @@ class Relation:
 def pairs_key(relation: Relation) -> tuple[Pair, ...]:
     """Deterministic sort key for relations sharing a universe."""
     return tuple(sorted(relation.pairs))
+
+
+def _rows(keys: Sequence[int], relation: Relation) -> list[int]:
+    """``relation`` over the positions of ``keys``: bit y of row x for the
+    pair (keys[x], keys[y]).  Pairs outside ``keys`` are left out."""
+    position = {key: p for p, key in enumerate(keys)}
+    rows = [0] * len(keys)
+    for x, y in relation.pairs:
+        if x in position and y in position:
+            rows[position[x]] |= 1 << position[y]
+    return rows
+
+
+def _strict_rows(keys: Sequence[int], order: Relation) -> list[int]:
+    """``_rows`` of ``order`` without the diagonal: strict up-sets."""
+    return [row & ~(1 << p) for p, row in enumerate(_rows(keys, order))]
+
+
+def _row_pairs(keys: Sequence[int], rows: Sequence[int]) -> list[Pair]:
+    """The pairs of ``rows`` over ``keys``: (keys[x], keys[y]) for each
+    bit y of row x, sorted when ``keys`` ascend."""
+    return [(a, b) for a, row in zip(keys, rows) for y, b in enumerate(keys) if row >> y & 1]

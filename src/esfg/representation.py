@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .event_structure import EventStructureError, es_failures, is_conflict_propagating
-from .relation import Relation
-from .setfamily import SetFamily, _find_family, _rows, _strict_rows
+from .relation import Relation, _rows, _strict_rows
+from .setfamily import SetFamily, _find_family
 from .setfamily import family_failures, represents
 
 
@@ -119,6 +119,8 @@ def extend_with_terminal(
         raise ValueError(f"event {s} is already a key of the family")
     if (s, s) in conflict.pairs:
         raise ValueError(f"event {s} conflicts with itself")
+    if not set(conflict.field) <= set(causality.field):
+        raise ValueError("conflict names a vertex that is not an event")
     if frozenset() in set(family.values()):
         raise ValueError("family maps some event to the empty set")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .familysearch import causes_first_order, search_set_family
-from .relation import Relation
+from .relation import Relation, _rows
 
 
 class SetFamily:
@@ -96,22 +96,6 @@ def overlaps(a: frozenset[int] | set[int], b: frozenset[int] | set[int]) -> bool
     return bool(inter) and inter != a and inter != b
 
 
-def _rows(keys: Sequence[int], relation: Relation) -> list[int]:
-    """``relation`` over the positions of ``keys``: bit y of row x for the
-    pair (keys[x], keys[y]).  Pairs outside ``keys`` are left out."""
-    position = {key: p for p, key in enumerate(keys)}
-    rows = [0] * len(keys)
-    for x, y in relation.pairs:
-        if x in position and y in position:
-            rows[position[x]] |= 1 << position[y]
-    return rows
-
-
-def _strict_rows(keys: Sequence[int], order: Relation) -> list[int]:
-    """``_rows`` of ``order`` without the diagonal: strict up-sets."""
-    return [row & ~(1 << p) for p, row in enumerate(_rows(keys, order))]
-
-
 def _mask_relations(masks: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """The three relations a family realises, read off its label masks as
     row masks over positions: bit y of row x is set in the first when
@@ -158,11 +142,11 @@ def _find_family(
     containment: Relation, second: Relation, label_bound: int, *, overlap: bool
 ) -> SetFamily | None:
     """The exhaustive search behind both oracles: an injective, empty-free
-    family keyed by the field of ``containment``, with labels below
+    family keyed by the vertices of the pair, with labels below
     ``label_bound``, that ``represents`` the pair; None if there is none.
     Events are assigned causes-first, so containment prunes early."""
     found = search_set_family(
-        causes_first_order(containment.field, containment.pairs),
+        causes_first_order(containment.field + second.field, containment.pairs),
         containment.pairs,
         second.pairs,
         second_overlap=overlap,
@@ -176,7 +160,7 @@ def family_failures(
 ) -> tuple[str, ...]:
     """Every way ``family`` falls short of certifying the pair: it must
     satisfy ``represents``, be injective and empty-free, and have exactly
-    the vertices of ``containment`` as keys.  Empty when it certifies."""
+    the vertices of both relations as keys.  Empty when it certifies."""
     failed = []
     if not represents(family, containment, second, overlap=overlap):
         failed.append(
@@ -186,6 +170,6 @@ def family_failures(
         failed.append("not-injective")
     if frozenset() in set(family.values()):
         failed.append("contains-empty-set")
-    if family.keys != containment.field:
+    if set(family.keys) != set(containment.field + second.field):
         failed.append("keys-differ-from-vertices")
     return tuple(failed)

@@ -6,7 +6,8 @@ exhaustively, on masks.  ``enumeration._posets`` yields each order as
 the strict up-set mask of each position, the scalar filters list its
 conflict masks m and edge-set masks t over ``bijection._pair_kernel``'s
 incomparable pairs, and ``full`` holds every such pair.  A relation on
-positions is a list of row masks: bit y of row x for the pair (x, y).
+positions is in ``relation``'s row form: bit y of row x for the pair
+(x, y); ``bijection._pair_rows`` writes a pair mask in it.
 
 - built: ``_label_masks`` gives one nonempty label mask per position, no
   two equal, all below its label count;
@@ -20,7 +21,7 @@ positions is a list of row masks: bit y of row x for the pair (x, y).
 - oracle: at very small sizes the brute-force existence oracle is played
   against the validity predicate over every pair of relations.
 
-A failure's detail is decoded from the masks, in the words of relations:
+A failure's detail is read off the rows by ``relation._row_pairs``:
 ``D=[...] U=[...]`` (or ``order [...]``) with their sorted pairs.
 """
 
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, check_size
-from .enumeration import _order_pairs, _posets, count_es
+from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, _pair_rows, check_size
+from .enumeration import _posets, count_es
 from .event_structure import is_event_structure
-from .relation import Pair, Relation
+from .relation import Relation, _row_pairs
 from .representation import _label_masks, _peel_order, find_representation_bruteforce
 from .setfamily import _mask_relations
 
@@ -57,28 +58,16 @@ class SuiteReport:
 
 def _all_relations(universe: int) -> list[Relation]:
     cells = [(a, b) for a in range(universe) for b in range(universe)]
-    out = []
-    for mask in range(1 << len(cells)):
-        out.append(
-            Relation(universe, (c for i, c in enumerate(cells) if mask >> i & 1))
-        )
-    return out
+    return [
+        Relation(universe, (c for i, c in enumerate(cells) if mask >> i & 1))
+        for mask in range(1 << len(cells))
+    ]
 
 
-def _tag(above: Sequence[int], pairs: Sequence[Pair], mask: int) -> str:
-    """A structure's order and conflict mask worded as sorted pairs."""
-    conflict = [p for i, (a, b) in enumerate(pairs) if mask >> i & 1 for p in ((a, b), (b, a))]
-    return f"D={_order_pairs(above)} U={sorted(conflict)}"
-
-
-def _pair_rows(k: int, pairs: Sequence[Pair], mask: int) -> list[int]:
-    """The symmetric relation of a pair mask as k row masks."""
-    rows = [0] * k
-    for i, (a, b) in enumerate(pairs):
-        if mask >> i & 1:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return rows
+def _tag(contains: Sequence[int], partners: Sequence[int]) -> str:
+    """A structure's order and conflict rows worded as sorted pairs."""
+    keys = range(len(contains))
+    return f"D={_row_pairs(keys, contains)} U={_row_pairs(keys, partners)}"
 
 
 def _complement_rows(square: Sequence[int], rows: Sequence[int]) -> list[int]:
@@ -110,9 +99,9 @@ def run_theorem_suite(n: int) -> SuiteReport:
             conflicts = list(_conflict_masks(len(pairs), rules))
             edge_sets = list(_edge_set_masks(len(pairs), rules))
             fg_total += len(edge_sets)
-            if {full ^ t for t in edge_sets} != set(conflicts):
-                bijection_bad.append(f"order {_order_pairs(above)}")
             contains = [up | 1 << v for v, up in enumerate(above)]
+            if {full ^ t for t in edge_sets} != set(conflicts):
+                bijection_bad.append(f"order {_row_pairs(range(k), contains)}")
             square = _pair_rows(k, pairs, full)
             peeled = _peel_order(above)
             for m in conflicts:
@@ -121,11 +110,11 @@ def run_theorem_suite(n: int) -> SuiteReport:
                 edges = _pair_rows(k, pairs, full ^ m)
                 masks, count = _label_masks(above, partners, peeled)
                 if len(set(masks)) != k or 0 in masks or max(masks, default=0) >> count:
-                    build_bad.append(_tag(above, pairs, m))
+                    build_bad.append(_tag(contains, partners))
                 if _mask_relations(masks) != (contains, partners, edges):
-                    witness_bad.append(_tag(above, pairs, m))
+                    witness_bad.append(_tag(contains, partners))
                 if _complement_rows(square, edges) != partners:
-                    roundtrip_bad.append(_tag(above, pairs, m))
+                    roundtrip_bad.append(_tag(contains, partners))
         es_total = count_es(k)
         if es_total != fg_total:
             count_bad.append(f"n={k}: es={es_total} fg={fg_total}")

@@ -135,13 +135,13 @@ def represents(family, containment, second, *, overlap):
 
 def certifies(family, containment, second, *, overlap):
     """Certificate: a family that ``represents`` the pair, is injective and
-    empty-free, and has the vertices of ``containment`` as its keys."""
+    empty-free, and has the vertices of the pair (both fields) as its keys."""
     sets = [frozenset(fx) for _, fx in family.items()]
     return (
         represents(family, containment, second, overlap=overlap)
         and len(set(sets)) == len(sets)
         and frozenset() not in sets
-        and {x for x, _ in family.items()} == field(containment)
+        and {x for x, _ in family.items()} == field(containment) | field(second)
     )
 
 
@@ -169,11 +169,9 @@ def canonical_family(order, undirected):
     }
 
 
-def random_structure(rng, n):
-    """A valid event structure on ``range(n)``, as (causality, conflict):
-    random edges between shuffled positions closed transitively, and
-    conflict seeded on pairs with no common upper bound, then inherited
-    upward along causality."""
+def _random_order(rng, n):
+    """A random order on ``range(n)`` as the up-set of each vertex: random
+    edges between shuffled positions, closed transitively."""
     ids = list(range(n))
     rng.shuffle(ids)  # so that id order is not a topological order
     edge_rate = rng.choice((0.05, 0.15, 0.3))
@@ -182,7 +180,15 @@ def random_structure(rng, n):
         for j in range(i + 1, n):
             if rng.random() < edge_rate:
                 above[ids[i]] |= above[ids[j]]
-    order = frozenset((a, b) for a in ids for b in above[a])
+    return above
+
+
+def random_structure(rng, n):
+    """A valid event structure on ``range(n)``, as (causality, conflict):
+    a ``_random_order``, and conflict seeded on pairs with no common upper
+    bound, then inherited upward along causality."""
+    above = _random_order(rng, n)
+    order = frozenset((a, b) for a in range(n) for b in above[a])
     seed_rate = rng.choice((0.0, 0.1, 0.4))
     conflict = frozenset(
         pair
@@ -193,6 +199,33 @@ def random_structure(rng, n):
         for pair in ((x, y), (y, x))
     )
     return order, conflict
+
+
+def random_full_graph(rng, n):
+    """A full graph on ``range(n)``, as (directed, undirected): a
+    ``_random_order``, and T the incomparable pairs with a common upper
+    bound plus random seed pairs, closed downwards: {a, b} in T, x <= a,
+    z <= b and x, z incomparable give {x, z} in T.  So the rest of the
+    square is a conflict inherited upward, with no common upper bound."""
+    above = _random_order(rng, n)
+    order = frozenset((a, b) for a in range(n) for b in above[a])
+    below = {v: {x for x in range(n) if v in above[x]} for v in range(n)}
+    seed_rate = rng.choice((0.0, 0.1, 0.4))
+    square = incomparable_complement(order, frozenset())
+    seeds = [
+        (a, b)
+        for a, b in sorted(square)
+        if a < b and (above[a] & above[b] or rng.random() < seed_rate)
+    ]
+    undirected = frozenset(
+        pair
+        for a, b in seeds
+        for x in below[a]
+        for z in below[b]
+        if (x, z) in square
+        for pair in ((x, z), (z, x))
+    )
+    return order, undirected
 
 
 def random_structures(count, seed=2306):

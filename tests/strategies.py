@@ -1,6 +1,6 @@
-"""Hypothesis strategies for relations, orders and event structures, and
-every small event structure, the orders and structures taken from the
-reference definitions."""
+"""Hypothesis strategies for relations, orders, event structures and full
+graphs, and every small event structure, the orders, structures and
+graphs taken from the reference definitions."""
 
 import random
 
@@ -65,3 +65,13 @@ def event_structures(draw, max_events=40):
     n = draw(st.integers(8, max_events))
     order, conflict = reference.random_structure(random.Random(draw(st.integers(0, 2**32))), n)
     return Relation(n, order), Relation(n, conflict)
+
+
+@st.composite
+def full_graphs(draw, max_events=40):
+    """A full graph of 8 to ``max_events`` vertices, labels shuffled, as
+    (directed, undirected) relations."""
+    n = draw(st.integers(8, max_events))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    directed, undirected = reference.random_full_graph(rng, n)
+    return Relation(n, directed), Relation(n, undirected)

@@ -15,9 +15,7 @@ from esfg import (
     es_to_fg,
     fg_to_es,
     incomparable_complement,
-    is_fg_representation,
     is_full_graph,
-    is_representation,
     parse_document,
     representation_document,
     serialize_document,
@@ -164,25 +162,6 @@ def test_complement_is_an_involution_inside_the_square(order, seed):
     assert incomparable_complement(order, image) == chosen
 
 
-def test_complement_is_injective_on_all_subsets():
-    for order in [
-        Relation(3, {(0, 0), (1, 1), (2, 2)}),
-        Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1)}),
-    ]:
-        subsets = reference.all_relations(3, within=order.sym_complement().pairs)
-        images = {incomparable_complement(order, Relation(3, r)) for r in subsets}
-        assert len(images) == 2 ** len(order.sym_complement().pairs)
-
-
-def test_roundtrips_on_small_structures():
-    for order, conflict in small_structures(3):
-        structure = EventStructure(order, conflict)
-        graph = es_to_fg(structure)
-        assert fg_to_es(graph) == structure
-        again = es_to_fg(fg_to_es(graph))
-        assert (again.directed, again.undirected) == (graph.directed, graph.undirected)
-
-
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(event_structures(max_events=40))
 def test_random_structures_beyond_the_exhaustive_sizes(drawn):
@@ -206,11 +185,3 @@ def test_certified_graphs_convert_like_uncertified_ones():
         assert graph.certificate is not None
         bare = FullGraph(graph.directed, graph.undirected)
         assert fg_to_es(graph) == fg_to_es(bare) == structure
-
-
-def test_one_family_witnesses_both_sides():
-    for order, conflict in small_structures(3):
-        graph = es_to_fg(EventStructure(order, conflict))
-        family = graph.certificate
-        assert is_representation(family, order, conflict)
-        assert is_fg_representation(family, order, graph.undirected)

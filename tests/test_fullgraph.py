@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from esfg import (
     FullGraph,
@@ -9,6 +10,8 @@ from esfg import (
     SetFamily,
     enumerate_fullgraph_edge_sets,
     enumerate_partial_orders,
+    es_to_fg,
+    fg_to_es,
     find_fg_representation_bruteforce,
     fg_failures,
     is_event_structure,
@@ -18,6 +21,7 @@ from esfg import (
 )
 
 from . import reference
+from .strategies import full_graphs
 
 
 def test_overlaps_examples():
@@ -180,3 +184,17 @@ def test_recognition_agrees_with_the_canonical_family(n, candidates, accepted):
             seen += 1
             found += certifies
     assert (seen, found) == (candidates, accepted)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(full_graphs(max_events=32))
+def test_random_full_graphs_beyond_the_exhaustive_sizes(drawn):
+    """On 8 to 32 vertices, labels shuffled, drawn with no package code:
+    each graph is recognised, converts to its event structure and back to
+    itself, and the canonical family certifies it."""
+    directed, undirected = drawn
+    assert is_full_graph(directed, undirected)
+    again = es_to_fg(fg_to_es(FullGraph(directed, undirected)))
+    assert (again.directed, again.undirected) == (directed, undirected)
+    family = reference.canonical_family(directed.pairs, undirected.pairs)
+    assert reference.certifies(family, directed.pairs, undirected.pairs, overlap=True)

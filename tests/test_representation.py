@@ -8,9 +8,12 @@ import esfg.setfamily as setfamily_mod
 from esfg import (
     EventStructureError,
     Relation,
+    RepresentationCertificate,
     SetFamily,
     build_representation,
+    es_failures,
     extend_with_terminal,
+    find_fg_representation_bruteforce,
     find_representation_bruteforce,
     is_representation,
     representation_document,
@@ -21,6 +24,11 @@ from esfg import (
 
 from . import reference
 from .strategies import small_structures
+
+#: Causality on {0} and a conflict between 1 and 2, which are no events:
+#: a family keyed by 0 alone must certify nothing about them.
+LONE = Relation(3, {(0, 0)})
+OUTSIDE = Relation(3, {(1, 2), (2, 1)})
 
 
 def all_small_families():
@@ -67,6 +75,12 @@ def test_extend_with_terminal_precondition_errors():
         )
     with pytest.raises(ValueError, match="empty set"):
         extend_with_terminal(SetFamily({0: set()}), chain, Relation(2), 1)
+
+
+def test_extend_with_terminal_rejects_a_conflict_on_no_event():
+    discrete = Relation(3, {(0, 0), (1, 1)})
+    with pytest.raises(ValueError, match="not an event"):
+        extend_with_terminal(SetFamily({0: {0}}), discrete, OUTSIDE, 1)
 
 
 def test_build_representation_examples():
@@ -118,6 +132,20 @@ def test_bruteforce_examples():
     assert found.keys == (0, 1)
     # deterministic: repeat runs return the same family
     assert found == find_representation_bruteforce(discrete, Relation(2), 4)
+
+
+def test_oracles_find_no_family_for_a_conflict_on_no_event():
+    """Both relations' vertices are keys, so 1 and 2 need sets; no set can
+    contain itself without (1, 1) in causality, and the search says so."""
+    assert find_representation_bruteforce(LONE, OUTSIDE, 4) is None
+    assert find_fg_representation_bruteforce(LONE, OUTSIDE, 4) is None
+
+
+def test_certificate_keys_are_the_vertices_of_both_relations():
+    assert es_failures(LONE, OUTSIDE) == ("conflict-events-outside-causality",)
+    assert not reference.certifies({0: frozenset({0})}, LONE.pairs, OUTSIDE.pairs, overlap=False)
+    with pytest.raises(ValueError, match="keys-differ-from-vertices"):
+        RepresentationCertificate(SetFamily({0: {0}}), LONE, OUTSIDE, 1)
 
 
 def test_structure_flags_examples():

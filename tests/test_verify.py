@@ -104,24 +104,26 @@ def test_mask_pass_agrees_with_the_object_loop(n):
 
 def test_suite_catches_a_dropped_edge_set(monkeypatch):
     """The count check sums the lists the bijection check uses; losing one
-    graph-side edge set must fail both, not neither."""
+    graph-side edge set must fail both, not neither.  The edge set is
+    dropped on the first order with a rule, 2 below 0 on three events,
+    and the bijection failure names that order by its sorted pairs."""
     original = verify_mod._edge_set_masks
     dropped = []
 
     def drop_one(size, rules):
         found = list(original(size, rules))
-        if found and not dropped:
+        if rules and not dropped:
             dropped.append(found[-1])
             return found[:-1]
         return found
 
     monkeypatch.setattr(verify_mod, "_edge_set_masks", drop_one)
-    outcome = run_theorem_suite(2)
+    outcome = run_theorem_suite(3)
     assert len(dropped) == 1
-    failed = {check.name for check in outcome.checks if not check.passed}
+    failed = {check.name: check.detail for check in outcome.checks if not check.passed}
     assert failed == {
-        "complement-is-a-bijection-per-order",
-        "counts-agree-on-both-paths",
+        "complement-is-a-bijection-per-order": "order [(0, 0), (1, 1), (2, 0), (2, 2)]",
+        "counts-agree-on-both-paths": "n=3: es=41 fg=40",
     }
 
 

@@ -7,12 +7,12 @@ label sets realising both biconditionals exactly, or certifies that no
 such family exists with labels below the given bound.  It imports nothing
 from the rest of the package.
 
-The events of ``order`` become positions 0..n-1, and the relations
-become bit rows built once per search: ``sup[i]`` holds the positions
-whose set lies inside i's, ``sub[i]`` those whose set holds i's,
-``rel[i]`` those in the second relation with i, and ``apart[i]`` those
-whose set must miss i's (the second relation in disjointness mode; in
-overlap mode the pairs related no way, as nonempty sets neither nested
+The keys, sorted and without repeats, become positions 0..n-1, and the
+relations become bit rows built once per search: ``sup[i]`` holds the
+positions whose set lies inside i's, ``sub[i]`` those whose set holds
+i's, ``rel[i]`` those in the second relation with i, and ``apart[i]``
+those whose set must miss i's (the second relation in disjointness mode;
+in overlap mode the pairs related no way, as nonempty sets neither nested
 nor properly overlapping are disjoint).  Candidate sets are bitmasks over
 ``range(label_bound)``, assigned depth first in position order.  A
 candidate is kept when it is nonempty and its rows against the assigned
@@ -41,60 +41,40 @@ the bound.
   tests see every absence on 4 points refused this way.  Where the bound
   is tight, every triple fitting but the whole family needing more
   labels, the exhaustive search still has to prove the absence.
-- **Intervals.**  Each unassigned position carries an interval
-  ``low <= S <= high``.  Assigning mask c at position i sets
-  ``high &= c`` along ``sup[i]``, ``low |= c`` along ``sub[i]`` and
-  ``high &= ~c`` along ``apart[i]``, and the candidate is dropped when
-  an interval is left without a nonempty mask.  Only candidates inside
-  their own interval are generated.
+- **Upper bounds.**  Each unassigned position carries an upper bound
+  ``S <= high``.  Assigning mask c at position i sets ``high &= c``
+  along ``sup[i]`` and ``high &= ~c`` along ``apart[i]``, and the
+  candidate is dropped when a bound is left empty.  Only candidates
+  inside their own bound are generated.
 - **Label symmetry.**  ``high`` only intersects with assigned masks or
-  removes assigned labels, and ``low`` is a union of assigned masks, so
-  each interval holds all labels no assigned set uses yet, or none of
-  them.  Swapping two unused labels maps solutions to solutions and fixes
-  the prefix, so only candidates whose fresh labels are the lowest unused
-  ones are generated; lowering the fresh labels of the first solution
-  would give a smaller one, so it is never skipped.  The used labels are
-  then always 0..m-1, and the candidates are a submask of them plus
-  labels m..m+j-1, by j and then ascending, which is ascending overall.
+  removes assigned labels, so each bound holds all labels no assigned
+  set uses yet, or none of them.  Swapping two unused labels maps
+  solutions to solutions and fixes the prefix, so only candidates whose
+  fresh labels are the lowest unused ones are generated; lowering the
+  fresh labels of the first solution would give a smaller one, so it is
+  never skipped.  The used labels are then always 0..m-1, and the
+  candidates are a submask of them plus labels m..m+j-1, by j and then
+  ascending, which is ascending overall.
+
+A search that passes the refusals renumbers its positions causes-first,
+and builds its rows again on them: each time, it takes the smallest
+waiting position that no other waiting position holds.  By then
+containment is a partial order on the keys (reflexivity is checked
+directly, the pair table refuses two sets that hold each other and the
+triple table a non-transitive triple), so every position is taken.
+Each set is then assigned after every set that holds it, so its
+candidates are drawn from inside those sets and need no lower bound.
+The order is measured: the 4-point oracle sweeps at bound 10 try
+4,809,421 candidates per side in it, and 11,970,582 in its reverse.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator
 
 Pair = tuple[int, int]
-
-
-def causes_first_order(events: Iterable[int], containment: Iterable[Pair]) -> list[int]:
-    """Events ordered so containment sources come before their targets.
-
-    Repeatedly takes the smallest event none of whose strict sources is
-    still waiting; events on a cycle (possible for garbage inputs) are
-    appended in ascending order.  Assigning supersets before their
-    subsets lets the search enumerate candidate subsets directly.
-    """
-    waiting = set(events)
-    targets: dict[int, list[int]] = {v: [] for v in waiting}
-    sources = dict.fromkeys(waiting, 0)
-    for a, b in containment:
-        if a != b and a in waiting and b in waiting:
-            targets[a].append(b)
-            sources[b] += 1
-    ready = [v for v in waiting if not sources[v]]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        waiting.remove(v)
-        for w in targets[v]:
-            sources[w] -= 1
-            if not sources[w]:
-                heapq.heappush(ready, w)
-    return order + sorted(waiting)
 
 
 def _ascending_submasks(low: int, high: int) -> Iterator[int]:
@@ -143,15 +123,16 @@ def _venn_widths(k: int, overlap: bool) -> dict[int, int]:
 
 
 def search_set_family(
-    order: Sequence[int],
-    containment: Iterable[Pair],
-    second: Iterable[Pair],
+    keys: Iterable[int],
+    containment: Collection[Pair],
+    second: Collection[Pair],
     *,
     second_overlap: bool,
     label_bound: int,
 ) -> dict[int, frozenset[int]] | None:
     """Find an injective family of nonempty subsets of ``range(label_bound)``
-    keyed by the distinct keys ``order`` such that, for all keys x, y:
+    keyed by ``keys`` (in any order, repeats ignored) such that, for all
+    keys x, y:
 
       (x, y) in containment  <=>  family[x] >= family[y]
       (x, y) in second       <=>  family[x] and family[y] are disjoint
@@ -159,25 +140,30 @@ def search_set_family(
 
     Returns the first solution in ascending-mask order, or ``None``.
     """
-    order = list(order)
-    n = len(order)
+    keys = sorted(set(keys))
+    n = len(keys)
     if n == 0:
         return {}
     if label_bound <= 0:
         return None
-    position = {x: i for i, x in enumerate(order)}
-    sup = [0] * n
-    sub = [0] * n
-    rel = [0] * n
-    for x, y in containment:
-        i, j = position.get(x), position.get(y)
-        if i is not None and j is not None:
-            sup[i] |= 1 << j
-            sub[j] |= 1 << i
-    for x, y in second:
-        i, j = position.get(x), position.get(y)
-        if i is not None and j is not None:
-            rel[i] |= 1 << j
+
+    def rows(keys: list[int]) -> tuple[list[int], list[int], list[int]]:
+        position = {x: i for i, x in enumerate(keys)}
+        sup = [0] * n
+        sub = [0] * n
+        rel = [0] * n
+        for x, y in containment:
+            i, j = position.get(x), position.get(y)
+            if i is not None and j is not None:
+                sup[i] |= 1 << j
+                sub[j] |= 1 << i
+        for x, y in second:
+            i, j = position.get(x), position.get(y)
+            if i is not None and j is not None:
+                rel[i] |= 1 << j
+        return sup, sub, rel
+
+    sup, sub, rel = rows(keys)
 
     # Assignment-independent contradictions: a nonempty set always contains
     # itself and never is disjoint from (or overlaps) itself, the second
@@ -201,13 +187,23 @@ def search_set_family(
             if widths.get(pattern, label_bound + 1) > label_bound:
                 return None
 
-    everyone = (1 << n) - 1
+    # causes-first: containment is a partial order now, so some waiting
+    # position is held by no other waiting one until none waits
+    order = []
+    waiting = everyone = (1 << n) - 1
+    while waiting:
+        i = 0
+        while not (waiting >> i & 1 and sub[i] & waiting == 1 << i):
+            i += 1
+        order.append(keys[i])
+        waiting &= ~(1 << i)
+    sup, sub, rel = rows(order)
     if second_overlap:
         apart = [everyone & ~(sup[i] | sub[i] | rel[i]) for i in range(n)]
     else:
         apart = rel
     # per position: its expected rows on the prefix, and for each later
-    # position the interval updates an assignment at it makes
+    # position the bound updates an assignment at it makes
     expected = []
     steps = []
     for i in range(n):
@@ -215,24 +211,24 @@ def search_set_family(
         expected.append((sub[i] & prefix, sup[i] & prefix, rel[i] & prefix))
         steps.append(
             [
-                (j, sup[i] >> j & 1, sub[i] >> j & 1, apart[i] >> j & 1)
+                (j, sup[i] >> j & 1, apart[i] >> j & 1)
                 for j in range(i + 1, n)
-                if (sup[i] | sub[i] | apart[i]) >> j & 1
+                if (sup[i] | apart[i]) >> j & 1
             ]
         )
     masks = [0] * n
 
-    def extend(i: int, used: int, lows: list[int], highs: list[int]) -> bool:
+    def extend(i: int, used: int, highs: list[int]) -> bool:
         if i == n:
             return True
-        low, high = lows[i], highs[i]
+        high = highs[i]
         holders, held, seconds = expected[i]
         prefix = (1 << i) - 1
         for top in range(used.bit_length(), label_bound + 1):
             fresh = ((1 << top) - 1) & ~used  # the lowest unused labels
             if fresh & ~high:
                 break
-            for candidate in _ascending_submasks(low | fresh, (high & used) | fresh):
+            for candidate in _ascending_submasks(fresh, (high & used) | fresh):
                 if candidate == 0:
                     continue
                 inside = outside = missed = 0  # prefix masks holding, held, missed
@@ -251,25 +247,23 @@ def search_set_family(
                     missed = prefix & ~(inside | outside | missed)  # properly overlapped
                 if missed != seconds:
                     continue
-                next_lows, next_highs = lows[:], highs[:]
-                for j, within, around, away in steps[i]:
-                    lo, hi = next_lows[j], next_highs[j]
+                next_highs = highs[:]
+                for j, within, away in steps[i]:
+                    hi = next_highs[j]
                     if within:
                         hi &= candidate
-                    if around:
-                        lo |= candidate
                     if away:
                         hi &= ~candidate
-                    if not hi or lo & ~hi:
+                    if not hi:
                         break
-                    next_lows[j], next_highs[j] = lo, hi
+                    next_highs[j] = hi
                 else:
                     masks[i] = candidate
-                    if extend(i + 1, used | candidate, next_lows, next_highs):
+                    if extend(i + 1, used | candidate, next_highs):
                         return True
         return False
 
-    if not extend(0, 0, [0] * n, [(1 << label_bound) - 1] * n):
+    if not extend(0, 0, [(1 << label_bound) - 1] * n):
         return None
     return {
         x: frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .familysearch import causes_first_order, search_set_family
+from .familysearch import search_set_family
 from .relation import Relation, _rows
 
 
@@ -143,10 +143,9 @@ def _find_family(
 ) -> SetFamily | None:
     """The exhaustive search behind both oracles: an injective, empty-free
     family keyed by the vertices of the pair, with labels below
-    ``label_bound``, that ``represents`` the pair; None if there is none.
-    Events are assigned causes-first, so containment prunes early."""
+    ``label_bound``, that ``represents`` the pair; None if there is none."""
     found = search_set_family(
-        causes_first_order(containment.field + second.field, containment.pairs),
+        containment.field + second.field,
         containment.pairs,
         second.pairs,
         second_overlap=overlap,

@@ -12,6 +12,7 @@ from esfg import (
     enumerate_admissible_conflicts,
     enumerate_fullgraph_edge_sets,
     enumerate_partial_orders,
+    es_failures,
     es_to_fg,
     fg_to_es,
     incomparable_complement,
@@ -166,8 +167,10 @@ def test_complement_is_an_involution_inside_the_square(order, seed):
 @given(event_structures(max_events=40))
 def test_random_structures_beyond_the_exhaustive_sizes(drawn):
     """On 8 to 40 events, labels shuffled: the builder takes at most
-    n(n + 1)/2 labels, the conversions round trip, and the certificate's
-    document keeps its bytes through a parse."""
+    n(n + 1)/2 labels, the conversions round trip, the certificate's
+    document keeps its bytes through a parse, and the complement inside
+    the square is a full graph.  Dropping an inherited conflict (y, z),
+    one with x < y and x # z, and its mirror breaks propagation."""
     order, conflict = drawn
     n = order.universe
     cert = build_representation(order, conflict)
@@ -176,6 +179,20 @@ def test_random_structures_beyond_the_exhaustive_sizes(drawn):
     assert fg_to_es(es_to_fg(structure)) == structure
     blob = serialize_document(representation_document(order, conflict, cert.family))
     assert serialize_document(parse_document(blob)) == blob
+    assert is_full_graph(order, incomparable_complement(order, conflict))
+    inherited = sorted(
+        (y, z)
+        for x, y in order.pairs
+        if x != y
+        for w, z in conflict.pairs
+        if w == x and (y, z) in conflict.pairs
+    )
+    if inherited:
+        y, z = inherited[0]
+        dropped = Relation(n, conflict.pairs - {(y, z), (z, y)})
+        assert "conflict-not-propagating" in es_failures(order, dropped)
+        with pytest.raises(EventStructureError):
+            build_representation(order, dropped)
 
 
 def test_certified_graphs_convert_like_uncertified_ones():

@@ -1,9 +1,10 @@
-"""The exhaustive set-family search: its candidate stream, its event
-order and Venn tables against bare references, a differential check
-against a bare reference search, and a golden digest of every family it
-returns on the 3-point sweep."""
+"""The exhaustive set-family search: its candidate stream and Venn tables
+against bare references, its refusals, a differential check against a
+bare reference search in causes-first order, and a golden digest of
+every family it returns on the 3-point sweep, with its candidate count."""
 
 import hashlib
+import random
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
@@ -19,12 +20,7 @@ from esfg import (
     is_fg_representation,
     is_full_graph,
 )
-from esfg.familysearch import (
-    _ascending_submasks,
-    _venn_widths,
-    causes_first_order,
-    search_set_family,
-)
+from esfg.familysearch import _ascending_submasks, _venn_widths, search_set_family
 from esfg.representation import is_representation
 
 from . import reference
@@ -128,38 +124,6 @@ def test_a_wide_label_bound_is_not_materialised():
     assert dict(found.items()) == {0: frozenset({0})}
 
 
-def test_causes_first_order_examples():
-    assert causes_first_order([], []) == []
-    assert causes_first_order([2, 0, 1], []) == [0, 1, 2]
-    # sources first, smallest ready event first
-    assert causes_first_order([0, 1, 2], [(2, 0), (1, 1), (2, 1)]) == [2, 0, 1]
-    assert causes_first_order([0, 1, 2, 3], [(3, 1), (2, 0)]) == [2, 0, 3, 1]
-    # pairs leaving the event set are ignored
-    assert causes_first_order([0, 1], [(5, 0), (1, 0)]) == [1, 0]
-    # a cycle is appended in ascending order after everything that is ready
-    assert causes_first_order([0, 1, 2, 3], [(1, 0), (0, 1), (3, 2)]) == [3, 2, 0, 1]
-
-
-def test_causes_first_order_matches_the_reference():
-    """Every relation on up to 3 points (cycles included), read on all of
-    its points, on a subset of them and with pairs to an event outside,
-    repeated pairs too."""
-    for n in range(4):
-        cells = [(a, b) for a in range(n) for b in range(n)]
-        for mask in range(1 << len(cells)):
-            pairs = [c for i, c in enumerate(cells) if mask >> i & 1]
-            inputs = [
-                (range(n), pairs),
-                (range(n), pairs + [(5, 0), (0, 5)] + pairs),
-                (range(0, n, 2), pairs),
-                ([n - 1 - v for v in range(n)] + [7], pairs),
-            ]
-            for events, containment in inputs:
-                assert causes_first_order(events, containment) == reference_causes_first_order(
-                    events, containment
-                ), (list(events), containment)
-
-
 def realised_patterns(k, label_bound, overlap):
     """The patterns that some k distinct nonempty masks below
     ``2 ** label_bound`` realise, read off every ordered choice of masks:
@@ -218,19 +182,46 @@ def test_an_unsatisfiable_pair_is_rejected_before_any_candidate(monkeypatch):
     assert counter.yielded == 0
 
 
-def test_intervals_carry_containment_both_ways(monkeypatch):
-    """A chain searched smallest set first: each event's interval already
-    holds the set below it, so it tries the empty set or that repeat, then
-    one fresh label, and never backtracks."""
+def test_the_key_order_does_not_matter(monkeypatch):
+    """A chain given its keys ascending, descending or shuffled: the
+    search assigns causes-first whatever the order it is given, so it
+    returns the same family from the same number of candidates."""
     counter = count_candidates(monkeypatch)
+    candidates = {1: 2, 2: 7, 3: 24, 4: 101, 5: 550}
     for k, overlap in product(range(1, 6), (False, True)):
         chain = {(a, b) for a in range(k) for b in range(a, k)}  # a holds b
-        counter.yielded = 0
-        found = search_set_family(
-            list(reversed(range(k))), chain, (), second_overlap=overlap, label_bound=k + 2
-        )
-        assert found == {v: frozenset(range(k - v)) for v in range(k)}
-        assert counter.yielded <= 2 * k
+        shuffled = list(range(k))
+        random.Random(k).shuffle(shuffled)
+        tried = []
+        for keys in (range(k), reversed(range(k)), shuffled):
+            counter.yielded = 0
+            found = search_set_family(keys, chain, (), second_overlap=overlap, label_bound=k + 2)
+            assert found == {v: frozenset(range(k - v)) for v in range(k)}
+            tried.append(counter.yielded)
+        assert tried == [candidates[k]] * 3, (k, overlap)
+
+
+def test_a_containment_that_is_no_order_is_refused_before_any_candidate(monkeypatch):
+    """The search orders its positions causes-first only after its
+    refusals, which must leave containment a partial order on the keys:
+    every other relation on up to 3 points is refused before a candidate
+    is tried, in both modes."""
+    counter = count_candidates(monkeypatch)
+    searched = 0
+    for n in range(4):
+        for containment in reference.all_relations(n):
+            if all((v, v) in containment for v in range(n)) and reference.is_partial_order(
+                containment
+            ):
+                continue
+            for overlap in (False, True):
+                found = search_set_family(
+                    reversed(range(n)), containment, (), second_overlap=overlap, label_bound=9
+                )
+                assert found is None, (containment, overlap)
+                searched += 1
+    assert searched == 1014
+    assert counter.yielded == 0
 
 
 def test_overlap_search_does_not_depend_on_the_labelling(monkeypatch):
@@ -261,6 +252,9 @@ def test_overlap_search_does_not_depend_on_the_labelling(monkeypatch):
 
 
 def test_search_matches_the_reference_search():
+    """The search, given its keys reversed with one repeated and a
+    containment pair to a key outside, against the reference search in
+    causes-first order."""
     cases = [
         (n, containment, second, bound)
         for n in range(3)
@@ -273,10 +267,12 @@ def test_search_matches_the_reference_search():
         for second in reference.symmetric_relations(3)
     ]
     for n, containment, second, bound in cases:
-        order = causes_first_order(range(n), containment)
+        keys = list(reversed(range(n)))
+        keys += keys[:1]
+        order = reference_causes_first_order(range(n), containment)
         for overlap in (False, True):
             found = search_set_family(
-                order, containment, second, second_overlap=overlap, label_bound=bound
+                keys, containment | {(0, n)}, second, second_overlap=overlap, label_bound=bound
             )
             expected = reference_search(order, containment, second, overlap=overlap, bound=bound)
             assert found == expected, (containment, second, bound, overlap)
@@ -311,17 +307,21 @@ def fg_sweep():
     ]
 
 
-def test_es_sweep_returns_the_golden_families():
+def test_es_sweep_returns_the_golden_families(monkeypatch):
+    counter = count_candidates(monkeypatch)
     families = es_sweep()
     assert len(families) == 1216
     assert sum(f is not None for f in families) == 41
     assert _digest(families) == ES_SWEEP_DIGEST
+    assert counter.yielded == 3593
 
 
-def test_fg_sweep_returns_the_golden_families():
+def test_fg_sweep_returns_the_golden_families(monkeypatch):
+    counter = count_candidates(monkeypatch)
     families = fg_sweep()
     assert sum(f is not None for f in families) == 41
     assert _digest(families) == FG_SWEEP_DIGEST
+    assert counter.yielded == 3593
 
 
 def test_every_absence_on_four_points_is_refused_before_any_candidate(monkeypatch):
@@ -343,9 +343,10 @@ def test_every_absence_on_four_points_is_refused_before_any_candidate(monkeypatc
 
 
 @pytest.mark.slow
-def test_es_oracle_agrees_with_the_validity_check_on_four_points():
+def test_es_oracle_agrees_with_the_validity_check_on_four_points(monkeypatch):
     """Every order on 4 points against every symmetric relation on its
     incomparable pairs, with 10 = 4 * 5 / 2 labels."""
+    counter = count_candidates(monkeypatch)
     cases = square_candidates(4)
     assert len(cases) == 1784
     found = 0
@@ -356,12 +357,14 @@ def test_es_oracle_agrees_with_the_validity_check_on_four_points():
             assert is_representation(family, order, conflict)
             found += 1
     assert found == 916
+    assert counter.yielded == 4809421
 
 
 @pytest.mark.slow
-def test_fg_oracle_agrees_with_recognition_on_four_points():
+def test_fg_oracle_agrees_with_recognition_on_four_points(monkeypatch):
     """The full-graph twin of the test above: every order on 4 points
     against every symmetric subset of its incomparable pairs, bound 10."""
+    counter = count_candidates(monkeypatch)
     cases = square_candidates(4)
     assert len(cases) == 1784
     found = 0
@@ -372,3 +375,4 @@ def test_fg_oracle_agrees_with_recognition_on_four_points():
             assert is_fg_representation(family, order, undirected)
             found += 1
     assert found == 916
+    assert counter.yielded == 4809421

@@ -20,7 +20,7 @@ prefix (the masks that hold it, that it holds, that it misses or
 properly overlaps) equal the expected rows on that prefix, with no mask
 both holding and held (no repeat), so a returned family is exact.
 
-Three pruning rules drop only branches without a solution, so the first
+Four pruning rules drop only branches without a solution, so the first
 solution in ascending-mask order stays first.  It is the one returned,
 which makes results deterministic.  ``None`` means unsatisfiable within
 the bound.
@@ -55,6 +55,17 @@ the bound.
   never skipped.  The used labels are then always 0..m-1, and the
   candidates are a submask of them plus labels m..m+j-1, by j and then
   ascending, which is ascending overall.
+- **Distinct regions.**  A label's region is the set of positions whose
+  sets hold it.  If two labels share a region, deleting one and moving
+  every higher label down by one keeps every containment, disjointness
+  and overlap, keeps the sets nonempty and distinct and the labels
+  numbered in order of first use, and makes the first mask that changes
+  smaller.  So the first solution never has two labels in one region.  A
+  fresh label of position i lies in a region R whose smallest position
+  is i, in which no two members are ``apart`` and which holds every
+  holder of each member.  Those regions are counted once per search, up
+  to ``label_bound`` (``_region_count``), and position i tries no more
+  fresh labels than that.
 
 A search that passes the refusals renumbers its positions causes-first,
 and builds its rows again on them: each time, it takes the smallest
@@ -65,7 +76,7 @@ triple table a non-transitive triple), so every position is taken.
 Each set is then assigned after every set that holds it, so its
 candidates are drawn from inside those sets and need no lower bound.
 The order is measured: the 4-point oracle sweeps at bound 10 try
-4,809,421 candidates per side in it, and 11,970,582 in its reverse.
+78,219 candidates per side in it, and 126,787 in its reverse.
 """
 
 from __future__ import annotations
@@ -120,6 +131,37 @@ def _venn_widths(k: int, overlap: bool) -> dict[int, int]:
         width = regions.bit_count()
         widths[pattern] = min(width, widths.get(pattern, width))
     return widths
+
+
+def _region_count(i: int, sub: list[int], apart: list[int], limit: int) -> int:
+    """How many regions R a fresh label of position i can lie in, counted
+    up to ``limit``: R holds i and only later positions, no two members of
+    R are ``apart``, and R holds every holder (``sub``) of each member."""
+    bit = 1 << i
+    earlier = bit - 1
+    free = 0
+    for j in range(i + 1, len(sub)):
+        if not (apart[i] >> j & 1 or sub[j] & earlier):
+            free |= 1 << j
+    # the subsets of ``free`` are walked here, not with _ascending_submasks,
+    # whose yields the tests count as candidates
+    count = 0
+    chosen = 0
+    while True:
+        region = chosen | bit
+        rest = region
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            if apart[j] & region or sub[j] & ~region:
+                break
+            rest &= rest - 1
+        else:
+            count += 1
+            if count == limit:
+                return count
+        if chosen == free:
+            return count
+        chosen = (chosen - free) & free
 
 
 def search_set_family(
@@ -202,13 +244,16 @@ def search_set_family(
         apart = [everyone & ~(sup[i] | sub[i] | rel[i]) for i in range(n)]
     else:
         apart = rel
-    # per position: its expected rows on the prefix, and for each later
+    # per position: its expected rows on the prefix, the regions a fresh
+    # label of it can open (counted up to the bound), and for each later
     # position the bound updates an assignment at it makes
     expected = []
+    caps = []
     steps = []
     for i in range(n):
         prefix = (1 << i) - 1
         expected.append((sub[i] & prefix, sup[i] & prefix, rel[i] & prefix))
+        caps.append(_region_count(i, sub, apart, label_bound))
         steps.append(
             [
                 (j, sup[i] >> j & 1, apart[i] >> j & 1)
@@ -224,7 +269,8 @@ def search_set_family(
         high = highs[i]
         holders, held, seconds = expected[i]
         prefix = (1 << i) - 1
-        for top in range(used.bit_length(), label_bound + 1):
+        first_fresh = used.bit_length()
+        for top in range(first_fresh, min(label_bound, first_fresh + caps[i]) + 1):
             fresh = ((1 << top) - 1) & ~used  # the lowest unused labels
             if fresh & ~high:
                 break

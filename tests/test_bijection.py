@@ -15,6 +15,7 @@ from esfg import (
     es_failures,
     es_to_fg,
     fg_to_es,
+    from_event_structure,
     incomparable_complement,
     is_full_graph,
     parse_document,
@@ -22,6 +23,7 @@ from esfg import (
     serialize_document,
     verify_bijection,
 )
+from esfg.cli import main
 from esfg.relation import pairs_key
 
 from . import reference
@@ -163,14 +165,19 @@ def test_complement_is_an_involution_inside_the_square(order, seed):
     assert incomparable_complement(order, image) == chosen
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
-@given(event_structures(max_events=40))
-def test_random_structures_beyond_the_exhaustive_sizes(drawn):
-    """On 8 to 40 events, labels shuffled: the builder takes at most
-    n(n + 1)/2 labels, the conversions round trip, the certificate's
-    document keeps its bytes through a parse, and the complement inside
-    the square is a full graph.  Dropping an inherited conflict (y, z),
-    one with x < y and x # z, and its mirror breaks propagation."""
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+def check_drawn_structure(drawn, documents):
+    """The builder takes at most n(n + 1)/2 labels, the conversions round
+    trip, the certificate's document keeps its bytes through a parse, and
+    the complement inside the square is a full graph.  In-process, ``esfg
+    represent`` then ``esfg check`` on its output exits 0, and ``esfg
+    convert --to fg`` then ``--to es`` gives the input document's bytes
+    back.  Dropping an inherited conflict (y, z), one with x < y and
+    x # z, and its mirror breaks propagation."""
     order, conflict = drawn
     n = order.universe
     cert = build_representation(order, conflict)
@@ -180,6 +187,16 @@ def test_random_structures_beyond_the_exhaustive_sizes(drawn):
     blob = serialize_document(representation_document(order, conflict, cert.family))
     assert serialize_document(parse_document(blob)) == blob
     assert is_full_graph(order, incomparable_complement(order, conflict))
+    source, represented, graph, back = (
+        documents / name for name in ("es.json", "rep.json", "fg.json", "back.json")
+    )
+    document = serialize_document(from_event_structure(structure))
+    source.write_bytes(document)
+    assert main(["represent", str(source), "-o", str(represented)]) == 0
+    assert main(["check", str(represented)]) == 0
+    assert main(["convert", "--to", "fg", str(source), "-o", str(graph)]) == 0
+    assert main(["convert", "--to", "es", str(graph), "-o", str(back)]) == 0
+    assert back.read_bytes() == document
     inherited = sorted(
         (y, z)
         for x, y in order.pairs
@@ -193,6 +210,21 @@ def test_random_structures_beyond_the_exhaustive_sizes(drawn):
         assert "conflict-not-propagating" in es_failures(order, dropped)
         with pytest.raises(EventStructureError):
             build_representation(order, dropped)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(event_structures(max_events=40))
+def test_random_structures_beyond_the_exhaustive_sizes(documents, drawn):
+    """``check_drawn_structure`` on 8 to 40 events, labels shuffled."""
+    check_drawn_structure(drawn, documents)
+
+
+@pytest.mark.slow
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(event_structures(max_events=80))
+def test_random_structures_up_to_eighty_events(documents, drawn):
+    """``check_drawn_structure`` on 8 to 80 events, labels shuffled."""
+    check_drawn_structure(drawn, documents)
 
 
 def test_certified_graphs_convert_like_uncertified_ones():

@@ -1,7 +1,8 @@
 """The exhaustive set-family search: its candidate stream and Venn tables
 against bare references, its refusals, a differential check against a
-bare reference search in causes-first order, and a golden digest of
-every family it returns on the 3-point sweep, with its candidate count."""
+bare reference search in causes-first order, and golden digests of
+every family it returns on the 3-point and 4-point sweeps, with their
+candidate counts."""
 
 import hashlib
 import random
@@ -30,6 +31,10 @@ from . import reference
 # must return exactly these families.
 ES_SWEEP_DIGEST = "eb42a4e41c9a7d9fbb46cf67a810ded94348d84db93b12e737d0ebc6b1c5e211"
 FG_SWEEP_DIGEST = "ce0718282c2f5c35dae5e50860e52806f81f7df5e551b96695bbd4935d3a4c2d"
+# The same over the 4-point searches at label bound 10, in
+# ``square_candidates(4)`` order.
+ES_FOUR_POINT_DIGEST = "083905363ebb2f19cf078591eed40d761ff7126963bac045402da66349957cdb"
+FG_FOUR_POINT_DIGEST = "49bb82c529837d35f6bc6d1d856ad59fbf12914f56f33880dad25e73d2b68cd9"
 
 
 def square_candidates(n):
@@ -313,7 +318,7 @@ def test_es_sweep_returns_the_golden_families(monkeypatch):
     assert len(families) == 1216
     assert sum(f is not None for f in families) == 41
     assert _digest(families) == ES_SWEEP_DIGEST
-    assert counter.yielded == 3593
+    assert counter.yielded == 933
 
 
 def test_fg_sweep_returns_the_golden_families(monkeypatch):
@@ -321,7 +326,7 @@ def test_fg_sweep_returns_the_golden_families(monkeypatch):
     families = fg_sweep()
     assert sum(f is not None for f in families) == 41
     assert _digest(families) == FG_SWEEP_DIGEST
-    assert counter.yielded == 3593
+    assert counter.yielded == 933
 
 
 def test_every_absence_on_four_points_is_refused_before_any_candidate(monkeypatch):
@@ -342,37 +347,35 @@ def test_every_absence_on_four_points_is_refused_before_any_candidate(monkeypatc
         assert counter.yielded == 0
 
 
-@pytest.mark.slow
 def test_es_oracle_agrees_with_the_validity_check_on_four_points(monkeypatch):
     """Every order on 4 points against every symmetric relation on its
     incomparable pairs, with 10 = 4 * 5 / 2 labels."""
     counter = count_candidates(monkeypatch)
     cases = square_candidates(4)
     assert len(cases) == 1784
-    found = 0
-    for order, conflict in cases:
-        family = find_representation_bruteforce(order, conflict, 10)
+    families = [find_representation_bruteforce(order, conflict, 10) for order, conflict in cases]
+    for family, (order, conflict) in zip(families, cases):
         assert (family is not None) == is_event_structure(order, conflict), (order, conflict)
         if family is not None:
             assert is_representation(family, order, conflict)
-            found += 1
-    assert found == 916
-    assert counter.yielded == 4809421
+    assert sum(f is not None for f in families) == 916
+    assert _digest(families) == ES_FOUR_POINT_DIGEST
+    assert counter.yielded == 78219
 
 
-@pytest.mark.slow
 def test_fg_oracle_agrees_with_recognition_on_four_points(monkeypatch):
     """The full-graph twin of the test above: every order on 4 points
     against every symmetric subset of its incomparable pairs, bound 10."""
     counter = count_candidates(monkeypatch)
     cases = square_candidates(4)
     assert len(cases) == 1784
-    found = 0
-    for order, undirected in cases:
-        family = find_fg_representation_bruteforce(order, undirected, 10)
+    families = [
+        find_fg_representation_bruteforce(order, undirected, 10) for order, undirected in cases
+    ]
+    for family, (order, undirected) in zip(families, cases):
         assert (family is not None) == is_full_graph(order, undirected), (order, undirected)
         if family is not None:
             assert is_fg_representation(family, order, undirected)
-            found += 1
-    assert found == 916
-    assert counter.yielded == 4809421
+    assert sum(f is not None for f in families) == 916
+    assert _digest(families) == FG_FOUR_POINT_DIGEST
+    assert counter.yielded == 78219

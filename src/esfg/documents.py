@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Relation
+from .relation import Relation, _row_pairs
 from .setfamily import SetFamily
 
 KINDS = ("es", "fg", "representation")
@@ -112,7 +113,7 @@ def representation_document(
 
 
 def _pairs_as_lists(rel: Relation) -> list[list[int]]:
-    return [[a, b] for a, b in sorted(rel.pairs)]
+    return list(map(list, _row_pairs(rel.field, rel.rows)))
 
 
 def serialize_document(doc: StructureDocument, *, canonical: bool = True) -> bytes:
@@ -167,20 +168,16 @@ def parse_document(data: bytes | str) -> StructureDocument:
             raise DocumentError("schema", f"missing field {name!r}")
         if not isinstance(raw, list):
             raise DocumentError("schema", f"{name} must be a list of pairs")
-        pairs = []
-        for item in raw:
-            # json.loads makes exact lists and ints, so ``type`` tests them
-            # and refuses a bool, whose type is not int
-            if (
-                type(item) is not list
-                or len(item) != 2
-                or type(item[0]) is not int
-                or type(item[1]) is not int
-            ):
-                raise DocumentError("schema", f"{name} entries must be [int, int]")
-            pairs.append((item[0], item[1]))
+        # json.loads makes exact lists and ints, so ``type`` tests them and
+        # refuses a bool, whose type is not int
+        if not (
+            {list}.issuperset(map(type, raw))
+            and {2}.issuperset(map(len, raw))
+            and {int}.issuperset(map(type, chain.from_iterable(raw)))
+        ):
+            raise DocumentError("schema", f"{name} entries must be [int, int]")
         try:
-            return Relation(universe, frozenset(pairs))
+            return Relation._of_pairs(universe, raw)
         except ValueError as exc:
             raise DocumentError("bounds", f"{name}: {exc}") from exc
 
@@ -203,7 +200,7 @@ def parse_document(data: bytes | str) -> StructureDocument:
             ):
                 raise DocumentError("schema", "family entries must be [vertex, labels]")
             key, labels = item
-            if not all(isinstance(v, int) and not isinstance(v, bool) for v in labels):
+            if not {int}.issuperset(map(type, labels)):
                 raise DocumentError("schema", "family labels must be integers")
             if key in entries:
                 raise DocumentError("duplicate-key", f"family repeats vertex {key}")
@@ -211,10 +208,10 @@ def parse_document(data: bytes | str) -> StructureDocument:
                 raise DocumentError(
                     "bounds", f"family key {key} outside universe {universe}"
                 )
-            if any(v < 0 for v in labels):
+            if min(labels, default=0) < 0:
                 raise DocumentError("bounds", "family labels must be naturals")
             entries[key] = frozenset(labels)
-        family = SetFamily(entries)
+        family = SetFamily._of(entries)
 
     return StructureDocument(kind, universe, causality, conflict, family)
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterator
 
-from .relation import Relation
+from .relation import Relation, _bits
 
 
 class EventStructureError(ValueError):
@@ -31,16 +32,18 @@ class EventStructureError(ValueError):
 def is_conflict_propagating(conflict: Relation, causality: Relation) -> bool:
     """Conflicts inherited along causality: x#z and x<=y imply y#z.
 
-    Evaluated as: for every causality pair (x, y), the conflict partners
-    of x are among those of y, read from the successor map the conflict
-    relation caches.
+    Evaluated on the rows: each causality vertex holds its conflict row
+    (its partners, over the conflict field), and that of each x must lie
+    inside that of each y with x <= y.
     """
-    partners = conflict._successors
-    empty: frozenset[int] = frozenset()
-    return all(
-        partners.get(x, empty) <= partners.get(y, empty)
-        for x, y in causality.pairs
-    )
+    partners = dict(zip(conflict.field, conflict.rows))
+    held = [partners.get(v, 0) for v in causality.field]
+    for mine, above in zip(held, causality.rows):
+        if mine:
+            for theirs in compress(held, _bits(above)):
+                if mine & ~theirs:
+                    return False
+    return True
 
 
 def _violations(causality: Relation, conflict: Relation) -> Iterator[str]:

@@ -50,9 +50,10 @@ def _shape_failures(directed: Relation, undirected: Relation) -> list[str]:
 def fg_failures(directed: Relation, undirected: Relation) -> tuple[str, ...]:
     """Diagnostics for full-graph recognition, empty when (D, T) is one."""
     failed = _shape_failures(directed, undirected)
-    if not undirected.pairs <= directed.sym_complement().pairs:
+    square = directed.sym_complement()
+    if len(undirected - square):
         failed.append("undirected-not-within-incomparable-pairs")
-    complement = directed.sym_complement() - undirected
+    complement = square - undirected
     return (*failed, *("complement-" + r for r in es_failures(directed, complement)))
 
 

@@ -1,34 +1,74 @@
 """Finite binary relations over a bounded vertex universe.
 
-Vertices are 0-based naturals below an explicit ``universe`` bound, and a
-relation is an immutable set of ordered pairs.  Everything downstream
-(event structures, full graphs, set-family representations) is built on
-this type, so the operations here are the shared algebraic substrate:
-converse, relational image, override, symmetric complement, and the
-elementary order/symmetry predicates evaluated by direct quantification.
+Vertices are 0-based naturals below an explicit ``universe`` bound.  The
+paper states its definitions over sets of ordered pairs; a ``Relation``
+stores the same value in row form.  Its ``field`` holds the sorted
+vertices some pair uses, and ``rows`` one bit row per field vertex: bit j
+of ``rows[i]`` stands for the pair (field[i], field[j]).  ``pairs`` is a
+view of that value as a frozenset, built on first use, or kept as the
+frozenset the constructor was handed.  The field is fixed by the pairs,
+so equal pair sets give equal rows; its size, never the universe's,
+sizes a relation.
 
-Every relation, the results of set operations included, is built by the
-one checking constructor, which holds each pair inside the universe.  All
-values are immutable after construction and safe to share freely.
+Everything downstream (event structures, full graphs, set-family
+representations) is built on this type, so the operations here are the
+shared algebraic substrate: converse, relational image, override,
+symmetric complement, and the elementary order and symmetry predicates,
+each computed on the rows.
 
-The fast paths work on the row form of a relation over a key list: bit y
-of row x for the pair (keys[x], keys[y]).  ``_rows`` writes it,
-``_strict_rows`` writes an order's strict up-sets (the rows without the
-diagonal), and ``_row_pairs`` reads rows back as pairs.
+Every relation passes a bounds check.  The constructor holds each pair
+inside the universe; ``_of_pairs`` does the same for pairs a caller has
+type-checked, and ``_of_rows``, which builds the results of the set
+operations, drops the vertices no pair uses and holds the field's ends
+inside the universe.  All values are immutable and safe to share freely.
+
+The fast paths work on the row form of a relation over any key list:
+bit y of row x for the pair (keys[x], keys[y]).  ``_rows`` writes it (a
+copy of the stored rows when the keys are the field), ``_strict_rows``
+writes an order's strict up-sets (the rows without the diagonal), and
+``_row_pairs`` reads rows back as pairs.  ``_bits`` spells out the bits
+of a row, so that ``itertools.compress`` can pick what they select.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain, compress
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 
+#: ``bin`` digits to the bytes ``_bits`` returns.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-@dataclass(frozen=True)
+
+def _bits(row: int) -> bytes:
+    """Byte i is 1 when bit i of ``row`` is set and 0 when not, up to its
+    highest set bit."""
+    return bin(row)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
+
+def _remap(row: int, weight: Sequence[int]) -> int:
+    """``row`` with each set bit j replaced by ``weight[j]``: a distinct
+    power of two, or 0 to drop the bit."""
+    return sum(compress(weight, _bits(row)))
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The rows of the converse: bit i of column j when bit j of row i."""
+    columns = [0] * len(rows)
+    positions = range(len(rows))
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in compress(positions, _bits(row)):
+            columns[j] |= bit
+    return columns
+
+
 class Relation:
-    """An immutable set of ordered pairs over ``range(universe)``.
+    """An immutable set of ordered pairs over ``range(universe)``, stored
+    as its ``field`` and one bit row per field vertex.
 
     The universe is part of the value: two relations with equal pair sets
     but different universes are distinct (serialization declares the
@@ -37,74 +77,143 @@ class Relation:
     """
 
     universe: int
-    pairs: frozenset[Pair]
+    field: tuple[int, ...]
+    rows: tuple[int, ...]
 
     def __init__(self, universe: int, pairs: Iterable[Pair] = ()):
-        # A frozenset of exact int pairs, as the set operations pass, is
-        # kept as it is; anything else is rebuilt as int tuples.
+        # A frozenset of exact int pairs is kept as the ``pairs`` view;
+        # anything else is rebuilt as int tuples first.
         if type(pairs) is not frozenset or not all(
             type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
             for p in pairs
         ):
             pairs = frozenset((int(a), int(b)) for a, b in pairs)
-        object.__setattr__(self, "universe", int(universe))
-        object.__setattr__(self, "pairs", pairs)
-        if self.universe < 0:
+        self._fill(universe, pairs)
+        self.__dict__["pairs"] = pairs
+
+    @classmethod
+    def _of_pairs(cls, universe: int, pairs: Sequence[Sequence[int]]) -> Relation:
+        """The relation of ``pairs``, each two exact ints, which the caller
+        has checked; the bounds are checked here."""
+        made = cls.__new__(cls)
+        made._fill(universe, pairs)
+        return made
+
+    def _fill(self, universe: int, pairs: Iterable[Sequence[int]]) -> None:
+        universe = int(universe)
+        if universe < 0:
             raise ValueError("universe must be a natural number")
-        for a, b in self.pairs:
-            if not (0 <= a < self.universe and 0 <= b < self.universe):
-                raise ValueError(
-                    f"pair ({a}, {b}) outside universe of size {self.universe}"
-                )
+        field = tuple(sorted(set(chain.from_iterable(pairs))))
+        if field and (field[0] < 0 or field[-1] >= universe):
+            ordered = pairs if type(pairs) is frozenset else frozenset(map(tuple, pairs))
+            for a, b in ordered:
+                if not (0 <= a < universe and 0 <= b < universe):
+                    raise ValueError(f"pair ({a}, {b}) outside universe of size {universe}")
+        weight = {v: 1 << i for i, v in enumerate(field)}
+        rows = dict.fromkeys(field, 0)
+        for a, b in pairs:
+            rows[a] |= weight[b]
+        self.__dict__.update(universe=universe, field=field, rows=tuple(rows.values()))
+
+    @classmethod
+    def _of_rows(
+        cls, universe: int, field: Sequence[int], rows: Sequence[int]
+    ) -> Relation:
+        """The relation with ``rows`` over the ascending ``field``: the
+        vertices no pair uses are dropped, and the rest must lie inside
+        the universe."""
+        n = len(field)
+        used = reduce(or_, rows, 0) | sum(compress(map((1).__lshift__, range(n)), rows))
+        if used != (1 << n) - 1:
+            kept = _bits(used)
+            weight = [0] * n
+            for new, old in enumerate(compress(range(n), kept)):
+                weight[old] = 1 << new
+            field = tuple(compress(field, kept))
+            rows = [_remap(row, weight) for row in compress(rows, kept)]
+        if field and (field[0] < 0 or field[-1] >= universe):
+            outside = next(v for v in field if not 0 <= v < universe)
+            raise ValueError(f"vertex {outside} outside universe of size {universe}")
+        made = cls.__new__(cls)
+        made.__dict__.update(universe=universe, field=tuple(field), rows=tuple(rows))
+        return made
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Relation")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Relation")
+
+    @cached_property
+    def pairs(self) -> frozenset[Pair]:
+        """The pairs, as a frozenset view of the rows."""
+        return frozenset(_row_pairs(self.field, self.rows))
 
     # ------------------------------------------------------------------
-    # container protocol
+    # value and container protocol
     # ------------------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe, self.field, self.rows) == (
+            other.universe,
+            other.field,
+            other.rows,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.field, self.rows))
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(map(int.bit_count, self.rows))
 
     def __iter__(self) -> Iterator[Pair]:
-        return iter(sorted(self.pairs))
+        return iter(_row_pairs(self.field, self.rows))
+
+    def _combine(self, other: Relation, op) -> Relation:
+        """``op`` of the two relations' rows over the union of their fields."""
+        field = self.field
+        if field != other.field:
+            field = tuple(sorted({*field, *other.field}))
+        rows = map(op, _rows(field, self), _rows(field, other))
+        return Relation._of_rows(max(self.universe, other.universe), field, list(rows))
 
     def __or__(self, other: Relation) -> Relation:
-        return Relation(max(self.universe, other.universe), self.pairs | other.pairs)
+        return self._combine(other, or_)
 
     def __and__(self, other: Relation) -> Relation:
-        return Relation(max(self.universe, other.universe), self.pairs & other.pairs)
+        return self._combine(other, and_)
 
     def __sub__(self, other: Relation) -> Relation:
-        return Relation(max(self.universe, other.universe), self.pairs - other.pairs)
+        return self._combine(other, lambda mine, theirs: mine & ~theirs)
 
     # ------------------------------------------------------------------
-    # field and domain
+    # domain and operations
     # ------------------------------------------------------------------
 
     @cached_property
     def domain(self) -> tuple[int, ...]:
         """Sorted first components."""
-        return tuple(sorted({a for a, _ in self.pairs}))
+        return tuple(compress(self.field, self.rows))
 
     @cached_property
-    def field(self) -> tuple[int, ...]:
-        """Sorted union of domain and range: the vertices actually used."""
-        return tuple(sorted({v for pair in self.pairs for v in pair}))
-
-    # ------------------------------------------------------------------
-    # operations
-    # ------------------------------------------------------------------
+    def _columns(self) -> list[int]:
+        """The rows of the converse, over the same field."""
+        return _transpose(self.rows)
 
     def converse(self) -> Relation:
         """Every pair flipped: (x, y) becomes (y, x)."""
-        return Relation(self.universe, ((b, a) for a, b in self.pairs))
+        return Relation._of_rows(self.universe, self.field, self._columns)
 
     def image(self, sources: Iterable[int]) -> frozenset[int]:
         """All second components reachable from ``sources`` in one step."""
         src = set(sources)
-        return frozenset(b for a, b in self.pairs if a in src)
+        reached = (row for v, row in zip(self.field, self.rows) if v in src)
+        return frozenset(compress(self.field, _bits(reduce(or_, reached, 0))))
 
     def override(self, other: Relation) -> Relation:
         """Relational update: ``other`` wins on its domain, self elsewhere.
@@ -113,10 +222,8 @@ class Relation:
         right-uniqueness when both operands are right-unique.
         """
         dom = set(other.domain)
-        kept = (p for p in self.pairs if p[0] not in dom)
-        return Relation(
-            max(self.universe, other.universe), set(kept) | set(other.pairs)
-        )
+        kept = [0 if v in dom else row for v, row in zip(self.field, self.rows)]
+        return Relation._of_rows(self.universe, self.field, kept) | other
 
     def remove_vertex_pairs(self, x: int, y: int) -> Relation:
         """Drop every pair whose first component is x or second is y.
@@ -124,9 +231,9 @@ class Relation:
         This excises a vertex when called with x == y: nothing mentioning
         it on either side survives.
         """
-        return Relation(
-            self.universe, (p for p in self.pairs if p[0] != x and p[1] != y)
-        )
+        column = ~(1 << self.field.index(y)) if y in self.field else -1
+        kept = [0 if v == x else row & column for v, row in zip(self.field, self.rows)]
+        return Relation._of_rows(self.universe, self.field, kept)
 
     def sym_complement(self) -> Relation:
         """The incomparability square: field x field minus self and converse.
@@ -138,9 +245,9 @@ class Relation:
 
     @cached_property
     def _incomparability_square(self) -> Relation:
-        fld, pairs = self.field, self.pairs
-        square = {(a, b) for a in fld for b in fld if (a, b) not in pairs}
-        return Relation(self.universe, square - {(b, a) for a, b in pairs})
+        full = (1 << len(self.field)) - 1
+        square = [full & ~(row | col) for row, col in zip(self.rows, self._columns)]
+        return Relation._of_rows(self.universe, self.field, square)
 
     def transitive_reduction(self) -> Relation:
         """Covering pairs of a finite order: self-loops dropped, implied
@@ -155,50 +262,36 @@ class Relation:
                 "transitive reduction requires a transitive, antisymmetric "
                 "relation that is reflexive over its field"
             )
-        strict = {(a, b) for a, b in self.pairs if a != b}
-        reduced = {
-            (a, b)
-            for a, b in strict
-            if not any((a, z) in strict and (z, b) in strict for z in self.field)
-        }
-        return Relation(self.universe, reduced)
+        strict = [row & ~(1 << i) for i, row in enumerate(self.rows)]
+        reduced = [up & ~reduce(or_, compress(strict, _bits(up)), 0) for up in strict]
+        return Relation._of_rows(self.universe, self.field, reduced)
 
     # ------------------------------------------------------------------
     # predicates (cached: relations are immutable)
     # ------------------------------------------------------------------
 
     @cached_property
-    def _successors(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {}
-        for a, b in self.pairs:
-            adj.setdefault(a, set()).add(b)
-        return {a: frozenset(bs) for a, bs in adj.items()}
-
-    @cached_property
     def is_transitive(self) -> bool:
-        adj = self._successors
-        empty: frozenset[int] = frozenset()
-        return all(
-            adj.get(b, empty) <= targets
-            for a, targets in adj.items()
-            for b in targets
-        )
+        rows = self.rows
+        return not any(reduce(or_, compress(rows, _bits(row)), 0) & ~row for row in rows)
 
     @cached_property
     def is_antisymmetric(self) -> bool:
-        return all(a == b for a, b in self.pairs if (b, a) in self.pairs)
+        return not any(
+            row & col & ~(1 << i) for i, (row, col) in enumerate(zip(self.rows, self._columns))
+        )
 
     @cached_property
     def is_symmetric(self) -> bool:
-        return all((b, a) in self.pairs for a, b in self.pairs)
+        return list(self.rows) == self._columns
 
     @cached_property
     def is_irreflexive(self) -> bool:
-        return all(a != b for a, b in self.pairs)
+        return not any(row >> i & 1 for i, row in enumerate(self.rows))
 
     @cached_property
     def is_reflexive_over_field(self) -> bool:
-        return all((v, v) in self.pairs for v in self.field)
+        return all(row >> i & 1 for i, row in enumerate(self.rows))
 
     @cached_property
     def is_partial_order(self) -> bool:
@@ -212,14 +305,10 @@ class Relation:
     @cached_property
     def is_right_unique(self) -> bool:
         """At most one second component per first component (a function)."""
-        seen: dict[int, int] = {}
-        for a, b in self.pairs:
-            if seen.setdefault(a, b) != b:
-                return False
-        return True
+        return not any(row & (row - 1) for row in self.rows)
 
     def __repr__(self) -> str:
-        return f"Relation({self.universe}, {sorted(self.pairs)!r})"
+        return f"Relation({self.universe}, {_row_pairs(self.field, self.rows)!r})"
 
 
 def pairs_key(relation: Relation) -> tuple[Pair, ...]:
@@ -230,11 +319,14 @@ def pairs_key(relation: Relation) -> tuple[Pair, ...]:
 def _rows(keys: Sequence[int], relation: Relation) -> list[int]:
     """``relation`` over the positions of ``keys``: bit y of row x for the
     pair (keys[x], keys[y]).  Pairs outside ``keys`` are left out."""
+    if keys == relation.field:
+        return list(relation.rows)
     position = {key: p for p, key in enumerate(keys)}
+    weight = [1 << position[v] if v in position else 0 for v in relation.field]
     rows = [0] * len(keys)
-    for x, y in relation.pairs:
-        if x in position and y in position:
-            rows[position[x]] |= 1 << position[y]
+    for v, row in zip(relation.field, relation.rows):
+        if v in position:
+            rows[position[v]] = _remap(row, weight)
     return rows
 
 
@@ -246,4 +338,4 @@ def _strict_rows(keys: Sequence[int], order: Relation) -> list[int]:
 def _row_pairs(keys: Sequence[int], rows: Sequence[int]) -> list[Pair]:
     """The pairs of ``rows`` over ``keys``: (keys[x], keys[y]) for each
     bit y of row x, sorted when ``keys`` ascend."""
-    return [(a, b) for a, row in zip(keys, rows) for y, b in enumerate(keys) if row >> y & 1]
+    return [(a, b) for a, row in zip(keys, rows) for b in compress(keys, _bits(row))]

@@ -23,10 +23,11 @@ an exhaustive search that never consults the builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .event_structure import EventStructureError, es_failures, is_conflict_propagating
-from .relation import Relation, _rows, _strict_rows
+from .relation import Relation, _bits, _rows, _strict_rows
 from .setfamily import SetFamily, _find_family
 from .setfamily import family_failures, represents
 
@@ -95,9 +96,9 @@ def _label_masks(
     return masks, label
 
 
-def _labels(mask: int, offset: int = 0) -> list[int]:
+def _labels(mask: int, offset: int = 0) -> frozenset[int]:
     """The labels of a mask, bit i read as label offset + i."""
-    return [offset + i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+    return frozenset(compress(range(offset, offset + mask.bit_length()), _bits(mask)))
 
 
 def extend_with_terminal(
@@ -183,7 +184,7 @@ def build_representation(causality: Relation, conflict: Relation) -> Representat
     events = causality.field
     masks, count = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
     return RepresentationCertificate(
-        family=SetFamily({v: _labels(mask) for v, mask in zip(events, masks)}),
+        family=SetFamily._of({v: _labels(mask) for v, mask in zip(events, masks)}),
         for_causality=causality,
         for_conflict=conflict,
         fresh_label_bound=count,

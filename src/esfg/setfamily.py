@@ -42,6 +42,15 @@ class SetFamily:
         # stored in key order, so the accessors below never sort
         self._entries = dict(sorted(store.items()))
 
+    @classmethod
+    def _of(cls, entries: Mapping[int, frozenset[int]]) -> SetFamily:
+        """The family of ``entries``, whose keys and labels the caller has
+        checked: distinct natural keys, each to a frozenset of natural
+        ints."""
+        family = cls.__new__(cls)
+        family._entries = dict(sorted(entries.items()))
+        return family
+
     # ------------------------------------------------------------------
 
     @property
@@ -83,10 +92,7 @@ class SetFamily:
 
     def union_of_range(self) -> frozenset[int]:
         """All labels used anywhere in the family."""
-        out: set[int] = set()
-        for value in self._entries.values():
-            out |= value
-        return frozenset(out)
+        return frozenset().union(*self._entries.values())
 
 
 def overlaps(a: frozenset[int] | set[int], b: frozenset[int] | set[int]) -> bool:
@@ -130,8 +136,9 @@ def represents(
     (properly overlap, with ``overlap``).  The labels are numbered 0, 1,
     ... first, so a label's size never matters, and the rows
     ``_mask_relations`` reads off the masks are compared."""
-    number = {label: i for i, label in enumerate(family.union_of_range())}
-    masks = [sum(1 << number[label] for label in labels) for labels in family.values()]
+    labels = family.union_of_range()
+    weight = dict(zip(labels, map((1).__lshift__, range(len(labels)))))
+    masks = [sum(map(weight.__getitem__, value)) for value in family.values()]
     keys = family.keys
     contains, partners, edges = _mask_relations(masks)
     related = edges if overlap else partners

@@ -49,13 +49,69 @@ def reflexive_transitive_closure(pairs, vertices):
         closed |= extra
 
 
+def converse(pairs):
+    """Converse: (y, x) for each pair (x, y)."""
+    return frozenset((b, a) for a, b in pairs)
+
+
+def image(pairs, sources):
+    """Image: every y with (x, y) a pair for some x in ``sources``."""
+    return frozenset(b for a, b in pairs if a in sources)
+
+
+def override(pairs, other):
+    """Override: the pairs of ``other``, and those of ``pairs`` whose
+    first component is not a first component of ``other``."""
+    return frozenset(other) | {(a, b) for a, b in pairs if a not in {x for x, _ in other}}
+
+
+def is_reflexive_over_field(pairs):
+    """Reflexive over the field: (v, v) for every vertex v of the field."""
+    return all((v, v) in pairs for v in field(pairs))
+
+
+def is_irreflexive(pairs):
+    """Irreflexive: no pair (v, v)."""
+    return all(a != b for a, b in pairs)
+
+
+def is_symmetric(pairs):
+    """Symmetric: (y, x) with each pair (x, y)."""
+    return all((b, a) in pairs for a, b in pairs)
+
+
+def is_antisymmetric(pairs):
+    """Antisymmetric: (x, y) and (y, x) only when x = y."""
+    return all(a == b for a, b in pairs if (b, a) in pairs)
+
+
+def is_transitive(pairs):
+    """Transitive: (x, y) and (y, z) give (x, z)."""
+    return all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c)
+
+
+def is_right_unique(pairs):
+    """Right-unique: at most one y for each x."""
+    return all(b == d for a, b in pairs for c, d in pairs if a == c)
+
+
 def is_partial_order(pairs):
     """Partial order: reflexive over its field, transitive, antisymmetric."""
-    return (
-        all((v, v) in pairs for v in field(pairs))
-        and all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c)
-        and all(a == b for a, b in pairs if (b, a) in pairs)
+    return is_reflexive_over_field(pairs) and is_transitive(pairs) and is_antisymmetric(pairs)
+
+
+def covering_pairs(order):
+    """Covering pairs of an order: x < y with no z such that x < z < y."""
+    strict = {(a, b) for a, b in order if a != b}
+    return frozenset(
+        (a, b) for a, b in strict if not any((a, z) in strict and (z, b) in strict for z in field(order))
     )
+
+
+def rows(keys, pairs):
+    """The row form over ``keys``: bit y of row x for the pair
+    (keys[x], keys[y])."""
+    return [sum(1 << y for y, b in enumerate(keys) if (a, b) in pairs) for a in keys]
 
 
 @cache

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import esfg.cli as cli_mod
 import esfg.verify as verify_mod
 from esfg import (
     DocumentError,
+    Relation,
     build_representation,
     export_dot,
     parse_document,
@@ -16,6 +19,8 @@ from esfg import (
     serialize_document,
 )
 from esfg.cli import main
+
+from . import reference
 
 ES_DISCRETE = '{"kind":"es","universe":2,"causality":[[0,0],[1,1]],"conflict":[]}'
 ES_PAIRS = '"causality":[[0,0],[1,1]],"conflict":[]'
@@ -308,6 +313,60 @@ def test_verify_small(capsys):
         "counts-agree-on-both-paths: PASS (sizes 0..4)\n"
         "oracle-agrees-with-validity-check: PASS (217 relation pairs)\n"
     )
+
+
+#: sha256 over the exit codes and output bytes of
+#: ``test_document_commands_keep_their_bytes``.
+DOCUMENT_COMMANDS_DIGEST = "cc2123579974bfb76da8a4c0d59343b67a9daff7cff1861ef9fef1f56f864d48"
+
+
+def test_document_commands_keep_their_bytes(capsysbinary, tmp_path):
+    """``represent``, ``check``, ``convert --to fg`` and ``convert --to es``
+    in-process on 20 drawn structures of 8 to 40 events, documents written
+    without the package: one digest over every exit code and every byte
+    they print or write, so that a changed certificate byte fails."""
+    rng = random.Random(2306)
+    source, certificate, graph, back = (
+        tmp_path / name for name in ("es.json", "rep.json", "fg.json", "back.json")
+    )
+    digest = hashlib.sha256()
+    for _ in range(20):
+        n = rng.randint(8, 40)
+        order, conflict = reference.random_structure(rng, n)
+        document = {"kind": "es", "universe": n}
+        document.update(causality=sorted(order), conflict=sorted(conflict))
+        source.write_text(json.dumps(document, separators=(",", ":")))
+        for argv, written in (
+            (["represent", str(source), "-o", str(certificate)], certificate),
+            (["check", str(certificate)], None),
+            (["convert", "--to", "fg", str(source), "-o", str(graph)], graph),
+            (["convert", "--to", "es", str(graph), "-o", str(back)], back),
+        ):
+            digest.update(b"%d\n" % main(argv) + capsysbinary.readouterr().out)
+            if written is not None:
+                digest.update(written.read_bytes())
+    assert digest.hexdigest() == DOCUMENT_COMMANDS_DIGEST
+
+
+#: One event at the top of a universe of 10^12: nothing may be sized by it.
+ES_LARGE_UNIVERSE = (
+    '{"kind":"es","universe":1000000000000,'
+    '"causality":[[999999999999,999999999999]],"conflict":[]}'
+)
+
+
+def test_a_large_universe_costs_nothing(capsys, tmp_path):
+    """The universe bounds the vertices and sizes nothing: ``check``,
+    ``represent`` and ``convert --to fg`` take a one-event document over
+    10^12 vertices in stride, and so does a relation over them."""
+    path = tmp_path / "large.json"
+    path.write_text(ES_LARGE_UNIVERSE)
+    for command in (["check"], ["represent"], ["convert", "--to", "fg"]):
+        assert main(command + [str(path)]) == 0, command
+    out = capsys.readouterr().out
+    assert "valid es document (1 vertices)" in out
+    assert '"family":[[999999999999,[0]]]' in out
+    assert Relation(10**12, [(0, 10**12 - 1)]).field == (0, 10**12 - 1)
 
 
 def test_dot_hasse(capsys, tmp_path):

@@ -186,15 +186,28 @@ def test_recognition_agrees_with_the_canonical_family(n, candidates, accepted):
     assert (seen, found) == (candidates, accepted)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(full_graphs(max_events=32))
-def test_random_full_graphs_beyond_the_exhaustive_sizes(drawn):
-    """On 8 to 32 vertices, labels shuffled, drawn with no package code:
-    each graph is recognised, converts to its event structure and back to
-    itself, and the canonical family certifies it."""
+def check_drawn_graph(drawn):
+    """The graph is recognised, converts to its event structure and back
+    to itself, and the canonical family certifies it."""
     directed, undirected = drawn
     assert is_full_graph(directed, undirected)
     again = es_to_fg(fg_to_es(FullGraph(directed, undirected)))
     assert (again.directed, again.undirected) == (directed, undirected)
     family = reference.canonical_family(directed.pairs, undirected.pairs)
     assert reference.certifies(family, directed.pairs, undirected.pairs, overlap=True)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(full_graphs(max_events=32))
+def test_random_full_graphs_beyond_the_exhaustive_sizes(drawn):
+    """``check_drawn_graph`` on 8 to 32 vertices, labels shuffled, drawn
+    with no package code."""
+    check_drawn_graph(drawn)
+
+
+@pytest.mark.slow
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(full_graphs(max_events=80))
+def test_random_full_graphs_up_to_eighty_vertices(drawn):
+    """``check_drawn_graph`` on 8 to 80 vertices, labels shuffled."""
+    check_drawn_graph(drawn)

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esfg import Relation
+from esfg.relation import _rows
 
 from . import reference
 from .strategies import posets, relation_pairs, relations, right_unique_relations
@@ -190,3 +192,101 @@ def test_transitive_reduction_closure_round_trip(order):
     reduced = order.transitive_reduction()
     assert reference.reflexive_transitive_closure(reduced.pairs, order.field) == order.pairs
     assert all(a != b for a, b in reduced.pairs)
+
+
+def _made_and_meant(a, b):
+    """Relations made each way, with the pairs each should hold by the
+    reference definitions: ``a`` and ``b`` from pairs by the constructor,
+    the rest from rows by the operations."""
+    first, second = a.pairs, b.pairs
+    made = [
+        (a, first),
+        (b, second),
+        (a | b, first | second),
+        (a & b, first & second),
+        (a - b, first - second),
+        (b - a, second - first),
+        (a.converse(), reference.converse(first)),
+        (a.override(b), reference.override(first, second)),
+        (a.sym_complement(), reference.incomparable_complement(first, frozenset())),
+    ]
+    made += [
+        (a.remove_vertex_pairs(x, y), {(s, t) for s, t in first if s != x and t != y})
+        for x in range(a.universe)
+        for y in range(a.universe)
+    ]
+    return made
+
+
+@settings(max_examples=40)
+@given(relation_pairs())
+def test_the_row_form_agrees_with_the_pair_definitions(rels):
+    """Every relation, made from pairs or from rows, holds the pairs the
+    reference definitions give, equals, hashes and prints like its twin
+    made from those pairs, and answers each predicate, ``domain``,
+    ``image``, ``len`` and ``iter`` as the definitions do."""
+    universe = rels[0].universe
+    for rel, meant in _made_and_meant(*rels):
+        twin = Relation(universe, set(meant))
+        assert rel.pairs == meant
+        assert rel == twin and hash(rel) == hash(twin) and repr(rel) == repr(twin)
+        assert (rel.field, rel.rows) == (twin.field, twin.rows)
+        assert rel.field == tuple(sorted(reference.field(meant)))
+        assert rel.rows == tuple(reference.rows(rel.field, meant))
+        assert repr(rel) == f"Relation({universe}, {sorted(meant)!r})"
+        assert rel.domain == tuple(sorted({x for x, _ in meant}))
+        assert len(rel) == len(meant) and list(rel) == sorted(meant)
+        square = [(x, y) for x in range(universe + 1) for y in range(universe + 1)]
+        assert all((pair in rel) == (pair in meant) for pair in square)
+        for sources in ({0}, {1, 3}, set(range(universe))):
+            assert rel.image(sources) == reference.image(meant, sources)
+        for predicate in (
+            "is_transitive",
+            "is_antisymmetric",
+            "is_symmetric",
+            "is_irreflexive",
+            "is_reflexive_over_field",
+            "is_right_unique",
+            "is_partial_order",
+        ):
+            assert getattr(rel, predicate) == getattr(reference, predicate)(meant), predicate
+
+
+@settings(max_examples=40)
+@given(posets(), relations(max_universe=3))
+def test_transitive_reduction_is_the_covering_pairs(order, other):
+    """On orders, and on orders that ``-`` or ``|`` made from rows."""
+    for rel in (order, order - Relation(order.universe), order | Relation(0)):
+        reduced = rel.transitive_reduction()
+        assert reduced.pairs == reference.covering_pairs(rel.pairs)
+        assert reduced == Relation(rel.universe, reference.covering_pairs(rel.pairs))
+    made = order | other
+    if reference.is_partial_order(made.pairs):
+        assert made.transitive_reduction().pairs == reference.covering_pairs(made.pairs)
+
+
+@settings(max_examples=40)
+@given(relations(max_universe=5), st.data())
+def test_rows_over_keys_other_than_the_field(rel, data):
+    """``_rows`` over a superset, a subset and a reordering of the field
+    agrees with the row form read off the pairs, and over the field
+    itself gives a copy of the stored rows."""
+    fld = list(rel.field)
+    extra = data.draw(st.sets(st.integers(0, 7)))
+    supersets = data.draw(st.permutations(sorted(set(fld) | extra)))
+    subset = data.draw(st.lists(st.sampled_from(fld), unique=True)) if fld else []
+    for keys in (supersets, subset, data.draw(st.permutations(fld)), rel.field):
+        assert _rows(keys, rel) == reference.rows(keys, rel.pairs), keys
+    copied = _rows(rel.field, rel)
+    assert copied == list(rel.rows)
+    copied.append(1)
+    assert len(rel.rows) == len(rel.field)
+
+
+def test_a_relation_made_from_rows_is_bounds_checked():
+    """The rows constructor holds the field inside the universe, as the
+    pair constructor holds each pair, and drops vertices no pair uses."""
+    with pytest.raises(ValueError, match=r"^vertex 5 outside universe of size 2$"):
+        Relation._of_rows(2, (0, 5), [0b10, 0])
+    emptied = Relation(3, {(0, 2), (1, 1)}) - Relation(3, {(0, 2)})
+    assert (emptied.field, emptied.rows) == ((1,), (1,))

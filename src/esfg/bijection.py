@@ -60,7 +60,8 @@ def es_to_fg(structure: EventStructure) -> FullGraph:
     """Convert a valid event structure to its full graph: the edges are
     the incomparable non-conflicts, certified by the family the builder
     makes (it raises ``EventStructureError`` on an invalid structure), and
-    the ``FullGraph`` constructor re-checks the family on the graph side.
+    the ``FullGraph`` constructor re-checks the family on the graph side,
+    from the same read of its masks.
     """
     causality, conflict = structure.causality, structure.conflict
     certificate = build_representation(causality, conflict).family

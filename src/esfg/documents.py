@@ -125,7 +125,7 @@ def serialize_document(doc: StructureDocument, *, canonical: bool = True) -> byt
         second: _pairs_as_lists(doc.conflict),
     }
     if doc.family is not None:
-        obj["family"] = [[k, sorted(v)] for k, v in doc.family.items()]
+        obj["family"] = list(map(list, zip(doc.family.keys, doc.family._label_lists())))
     if canonical:
         return json.dumps(obj, separators=(",", ":")).encode()
     return (json.dumps(obj, indent=2) + "\n").encode()
@@ -189,7 +189,7 @@ def parse_document(data: bytes | str) -> StructureDocument:
         raw_family = obj["family"]
         if not isinstance(raw_family, list):
             raise DocumentError("schema", "family must be a list of [vertex, labels]")
-        entries: dict[int, frozenset[int]] = {}
+        entries: dict[int, list[int]] = {}
         for item in raw_family:
             if (
                 not isinstance(item, list)
@@ -210,7 +210,7 @@ def parse_document(data: bytes | str) -> StructureDocument:
                 )
             if min(labels, default=0) < 0:
                 raise DocumentError("bounds", "family labels must be naturals")
-            entries[key] = frozenset(labels)
+            entries[key] = labels
         family = SetFamily._of(entries)
 
     return StructureDocument(kind, universe, causality, conflict, family)

@@ -27,13 +27,14 @@ bit y of row x for the pair (keys[x], keys[y]).  ``_rows`` writes it (a
 copy of the stored rows when the keys are the field), ``_strict_rows``
 writes an order's strict up-sets (the rows without the diagonal), and
 ``_row_pairs`` reads rows back as pairs.  ``_bits`` spells out the bits
-of a row, so that ``itertools.compress`` can pick what they select.
+of a row, so that ``itertools.compress`` can pick what they select, and
+``_packing`` gives the ``_remap`` weights that close the gaps of a mask.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -53,6 +54,15 @@ def _remap(row: int, weight: Sequence[int]) -> int:
     """``row`` with each set bit j replaced by ``weight[j]``: a distinct
     power of two, or 0 to drop the bit."""
     return sum(compress(weight, _bits(row)))
+
+
+def _packing(used: int) -> list[int]:
+    """The ``_remap`` weights that close the gaps of ``used``: its k-th set
+    bit goes to bit k, and every clear bit is dropped."""
+    weight = [0] * used.bit_length()
+    for new, old in enumerate(compress(count(), _bits(used))):
+        weight[old] = 1 << new
+    return weight
 
 
 def _transpose(rows: Sequence[int]) -> list[int]:
@@ -125,10 +135,7 @@ class Relation:
         n = len(field)
         used = reduce(or_, rows, 0) | sum(compress(map((1).__lshift__, range(n)), rows))
         if used != (1 << n) - 1:
-            kept = _bits(used)
-            weight = [0] * n
-            for new, old in enumerate(compress(range(n), kept)):
-                weight[old] = 1 << new
+            kept, weight = _bits(used), _packing(used)
             field = tuple(compress(field, kept))
             rows = [_remap(row, weight) for row in compress(rows, kept)]
         if field and (field[0] < 0 or field[-1] >= universe):

@@ -11,10 +11,10 @@ disjointness:
 structure by peeling terminal events off and re-attaching them one at a
 time, with fresh labels placed so that exactly the right containments,
 overlaps and disjointnesses appear.  Its core, ``_label_masks``, works on
-vertex masks over positions 0..k-1 and gives each a label mask; the
-public functions map the field to positions and masks to label sets.
-The finished family is checked once, as a ``RepresentationCertificate``,
-rather than trusted.
+vertex masks over positions 0..k-1 and gives each a label mask, bit i for
+label i; the public functions map the field to positions and hand the
+masks to the family unchanged.  The finished family is checked once, as
+a ``RepresentationCertificate``, rather than trusted.
 
 ``find_representation_bruteforce`` is the independent existence oracle:
 an exhaustive search that never consults the builder.
@@ -27,7 +27,7 @@ from itertools import compress
 from typing import Sequence
 
 from .event_structure import EventStructureError, es_failures, is_conflict_propagating
-from .relation import Relation, _bits, _rows, _strict_rows
+from .relation import Relation, _bits, _rows, _strict_rows, _transpose
 from .setfamily import SetFamily, _find_family
 from .setfamily import family_failures, represents
 
@@ -56,49 +56,52 @@ def _peel_order(above: Sequence[int]) -> list[int]:
 
 
 def _label_masks(
-    above: Sequence[int], partners: Sequence[int], peeled: Sequence[int] | None = None
+    above: Sequence[int],
+    partners: Sequence[int],
+    peeled: Sequence[int] | None = None,
+    below: Sequence[int] | None = None,
 ) -> tuple[list[int], int]:
     """Each position's label mask in the builder's family, and the label
     count; ``above`` holds each position's strict up-set mask and
     ``partners`` its conflict partners.  ``peeled`` is
-    ``_peel_order(above)``, computed here when not given, so that callers
-    with many conflicts on one order peel it once.
+    ``_peel_order(above)`` and ``below`` the strict down-set masks, each
+    computed here when not given, so that callers with many conflicts on
+    one order compute them once.
 
     Terminal positions are peeled off, smallest first, and attached again
     in reverse.  Attaching s gives a fresh label to s and to each attached
     x (ascending) neither below s nor its partner, then a closing label to
     s alone; a position holds its own labels and those of all above it.
     So ancestors of s contain its set, conflicting positions miss it, and
-    concurrent ones properly overlap it.
+    concurrent ones properly overlap it.  Both steps walk the set bits of
+    a mask, never all k positions.
     """
     k = len(above)
     if peeled is None:
         peeled = _peel_order(above)
+    if below is None:
+        below = _transpose(above)
+    positions = range(k)
     own = [0] * k
     label = attached = 0
     for s in reversed(peeled):
-        bit = 1 << s
-        loose = attached & ~partners[s]
-        for x in range(k):
-            if loose >> x & 1 and not above[x] & bit:
+        start = label
+        fresh = attached & ~partners[s] & ~below[s]
+        if fresh:
+            for x in compress(positions, _bits(fresh)):
                 own[x] |= 1 << label
-                own[s] |= 1 << label
                 label += 1
-        own[s] |= 1 << label
+        own[s] = (2 << label) - (1 << start)  # its fresh labels and the closing one
         label += 1
-        attached |= bit
+        attached |= 1 << s
     masks = []
     for mask, up in zip(own, above):
-        for w in range(k):
-            if up >> w & 1:
-                mask |= own[w]
+        while up:  # the labels of each position above, lowest first
+            low = up & -up
+            mask |= own[low.bit_length() - 1]
+            up ^= low
         masks.append(mask)
     return masks, label
-
-
-def _labels(mask: int, offset: int = 0) -> frozenset[int]:
-    """The labels of a mask, bit i read as label offset + i."""
-    return frozenset(compress(range(offset, offset + mask.bit_length()), _bits(mask)))
 
 
 def extend_with_terminal(
@@ -122,21 +125,24 @@ def extend_with_terminal(
         raise ValueError(f"event {s} conflicts with itself")
     if not set(conflict.field) <= set(causality.field):
         raise ValueError("conflict names a vertex that is not an event")
-    if frozenset() in set(family.values()):
+    if 0 in family.masks:
         raise ValueError("family maps some event to the empty set")
 
     # terminal and at position 0, s is peeled first and attached last,
     # so its own mask is exactly the labels of that last step
     events = (s, *(v for v in causality.field if v != s))
-    masks, _ = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
+    masks, count = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
     first = (masks[0] & -masks[0]).bit_length() - 1
-    fresh = max(family.union_of_range(), default=-1) + 1
-    grown = {key: set(labels) for key, labels in family.items()}
+    used = family.labels
+    fresh = used[-1] + 1 if used else 0
+    grown = dict(zip(family.keys, family.masks))
     for v, mask in zip(events, masks):
-        if mask >> first:
-            grown.setdefault(v, set()).update(_labels(mask >> first, fresh))
-
-    extended = SetFamily(grown)
+        if mask >> first:  # the new labels go above the old ones
+            grown[v] = grown.get(v, 0) | mask >> first << len(used)
+    keys = sorted(grown)
+    extended = SetFamily._of_masks(
+        keys, [grown[v] for v in keys], used + tuple(range(fresh, fresh + count - first))
+    )
     if not is_representation(extended, causality, conflict):
         raise ValueError(
             "extension did not yield a representation; the input family "
@@ -166,7 +172,7 @@ class RepresentationCertificate:
         )
         if failures:
             raise ValueError("family is not a certificate: " + ", ".join(failures))
-        if any(v >= self.fresh_label_bound for v in self.family.union_of_range()):
+        if self.family.labels and self.family.labels[-1] >= self.fresh_label_bound:
             raise ValueError("family uses labels at or above the stated bound")
 
 
@@ -174,9 +180,10 @@ def build_representation(causality: Relation, conflict: Relation) -> Representat
     """Construct a representation for any valid event structure.
 
     ``_label_masks`` over the events in ascending order, with labels
-    consecutive from 0, so equal inputs give equal certificates.  The
-    family is checked once, as the returned certificate.  Rejects invalid
-    input with the validity diagnostics.
+    consecutive from 0, so equal inputs give equal certificates; its masks
+    become the family's masks as they are.  The family is checked once,
+    as the returned certificate.  Rejects invalid input with the validity
+    diagnostics.
     """
     failures = es_failures(causality, conflict)
     if failures:
@@ -184,7 +191,7 @@ def build_representation(causality: Relation, conflict: Relation) -> Representat
     events = causality.field
     masks, count = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
     return RepresentationCertificate(
-        family=SetFamily._of({v: _labels(mask) for v, mask in zip(events, masks)}),
+        family=SetFamily._of_masks(events, masks),
         for_causality=causality,
         for_conflict=conflict,
         fresh_label_bound=count,
@@ -252,6 +259,6 @@ def structure_from_representation(
         conflict_symmetric=conflict.is_symmetric,
         conflict_propagating=is_conflict_propagating(conflict, causality),
         conflict_irreflexive_if_no_empty=(
-            frozenset() in set(family.values()) or conflict.is_irreflexive
+            0 in family.masks or conflict.is_irreflexive
         ),
     )

@@ -2,26 +2,55 @@
 and the package's one reader and checker of them.
 
 A ``SetFamily`` is right-unique by construction (it is a map) and
-immutable.  Domain membership is an explicit ``in`` check.  For event
-structures and full graphs alike, ``_mask_relations`` reads containment,
-disjointness and overlap off a family's label masks, ``represents``
-checks them against a pair of relations, ``family_failures`` checks a
-whole certificate, and ``_find_family`` is the search behind both
-brute-force oracles.
+immutable.  It stores its ascending ``keys``, its ascending ``labels``
+(every label some set holds) and one int per key in ``masks``: bit i
+stands for labels[i].  ``items()`` and ``values()`` are frozenset views
+built when asked for.  For event structures and full graphs alike,
+``_mask_relations`` reads containment, disjointness and overlap off the
+masks; a family is read once, on first use, and keeps the result.
+``represents`` checks the read against a pair of relations,
+``family_failures`` checks a whole certificate, and ``_find_family`` is
+the search behind both brute-force oracles.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain, compress
+from operator import attrgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .familysearch import search_set_family
-from .relation import Relation, _rows
+from .relation import Relation, _bits, _packing, _remap, _rows
+
+
+def _as_masks(sets: Mapping[int, Iterable[int]]) -> tuple[list[int], list[int], list[int]]:
+    """The keys of ``sets`` ascending, the mask of each key's set, and the
+    labels ascending: bit i of a mask stands for labels[i].  A mask is
+    written as a binary numeral first, so that it costs time linear in
+    the label count rather than a big-int sum per label."""
+    keys = sorted(sets)
+    labels = sorted(set(chain.from_iterable(sets.values())))
+    position = dict(zip(labels, range(len(labels))))
+    blank = bytearray(b"0") * (len(labels) + 1)
+    masks = []
+    for key in keys:
+        digits = blank[:]
+        for label in sets[key]:
+            digits[position[label]] = 49  # ord("1")
+        masks.append(int(digits[::-1], 2))
+    return keys, masks, labels
 
 
 class SetFamily:
-    """Immutable finite map from vertex ids to finite label sets."""
+    """Immutable finite map from vertex ids to finite label sets, stored
+    as its keys, its labels and one label mask per key."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_keys", "_labels", "_masks", "_read")
+
+    keys = property(attrgetter("_keys"), doc="The keys, ascending.")
+    labels = property(attrgetter("_labels"), doc="Every label in use, ascending.")
+    masks = property(attrgetter("_masks"), doc="Per key, bit i for labels[i].")
 
     def __init__(
         self,
@@ -39,60 +68,92 @@ class SetFamily:
             if key in store:
                 raise ValueError(f"duplicate key {key}")
             store[key] = value
-        # stored in key order, so the accessors below never sort
-        self._entries = dict(sorted(store.items()))
+        self._fill(*_as_masks(store))
 
     @classmethod
-    def _of(cls, entries: Mapping[int, frozenset[int]]) -> SetFamily:
+    def _of(cls, entries: Mapping[int, Iterable[int]]) -> SetFamily:
         """The family of ``entries``, whose keys and labels the caller has
-        checked: distinct natural keys, each to a frozenset of natural
-        ints."""
+        checked: distinct natural keys, each to natural ints, which may
+        repeat."""
+        return cls._of_masks(*_as_masks(entries))
+
+    @classmethod
+    def _of_masks(
+        cls, keys: Sequence[int], masks: Sequence[int], labels: Sequence[int] | None = None
+    ) -> SetFamily:
+        """The family mapping keys[i] to the labels masks[i] selects, bit j
+        for labels[j], or for label j when ``labels`` is None; the caller
+        gives ascending natural keys and labels."""
         family = cls.__new__(cls)
-        family._entries = dict(sorted(entries.items()))
+        family._fill(keys, masks, labels)
         return family
+
+    def _fill(
+        self, keys: Sequence[int], masks: Sequence[int], labels: Sequence[int] | None
+    ) -> None:
+        """Store the family ``_of_masks`` describes.  The labels no set
+        holds are dropped, so that equal families store equal fields."""
+        used = reduce(or_, masks, 0)
+        labels = tuple(range(used.bit_length()) if labels is None else labels)
+        if used != (1 << len(labels)) - 1:
+            weight = _packing(used)
+            labels = tuple(compress(labels, _bits(used)))
+            masks = [_remap(mask, weight) for mask in masks]
+        self._keys, self._labels, self._masks, self._read = tuple(keys), labels, tuple(masks), None
+
+    @property
+    def _relations(self) -> tuple[list[int], list[int], list[int]]:
+        """``_mask_relations`` of the masks, read on first use and kept."""
+        if self._read is None:
+            self._read = _mask_relations(self._masks)
+        return self._read
+
+    def _label_lists(self) -> list[list[int]]:
+        """Each key's labels, ascending, read off its mask."""
+        return [list(compress(self._labels, _bits(mask))) for mask in self._masks]
 
     # ------------------------------------------------------------------
 
-    @property
-    def keys(self) -> tuple[int, ...]:
-        return tuple(self._entries)
+    def values(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self._label_lists()))
 
     def items(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        return tuple(self._entries.items())
-
-    def values(self) -> tuple[frozenset[int], ...]:
-        return tuple(self._entries.values())
+        return tuple(zip(self._keys, self.values()))
 
     def __contains__(self, key: int) -> bool:
-        return key in self._entries
+        return key in self._keys
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
+        return iter(self._keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):
             return NotImplemented
-        return self._entries == other._entries
+        return (self._keys, self._labels, self._masks) == (
+            other._keys,
+            other._labels,
+            other._masks,
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
+        return hash((self._keys, self._labels, self._masks))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {sorted(v)}" for k, v in self.items())
+        body = ", ".join(f"{k}: {v}" for k, v in zip(self._keys, self._label_lists()))
         return f"SetFamily({{{body}}})"
 
     # ------------------------------------------------------------------
 
     def is_injective(self) -> bool:
         """No two distinct keys share the same value set."""
-        return len(set(self._entries.values())) == len(self._entries)
+        return len(set(self._masks)) == len(self._masks)
 
     def union_of_range(self) -> frozenset[int]:
         """All labels used anywhere in the family."""
-        return frozenset().union(*self._entries.values())
+        return frozenset(self._labels)
 
 
 def overlaps(a: frozenset[int] | set[int], b: frozenset[int] | set[int]) -> bool:
@@ -133,14 +194,10 @@ def represents(
 ) -> bool:
     """Over every ordered pair of keys: (x, y) in ``containment`` iff
     f(x) >= f(y), and (x, y) in ``second`` iff f(x) and f(y) are disjoint
-    (properly overlap, with ``overlap``).  The labels are numbered 0, 1,
-    ... first, so a label's size never matters, and the rows
-    ``_mask_relations`` reads off the masks are compared."""
-    labels = family.union_of_range()
-    weight = dict(zip(labels, map((1).__lshift__, range(len(labels)))))
-    masks = [sum(map(weight.__getitem__, value)) for value in family.values()]
+    (properly overlap, with ``overlap``).  The family's one read of its
+    masks is compared row by row, so a label's size never matters."""
     keys = family.keys
-    contains, partners, edges = _mask_relations(masks)
+    contains, partners, edges = family._relations
     related = edges if overlap else partners
     return contains == _rows(keys, containment) and related == _rows(keys, second)
 
@@ -150,7 +207,8 @@ def _find_family(
 ) -> SetFamily | None:
     """The exhaustive search behind both oracles: an injective, empty-free
     family keyed by the vertices of the pair, with labels below
-    ``label_bound``, that ``represents`` the pair; None if there is none."""
+    ``label_bound``, that ``represents`` the pair; None if there is none.
+    The bound keeps each set's mask a short sum of powers of two."""
     found = search_set_family(
         containment.field + second.field,
         containment.pairs,
@@ -158,7 +216,10 @@ def _find_family(
         second_overlap=overlap,
         label_bound=label_bound,
     )
-    return None if found is None else SetFamily(found)
+    if found is None:
+        return None
+    keys = sorted(found)
+    return SetFamily._of_masks(keys, [sum(map((1).__lshift__, found[k])) for k in keys])
 
 
 def family_failures(
@@ -174,7 +235,7 @@ def family_failures(
         )
     if not family.is_injective():
         failed.append("not-injective")
-    if frozenset() in set(family.values()):
+    if 0 in family.masks:
         failed.append("contains-empty-set")
     if set(family.keys) != set(containment.field + second.field):
         failed.append("keys-differ-from-vertices")

@@ -34,7 +34,7 @@ from typing import Sequence
 from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, _pair_rows, check_size
 from .enumeration import _posets, count_es
 from .event_structure import is_event_structure
-from .relation import Relation, _row_pairs
+from .relation import Relation, _row_pairs, _transpose
 from .representation import _label_masks, _peel_order, find_representation_bruteforce
 from .setfamily import _mask_relations
 
@@ -103,12 +103,12 @@ def run_theorem_suite(n: int) -> SuiteReport:
             if {full ^ t for t in edge_sets} != set(conflicts):
                 bijection_bad.append(f"order {_row_pairs(range(k), contains)}")
             square = _pair_rows(k, pairs, full)
-            peeled = _peel_order(above)
+            peeled, below = _peel_order(above), _transpose(above)
             for m in conflicts:
                 structures += 1
                 partners = _pair_rows(k, pairs, m)
                 edges = _pair_rows(k, pairs, full ^ m)
-                masks, count = _label_masks(above, partners, peeled)
+                masks, count = _label_masks(above, partners, peeled, below)
                 if len(set(masks)) != k or 0 in masks or max(masks, default=0) >> count:
                     build_bad.append(_tag(contains, partners))
                 if _mask_relations(masks) != (contains, partners, edges):

@@ -201,6 +201,42 @@ def certifies(family, containment, second, *, overlap):
     )
 
 
+def label_masks(above, partners):
+    """The builder's label masks and label count, for the order with these
+    strict up-set masks and these conflict partner masks: peel off the
+    smallest position with nothing left above it until none is left, and
+    attach them again in reverse.  Attaching s gives a fresh label to s
+    and to each attached x (ascending) neither below s nor its partner,
+    then a closing label to s alone; a position's mask holds its own
+    labels and those of every position above it."""
+    k = len(above)
+    peeled, remaining = [], set(range(k))
+    while remaining:
+        s = min(v for v in remaining if not any(above[v] >> w & 1 for w in remaining))
+        remaining.remove(s)
+        peeled.append(s)
+    own = [0] * k
+    label = attached = 0
+    for s in reversed(peeled):
+        bit = 1 << s
+        loose = attached & ~partners[s]
+        for x in range(k):
+            if loose >> x & 1 and not above[x] & bit:
+                own[x] |= 1 << label
+                own[s] |= 1 << label
+                label += 1
+        own[s] |= 1 << label
+        label += 1
+        attached |= bit
+    masks = []
+    for mask, up in zip(own, above):
+        for w in range(k):
+            if up >> w & 1:
+                mask |= own[w]
+        masks.append(mask)
+    return masks, label
+
+
 def incomparable_complement(order, chosen):
     """The complement map: the pairs of the incomparability square of
     ``order`` (vertex pairs related neither way) outside ``chosen``."""

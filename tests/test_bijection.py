@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import esfg.setfamily as setfamily_mod
 from esfg import (
     EventStructure,
     EventStructureError,
@@ -234,3 +235,20 @@ def test_certified_graphs_convert_like_uncertified_ones():
         assert graph.certificate is not None
         bare = FullGraph(graph.directed, graph.undirected)
         assert fg_to_es(graph) == fg_to_es(bare) == structure
+
+
+def test_es_to_fg_reads_its_family_once(monkeypatch):
+    """The certificate check on the structure side and the ``FullGraph``
+    check on the graph side both run, on one read of the family's masks."""
+    reads = []
+    original = setfamily_mod._mask_relations
+
+    def counted(masks):
+        reads.append(masks)
+        return original(masks)
+
+    monkeypatch.setattr(setfamily_mod, "_mask_relations", counted)
+    order = Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1)})
+    graph = es_to_fg(EventStructure(order, Relation(3, {(1, 2), (2, 1)})))
+    assert graph.certificate is not None and graph.undirected.pairs == {(0, 2), (2, 0)}
+    assert len(reads) == 1

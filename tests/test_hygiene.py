@@ -3,13 +3,15 @@ private function is called by the package, no package function imports
 for itself but the lazy OEIS download, the package reads no environment
 variable it does not list, every module parses at the declared Python
 floor, the oracle and the tests' reference import nothing from the
-package, and every probe of the benchmark tracer names a callable that
-exists."""
+package, ``import esfg`` loads no module it does not list, and every
+probe of the benchmark tracer names a callable that exists."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -228,3 +230,31 @@ def test_environment_reads_are_listed():
         if (path.name, variable) not in ENVIRONMENT_READS
     ]
     assert unlisted == []
+
+
+#: What ``import esfg`` adds to ``sys.modules`` in a fresh CPython 3.11
+#: interpreter.  Every launch pays for each of these, so a module joins
+#: the list on purpose or not at all.
+IMPORTED_MODULES = {
+    *("__future__", "_ast", "_json", "_opcode", "ast", "copy", "dataclasses", "dis"),
+    *("importlib.machinery", "inspect", "json", "json.decoder", "json.encoder"),
+    *("json.scanner", "linecache", "opcode", "token", "tokenize"),
+    *("esfg", "esfg.bijection", "esfg.documents", "esfg.enumeration"),
+    *("esfg.event_structure", "esfg.familysearch", "esfg.fullgraph", "esfg.oeis"),
+    *("esfg.relation", "esfg.representation", "esfg.setfamily", "esfg.verify"),
+}
+
+
+def test_import_esfg_loads_only_the_listed_modules():
+    """One fresh interpreter diffs ``sys.modules`` around ``import esfg``;
+    a module outside ``IMPORTED_MODULES`` fails."""
+    script = (
+        "import sys; before = set(sys.modules); import esfg; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert sorted(set(run.stdout.split()) - IMPORTED_MODULES) == []

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations, product
 
 import pytest
@@ -21,6 +22,8 @@ from esfg import (
     structure_from_representation,
     terminal_events,
 )
+from esfg.relation import _rows, _strict_rows, _transpose
+from esfg.representation import _label_masks, _peel_order
 
 from . import reference
 from .strategies import small_structures
@@ -243,6 +246,22 @@ def test_certificates_match_the_golden_digest():
         digest.hexdigest()
         == "341d810c674c79d33a64e666d49a179b4c4931b8c778229f0f0691d511e2e9e4"
     )
+
+
+def test_label_masks_agree_with_the_reference_loop():
+    """The builder's bit walks against the loop over all k positions they
+    replaced, on every structure with n <= 4 and one random structure of
+    each size from 8 to 40 events, with and without the peel order and
+    down-sets handed in."""
+    rng = random.Random(2306)
+    drawn = [reference.random_structure(rng, n) + (n,) for n in range(8, 41)]
+    cases = [*small_structures(4), *((Relation(n, d), Relation(n, u)) for d, u, n in drawn)]
+    for order, conflict in cases:
+        events = order.field
+        above, partners = _strict_rows(events, order), _rows(events, conflict)
+        expected = reference.label_masks(above, partners)
+        assert _label_masks(above, partners) == expected
+        assert _label_masks(above, partners, _peel_order(above), _transpose(above)) == expected
 
 
 def test_the_family_is_checked_once(monkeypatch):

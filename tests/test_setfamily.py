@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +47,64 @@ def test_accessors_come_out_in_key_order(keys):
     assert shuffled.values() == tuple(frozenset({k, 10 + k % 3}) for k in range(6))
     assert list(shuffled) == list(range(6))
     assert shuffled == ordered and hash(shuffled) == hash(ordered)
+
+
+#: Families as plain dicts of frozensets, the reference the stored form is
+#: checked against; labels reach 70, past one 64-bit word of masks.
+plain_families = st.dictionaries(
+    st.integers(0, 6), st.frozensets(st.integers(0, 70), max_size=6), max_size=6
+)
+
+
+@given(plain_families, st.data())
+def test_the_stored_form_agrees_with_a_dict_of_frozensets(sets, data):
+    """Every accessor, ``union_of_range``, ``is_injective``, ``repr`` and
+    the stored labels and masks against the dict, and ``==`` and ``hash``
+    against dict equality, on a shuffled copy and on a drawn second dict
+    that often differs by one label."""
+    family = SetFamily(sets)
+    ordered = sorted(sets.items())
+    assert family.keys == tuple(sorted(sets)) and list(family) == sorted(sets)
+    assert family.items() == tuple(ordered)
+    assert family.values() == tuple(value for _, value in ordered)
+    assert len(family) == len(sets) and all(k in family for k in sets) and 7 not in family
+    union = frozenset().union(*sets.values())
+    assert family.union_of_range() == union and family.labels == tuple(sorted(union))
+    assert family.masks == tuple(
+        sum(1 << i for i, label in enumerate(family.labels) if label in value)
+        for _, value in ordered
+    )
+    assert family.is_injective() == (len(set(sets.values())) == len(sets))
+    assert repr(family) == "SetFamily({%s})" % ", ".join(f"{k}: {sorted(v)}" for k, v in ordered)
+
+    shuffled = SetFamily(data.draw(st.permutations(ordered)))
+    assert shuffled == family and hash(shuffled) == hash(family)
+    other = dict(sets)
+    if sets and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(sets)))
+        other[key] = other[key] ^ {data.draw(st.integers(0, 70))}
+    else:
+        other = data.draw(plain_families)
+    assert (SetFamily(other) == family) == (other == sets)
+    if other == sets:
+        assert hash(SetFamily(other)) == hash(family)
+
+
+@given(st.lists(st.integers(0, 2**70 - 1) | st.integers(0, 15), max_size=6), st.integers(0, 2**32))
+def test_a_family_of_masks_equals_the_family_of_their_label_sets(masks, seed):
+    """``_of_masks(keys, masks)`` reads bit i as label i, and with labels
+    handed in as labels[i]; unused labels drop out either way, so the
+    result equals the family built from the label sets."""
+    keys = [3 * i + 1 for i in range(len(masks))]
+    labels = sorted(random.Random(seed).sample(range(300), 70))
+
+    def selected(mask, names):
+        return {names[i] for i in range(mask.bit_length()) if mask >> i & 1}
+
+    expected = SetFamily({k: selected(m, range(70)) for k, m in zip(keys, masks)})
+    assert SetFamily._of_masks(keys, masks) == expected
+    relabelled = SetFamily({k: selected(m, labels) for k, m in zip(keys, masks)})
+    assert SetFamily._of_masks(keys, masks, labels) == relabelled
 
 
 @st.composite

@@ -28,8 +28,8 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .event_structure import EventStructure
+from .familysearch import search_set_family
 from .fullgraph import FullGraph, FullGraphError, fg_failures
-from .fullgraph import find_fg_representation_bruteforce
 from .relation import Pair, Relation, _strict_rows, pairs_key
 from .representation import build_representation
 
@@ -175,21 +175,23 @@ def enumerate_fullgraph_edge_sets(
 ) -> tuple[Relation, ...]:
     """All undirected edge sets T making (base, T) a full graph, sorted by
     pair list; empty for a ``base`` that is not an order.  ``oracle=True``
-    (desk scale only) vets every candidate with the exhaustive search for
-    an fg-representation instead of the filter.  A field above the
-    ``list`` size limit raises ``ValueError``."""
+    (desk scale only) vets every candidate mask instead of the filter: the
+    exhaustive search for an fg-representation with labels below k * k,
+    for k vertices, reads the order's rows and the mask's.  A field above
+    the ``list`` size limit raises ``ValueError``."""
     check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
     pairs, rules = _pair_kernel(_strict_rows(base.field, base))
     if not oracle:
         return _relations(base, pairs, _edge_set_masks(len(pairs), rules))
-    bound = len(base.field) ** 2
-    return tuple(
-        t
-        for t in _relations(base, pairs, range(1 << len(pairs)))
-        if find_fg_representation_bruteforce(base, t, bound) is not None
-    )
+    k = len(base.field)
+
+    def vetted(t: int) -> bool:
+        rows = _pair_rows(k, pairs, t)
+        return search_set_family(base.rows, rows, second_overlap=True, label_bound=k * k) is not None
+
+    return _relations(base, pairs, filter(vetted, range(1 << len(pairs))))
 
 
 @dataclass(frozen=True)

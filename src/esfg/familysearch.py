@@ -7,18 +7,20 @@ label sets realising both biconditionals exactly, or certifies that no
 such family exists with labels below the given bound.  It imports nothing
 from the rest of the package.
 
-The keys, sorted and without repeats, become positions 0..n-1, and the
-relations become bit rows built once per search: ``sup[i]`` holds the
-positions whose set lies inside i's, ``sub[i]`` those whose set holds
-i's, ``rel[i]`` those in the second relation with i, and ``apart[i]``
-those whose set must miss i's (the second relation in disjointness mode;
-in overlap mode the pairs related no way, as nonempty sets neither nested
-nor properly overlapping are disjoint).  Candidate sets are bitmasks over
-``range(label_bound)``, assigned depth first in position order.  A
-candidate is kept when it is nonempty and its rows against the assigned
-prefix (the masks that hold it, that it holds, that it misses or
-properly overlaps) equal the expected rows on that prefix, with no mask
-both holding and held (no repeat), so a returned family is exact.
+The caller numbers its keys 0..n-1 and hands over two bit rows per
+position, bit j of row i for the pair (i, j): ``sup[i]`` holds the
+positions whose set lies inside i's, and ``rel[i]`` those in the second
+relation with i.  The search then builds ``sub[i]``, the positions whose
+set holds i's, and ``apart[i]``, those whose set must miss i's (the
+second relation in disjointness mode; in overlap mode the pairs related
+no way, as nonempty sets neither nested nor properly overlapping are
+disjoint).  It returns one label mask per position, bit b for label b.
+Candidate sets are bitmasks over ``range(label_bound)``, assigned depth
+first in position order.  A candidate is kept when it is nonempty and
+its rows against the assigned prefix (the masks that hold it, that it
+holds, that it misses or properly overlaps) equal the expected rows on
+that prefix, with no mask both holding and held (no repeat), so a
+returned family is exact.
 
 Four pruning rules drop only branches without a solution, so the first
 solution in ascending-mask order stays first.  It is the one returned,
@@ -67,12 +69,13 @@ the bound.
   to ``label_bound`` (``_region_count``), and position i tries no more
   fresh labels than that.
 
-A search that passes the refusals renumbers its positions causes-first,
-and builds its rows again on them: each time, it takes the smallest
-waiting position that no other waiting position holds.  By then
-containment is a partial order on the keys (reflexivity is checked
-directly, the pair table refuses two sets that hold each other and the
-triple table a non-transitive triple), so every position is taken.
+A search that passes the refusals renumbers its positions causes-first:
+each time, it takes the smallest waiting position that no other waiting
+position holds.  By then containment is a partial order on the
+positions (reflexivity is checked directly, the pair table refuses two
+sets that hold each other and the triple table a non-transitive
+triple), so every position is taken.  The rows are permuted into that
+order bit by bit, and the masks handed back in the caller's order.
 Each set is then assigned after every set that holds it, so its
 candidates are drawn from inside those sets and need no lower bound.
 The order is measured: the 4-point oracle sweeps at bound 10 try
@@ -83,9 +86,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations
-from typing import Collection, Iterable, Iterator
-
-Pair = tuple[int, int]
+from typing import Iterator, Sequence
 
 
 def _ascending_submasks(low: int, high: int) -> Iterator[int]:
@@ -165,47 +166,27 @@ def _region_count(i: int, sub: list[int], apart: list[int], limit: int) -> int:
 
 
 def search_set_family(
-    keys: Iterable[int],
-    containment: Collection[Pair],
-    second: Collection[Pair],
+    sup: Sequence[int],
+    rel: Sequence[int],
     *,
     second_overlap: bool,
     label_bound: int,
-) -> dict[int, frozenset[int]] | None:
-    """Find an injective family of nonempty subsets of ``range(label_bound)``
-    keyed by ``keys`` (in any order, repeats ignored) such that, for all
-    keys x, y:
+) -> list[int] | None:
+    """Find an injective family of nonempty subsets of ``range(label_bound)``,
+    one per position 0..n-1 of the rows, such that, for all positions x, y:
 
-      (x, y) in containment  <=>  family[x] >= family[y]
-      (x, y) in second       <=>  family[x] and family[y] are disjoint
-                                  (or overlap, with ``second_overlap``)
+      bit y of sup[x]  <=>  family[x] >= family[y]
+      bit y of rel[x]  <=>  family[x] and family[y] are disjoint
+                            (or overlap, with ``second_overlap``)
 
-    Returns the first solution in ascending-mask order, or ``None``.
+    Returns the first solution in ascending-mask order, one label mask per
+    position, or ``None``.
     """
-    keys = sorted(set(keys))
-    n = len(keys)
+    n = len(sup)
     if n == 0:
-        return {}
+        return []
     if label_bound <= 0:
         return None
-
-    def rows(keys: list[int]) -> tuple[list[int], list[int], list[int]]:
-        position = {x: i for i, x in enumerate(keys)}
-        sup = [0] * n
-        sub = [0] * n
-        rel = [0] * n
-        for x, y in containment:
-            i, j = position.get(x), position.get(y)
-            if i is not None and j is not None:
-                sup[i] |= 1 << j
-                sub[j] |= 1 << i
-        for x, y in second:
-            i, j = position.get(x), position.get(y)
-            if i is not None and j is not None:
-                rel[i] |= 1 << j
-        return sup, sub, rel
-
-    sup, sub, rel = rows(keys)
 
     # Assignment-independent contradictions: a nonempty set always contains
     # itself and never is disjoint from (or overlaps) itself, the second
@@ -218,6 +199,11 @@ def search_set_family(
         for j in range(i + 1, n):
             if rel[j] >> i & 1 != rel[i] >> j & 1:
                 return None
+    sub = [0] * n
+    for i, row in enumerate(sup):
+        for j in range(n):
+            if row >> j & 1:
+                sub[j] |= 1 << i
     code = [
         [sup[i] >> j & 1 | (sub[i] >> j & 1) << 1 | (rel[i] >> j & 1) << 2 for j in range(n)]
         for i in range(n)
@@ -237,9 +223,24 @@ def search_set_family(
         i = 0
         while not (waiting >> i & 1 and sub[i] & waiting == 1 << i):
             i += 1
-        order.append(keys[i])
+        order.append(i)
         waiting &= ~(1 << i)
-    sup, sub, rel = rows(order)
+    place = [0] * n  # the bit of each position's new number
+    for p, i in enumerate(order):
+        place[i] = 1 << p
+
+    def permuted(rows: Sequence[int]) -> list[int]:
+        moved = []
+        for i in order:
+            row = rows[i]
+            new = 0
+            for j in range(n):
+                if row >> j & 1:
+                    new |= place[j]
+            moved.append(new)
+        return moved
+
+    sup, sub, rel = permuted(sup), permuted(sub), permuted(rel)
     if second_overlap:
         apart = [everyone & ~(sup[i] | sub[i] | rel[i]) for i in range(n)]
     else:
@@ -311,7 +312,7 @@ def search_set_family(
 
     if not extend(0, 0, [(1 << label_bound) - 1] * n):
         return None
-    return {
-        x: frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)
-        for x, mask in zip(order, masks)
-    }
+    found = [0] * n
+    for i, mask in zip(order, masks):
+        found[i] = mask
+    return found

@@ -208,18 +208,16 @@ def _find_family(
     """The exhaustive search behind both oracles: an injective, empty-free
     family keyed by the vertices of the pair, with labels below
     ``label_bound``, that ``represents`` the pair; None if there is none.
-    The bound keeps each set's mask a short sum of powers of two."""
+    The search reads the pair's rows over the keys and returns a label
+    mask per key."""
+    keys = tuple(sorted({*containment.field, *second.field}))
     found = search_set_family(
-        containment.field + second.field,
-        containment.pairs,
-        second.pairs,
+        _rows(keys, containment),
+        _rows(keys, second),
         second_overlap=overlap,
         label_bound=label_bound,
     )
-    if found is None:
-        return None
-    keys = sorted(found)
-    return SetFamily._of_masks(keys, [sum(map((1).__lshift__, found[k])) for k in keys])
+    return None if found is None else SetFamily._of_masks(keys, found)
 
 
 def family_failures(

@@ -57,10 +57,12 @@ class SuiteReport:
 
 
 def _all_relations(universe: int) -> list[Relation]:
-    cells = [(a, b) for a in range(universe) for b in range(universe)]
+    """Every relation on ``range(universe)``: row a of mask m is its a-th
+    run of ``universe`` bits."""
+    field, row = range(universe), (1 << universe) - 1
     return [
-        Relation(universe, (c for i, c in enumerate(cells) if mask >> i & 1))
-        for mask in range(1 << len(cells))
+        Relation._of_rows(universe, field, [m >> a * universe & row for a in field])
+        for m in range(1 << universe * universe)
     ]
 
 

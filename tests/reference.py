@@ -114,6 +114,20 @@ def rows(keys, pairs):
     return [sum(1 << y for y, b in enumerate(keys) if (a, b) in pairs) for a in keys]
 
 
+def keyed_search(search, keys, containment, second, **options):
+    """The family search read the way it once read its input: ``keys`` in
+    the order given, repeats dropped, are positions 0..n-1, each relation
+    is a set of pairs read into ``rows`` over them (a pair with a vertex
+    outside ``keys`` is left out), and each key gets the label set its
+    mask selects; None when ``search`` finds no family."""
+    keys = list(dict.fromkeys(keys))
+    found = search(rows(keys, containment), rows(keys, second), **options)
+    if found is None:
+        return None
+    bits = (frozenset(b for b in range(m.bit_length()) if m >> b & 1) for m in found)
+    return dict(zip(keys, bits))
+
+
 @cache
 def partial_orders(n):
     """The partial orders with field exactly ``range(n)``, sorted by sorted

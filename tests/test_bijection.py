@@ -120,14 +120,17 @@ def test_enumerate_fullgraph_edge_sets_examples():
 
 
 def test_edge_set_enumeration_agrees_with_oracle_mode():
-    for order in [
-        Relation(2, {(0, 0), (1, 1)}),
-        Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1)}),
-        Relation(3, {(0, 0), (1, 1), (2, 2)}),
-    ]:
+    """Oracle mode vets each candidate mask with the search on the order's
+    rows: it lists the filter's edge sets on every order with up to 3
+    points, and on each order on 3 points moved onto {1, 3, 4}."""
+    moved = {0: 1, 1: 3, 2: 4}
+    orders = [order for n in range(4) for order in enumerate_partial_orders(n)]
+    orders += [Relation(5, {(moved[a], moved[b]) for a, b in o}) for o in orders if o.universe == 3]
+    assert len(orders) == 1 + 1 + 3 + 19 + 19
+    for order in orders:
         assert enumerate_fullgraph_edge_sets(order) == enumerate_fullgraph_edge_sets(
             order, oracle=True
-        )
+        ), order
 
 
 def test_verify_bijection_examples():

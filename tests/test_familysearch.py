@@ -23,6 +23,7 @@ from esfg import (
 )
 from esfg.familysearch import _ascending_submasks, _venn_widths, search_set_family
 from esfg.representation import is_representation
+from esfg.setfamily import _find_family
 
 from . import reference
 
@@ -88,9 +89,10 @@ def reference_search(order, containment, second, *, overlap, bound):
 
 
 def reference_causes_first_order(events, containment):
-    """The quadratic rescan: take the smallest waiting event none of whose
-    strict sources is still waiting, until none is ready."""
-    waiting = sorted(set(events))
+    """The quadratic rescan: take the first waiting event, in the order
+    given, none of whose strict sources is still waiting, until none is
+    ready."""
+    waiting = list(dict.fromkeys(events))
     strict = {(a, b) for a, b in containment if a != b}
     order = []
     while waiting:
@@ -188,9 +190,10 @@ def test_an_unsatisfiable_pair_is_rejected_before_any_candidate(monkeypatch):
 
 
 def test_the_key_order_does_not_matter(monkeypatch):
-    """A chain given its keys ascending, descending or shuffled: the
-    search assigns causes-first whatever the order it is given, so it
-    returns the same family from the same number of candidates."""
+    """A chain given its keys ascending, descending or shuffled, each a
+    relabelling of the search's positions: the search assigns
+    causes-first whatever the order it is given, so it returns the same
+    family from the same number of candidates."""
     counter = count_candidates(monkeypatch)
     candidates = {1: 2, 2: 7, 3: 24, 4: 101, 5: 550}
     for k, overlap in product(range(1, 6), (False, True)):
@@ -200,7 +203,9 @@ def test_the_key_order_does_not_matter(monkeypatch):
         tried = []
         for keys in (range(k), reversed(range(k)), shuffled):
             counter.yielded = 0
-            found = search_set_family(keys, chain, (), second_overlap=overlap, label_bound=k + 2)
+            found = reference.keyed_search(
+                search_set_family, keys, chain, (), second_overlap=overlap, label_bound=k + 2
+            )
             assert found == {v: frozenset(range(k - v)) for v in range(k)}
             tried.append(counter.yielded)
         assert tried == [candidates[k]] * 3, (k, overlap)
@@ -220,8 +225,13 @@ def test_a_containment_that_is_no_order_is_refused_before_any_candidate(monkeypa
             ):
                 continue
             for overlap in (False, True):
-                found = search_set_family(
-                    reversed(range(n)), containment, (), second_overlap=overlap, label_bound=9
+                found = reference.keyed_search(
+                    search_set_family,
+                    reversed(range(n)),
+                    containment,
+                    (),
+                    second_overlap=overlap,
+                    label_bound=9,
                 )
                 assert found is None, (containment, overlap)
                 searched += 1
@@ -258,8 +268,8 @@ def test_overlap_search_does_not_depend_on_the_labelling(monkeypatch):
 
 def test_search_matches_the_reference_search():
     """The search, given its keys reversed with one repeated and a
-    containment pair to a key outside, against the reference search in
-    causes-first order."""
+    containment pair to a key outside (the row reader drops both), against
+    the reference search in causes-first order over those positions."""
     cases = [
         (n, containment, second, bound)
         for n in range(3)
@@ -274,13 +284,50 @@ def test_search_matches_the_reference_search():
     for n, containment, second, bound in cases:
         keys = list(reversed(range(n)))
         keys += keys[:1]
-        order = reference_causes_first_order(range(n), containment)
+        order = reference_causes_first_order(keys, containment)
         for overlap in (False, True):
-            found = search_set_family(
-                keys, containment | {(0, n)}, second, second_overlap=overlap, label_bound=bound
+            found = reference.keyed_search(
+                search_set_family,
+                keys,
+                containment | {(0, n)},
+                second,
+                second_overlap=overlap,
+                label_bound=bound,
             )
             expected = reference_search(order, containment, second, overlap=overlap, bound=bound)
             assert found == expected, (containment, second, bound, overlap)
+
+
+def test_find_family_reads_the_rows_the_pairs_give():
+    """``_find_family`` reads its rows with ``relation._rows`` over the
+    sorted vertices of both relations, remapping any field that differs
+    from them.  Every order on 3 points moved onto {1, 3, 4}, against
+    every symmetric relation on those points (its field any subset of
+    theirs) and one reaching vertex 5, equals the search on rows read
+    from the pairs."""
+    moved = {0: 1, 1: 3, 2: 4}
+    def move(pairs):
+        return Relation(6, {(moved[a], moved[b]) for a, b in pairs})
+
+    orders = [move(o) for o in reference.partial_orders(3)]
+    seconds = [move(r) for r in reference.symmetric_relations(3)]
+    seconds.append(Relation(6, {(3, 5), (5, 3)}))
+    for overlap in (False, True):
+        representable = 0
+        for order, second in product(orders, seconds):
+            found = _find_family(order, second, 6, overlap=overlap)
+            expected = reference.keyed_search(
+                search_set_family,
+                sorted({*order.field, *second.field}),
+                order.pairs,
+                second.pairs,
+                second_overlap=overlap,
+                label_bound=6,
+            )
+            read = None if found is None else dict(found.items())
+            assert read == expected, (order, second, overlap)
+            representable += found is not None
+        assert representable == 41, overlap
 
 
 def _digest(families):

@@ -3,8 +3,9 @@ private function is called by the package, no package function imports
 for itself but the lazy OEIS download, the package reads no environment
 variable it does not list, every module parses at the declared Python
 floor, the oracle and the tests' reference import nothing from the
-package, ``import esfg`` loads no module it does not list, and every
-probe of the benchmark tracer names a callable that exists."""
+package, ``import esfg`` loads no module it does not list, every probe
+of the benchmark tracer names a callable that exists, and every oracle
+reaches the search probe."""
 
 import ast
 import importlib
@@ -72,6 +73,44 @@ def test_every_benchmark_probe_resolves(probe):
         assert attr in vars(getattr(module, owner_name))
     else:
         assert callable(getattr(module, attr, None))
+
+
+def test_every_oracle_reaches_the_search_probe(monkeypatch):
+    """The tracer counts searches by wrapping ``search_set_family`` in
+    every ``esfg`` module that binds it.  An ES oracle call, an FG oracle
+    call and an oracle-mode listing must each reach that wrapper, or the
+    benchmark's search count reads 0 on them."""
+    import esfg
+    from esfg import familysearch
+
+    search = familysearch.search_set_family
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    binders = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "esfg" and vars(module).get("search_set_family") is search
+    ]
+    assert familysearch in binders
+    for module in binders:
+        monkeypatch.setattr(module, "search_set_family", wrapped)
+    antichain = esfg.Relation(2, {(0, 0), (1, 1)})
+    edge = esfg.Relation(2, {(0, 1), (1, 0)})
+    oracles = {
+        "es": lambda: esfg.find_representation_bruteforce(antichain, edge, 4),
+        "fg": lambda: esfg.find_fg_representation_bruteforce(antichain, edge, 4),
+        "listing": lambda: esfg.enumerate_fullgraph_edge_sets(antichain, oracle=True),
+    }
+    reached = {}
+    for name, oracle in oracles.items():
+        calls.clear()
+        oracle()
+        reached[name] = len(calls)
+    assert reached == {"es": 1, "fg": 1, "listing": 2}
 
 
 @pytest.mark.parametrize(

@@ -153,9 +153,8 @@ def _relations(
     base: Relation, pairs: Sequence[Pair], masks: Iterable[int]
 ) -> tuple[Relation, ...]:
     """The symmetric relation of each mask over ``base``'s field, sorted by pair list."""
-    named = [(base.field[a], base.field[b]) for a, b in pairs]
-    chosen = ([pair for i, pair in enumerate(named) if m >> i & 1] for m in masks)
-    found = (Relation(base.universe, c + [(b, a) for a, b in c]) for c in chosen)
+    k = len(base.field)
+    found = (Relation._of_rows(base.universe, base.field, _pair_rows(k, pairs, m)) for m in masks)
     return tuple(sorted(found, key=pairs_key))
 
 

@@ -18,7 +18,7 @@ from typing import Any
 
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Relation, _row_pairs
+from .relation import Relation, _row_pairs, _strict_rows
 from .setfamily import SetFamily
 
 KINDS = ("es", "fg", "representation")
@@ -229,17 +229,13 @@ def export_dot(doc: StructureDocument, *, hasse: bool = False) -> str:
     for the second relation, one per unordered pair.  Node and edge order
     is deterministic.
     """
-    if hasse:
-        shown = doc.causality.transitive_reduction()
-    else:
-        shown = Relation(
-            doc.universe, ((a, b) for a, b in doc.causality.pairs if a != b)
-        )
+    shown = doc.causality.transitive_reduction() if hasse else doc.causality
     nodes = sorted(set(doc.causality.field) | set(doc.conflict.field))
     lines = ["digraph G {"]
     lines.extend(f"  {v};" for v in nodes)
-    lines.extend(f"  {a} -> {b};" for a, b in sorted(shown.pairs))
-    undirected = sorted({(min(a, b), max(a, b)) for a, b in doc.conflict.pairs})
-    lines.extend(f"  {a} -> {b} [dir=none, style=dashed];" for a, b in undirected)
+    arrows = _row_pairs(shown.field, _strict_rows(shown.field, shown))
+    lines.extend(f"  {a} -> {b};" for a, b in arrows)
+    # the conflict is symmetric: each unordered pair once, ascending
+    lines.extend(f"  {a} -> {b} [dir=none, style=dashed];" for a, b in doc.conflict if a <= b)
     lines.append("}")
     return "\n".join(lines) + "\n"

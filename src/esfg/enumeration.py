@@ -32,6 +32,7 @@ leaves.
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator
 
@@ -44,12 +45,18 @@ from .bijection import (
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Relation, _row_pairs
+from .relation import Relation, pairs_key
 
 #: A step of the order walk: ``(above, below, low, high, downs)``, see
 #: ``_joins``.  ``downs`` lists the down-sets of the order on 0..k-1 that
 #: vertex k joins, ascending; its up-sets are their complements.
 Step = tuple[list[int], list[int], int, int, list[int]]
+
+
+@cache
+def _members(n: int) -> tuple[tuple[int, ...], ...]:
+    """The vertices of each mask on {0..n-1}, ascending, by mask."""
+    return tuple(tuple(v for v in range(n) if m >> v & 1) for m in range(1 << n))
 
 
 def _joined_sets(downs: list[int], low: int, high: int, k: int) -> list[int]:
@@ -72,7 +79,7 @@ def _joins(n: int, natural: bool = False) -> Iterator[Step]:
     are their complements, ascending as the down-sets descend.  With
     ``natural``, ``high`` is 0, the one up-set it tries."""
     check_size(n, "count")
-    members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+    members = _members(n)
 
     def walk(above: list[int], below: list[int], downs: list[int]) -> Iterator[Step]:
         k = len(above)
@@ -116,7 +123,7 @@ def _extensions(n: int) -> Iterator[tuple[Step, int]]:
     the step's ``downs`` that holds ``low``.  Only depth k writes entries
     with top bit k, so the walk shares one table."""
     steps = _joins(n, natural=True)  # checks n before the tables below use it
-    members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+    members = _members(n)
     pre = [1] + [0] * ((1 << n) - 1)
     for step in steps:
         above, _, low, _, downs = step
@@ -150,7 +157,7 @@ def _filter_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[i
     check_size(n, "count")
     if n == 0:
         yield 1, 1  # the one order on no events has one edge set, one extension
-    members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+    members = _members(n)
     # bit[v][w]: the bit of the incomparable pair {v, w}.  A vertex
     # placed at depth k writes row and column k afresh, and deeper
     # vertices write only higher ones, so the walk shares one grid.
@@ -229,7 +236,7 @@ def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[in
     if n == 0:
         yield 1, 1  # the one order on no events has one conflict, the empty one
     grid = 1 << n
-    members = [[v for v in range(n) if m >> v & 1] for m in range(grid)]
+    members = _members(n)
     # inside[s]: the pairs with both ends in s.  ends[k][s]: the pairs
     # {w, k} for w in s, a set of vertices below k.
     inside = [0] * grid
@@ -286,8 +293,7 @@ def enumerate_partial_orders(n: int) -> Iterator[Relation]:
     exactly {0..n-1}, each once, sorted by pair list."""
     check_size(n, "list")
     reflexive = ([up | 1 << v for v, up in enumerate(above)] for above in _posets(n))
-    for pairs in sorted(_row_pairs(range(n), rows) for rows in reflexive):
-        yield Relation(n, pairs)
+    yield from sorted((Relation._of_rows(n, range(n), rows) for rows in reflexive), key=pairs_key)
 
 
 def _weighted_sum(n: int, counts: Iterable[tuple[int, int]]) -> int:

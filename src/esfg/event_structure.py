@@ -80,9 +80,8 @@ def is_event_structure(causality: Relation, conflict: Relation) -> bool:
 
 def terminal_events(causality: Relation) -> tuple[int, ...]:
     """Events with no successor other than themselves, sorted."""
-    return tuple(
-        s for s in causality.field if causality.image((s,)) <= {s}
-    )
+    field, rows = causality.field, causality.rows
+    return tuple(s for i, (s, row) in enumerate(zip(field, rows)) if not row & ~(1 << i))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,10 @@ the bound.
   is i, in which no two members are ``apart`` and which holds every
   holder of each member.  Those regions are counted once per search, up
   to ``label_bound`` (``_region_count``), and position i tries no more
-  fresh labels than that.
+  fresh labels than that.  A position held by another tries none, as
+  the holder comes earlier and R would miss it; any other position has
+  had only used labels taken out of its bound, so every fresh label it
+  tries lies inside that bound.
 
 A search that passes the refusals renumbers its positions causes-first:
 each time, it takes the smallest waiting position that no other waiting
@@ -273,8 +276,6 @@ def search_set_family(
         first_fresh = used.bit_length()
         for top in range(first_fresh, min(label_bound, first_fresh + caps[i]) + 1):
             fresh = ((1 << top) - 1) & ~used  # the lowest unused labels
-            if fresh & ~high:
-                break
             for candidate in _ascending_submasks(fresh, (high & used) | fresh):
                 if candidate == 0:
                     continue

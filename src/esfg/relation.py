@@ -5,10 +5,10 @@ paper states its definitions over sets of ordered pairs; a ``Relation``
 stores the same value in row form.  Its ``field`` holds the sorted
 vertices some pair uses, and ``rows`` one bit row per field vertex: bit j
 of ``rows[i]`` stands for the pair (field[i], field[j]).  ``pairs`` is a
-view of that value as a frozenset, built on first use, or kept as the
-frozenset the constructor was handed.  The field is fixed by the pairs,
-so equal pair sets give equal rows; its size, never the universe's,
-sizes a relation.
+view of that value as a frozenset, built on first use, for callers
+outside the package; the package itself reads the rows.  The field is
+fixed by the pairs, so equal pair sets give equal rows; its size, never
+the universe's, sizes a relation.
 
 Everything downstream (event structures, full graphs, set-family
 representations) is built on this type, so the operations here are the
@@ -91,15 +91,7 @@ class Relation:
     rows: tuple[int, ...]
 
     def __init__(self, universe: int, pairs: Iterable[Pair] = ()):
-        # A frozenset of exact int pairs is kept as the ``pairs`` view;
-        # anything else is rebuilt as int tuples first.
-        if type(pairs) is not frozenset or not all(
-            type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
-            for p in pairs
-        ):
-            pairs = frozenset((int(a), int(b)) for a, b in pairs)
-        self._fill(universe, pairs)
-        self.__dict__["pairs"] = pairs
+        self._fill(universe, [(int(a), int(b)) for a, b in pairs])
 
     @classmethod
     def _of_pairs(cls, universe: int, pairs: Sequence[Sequence[int]]) -> Relation:
@@ -109,14 +101,13 @@ class Relation:
         made._fill(universe, pairs)
         return made
 
-    def _fill(self, universe: int, pairs: Iterable[Sequence[int]]) -> None:
+    def _fill(self, universe: int, pairs: Sequence[Sequence[int]]) -> None:
         universe = int(universe)
         if universe < 0:
             raise ValueError("universe must be a natural number")
         field = tuple(sorted(set(chain.from_iterable(pairs))))
         if field and (field[0] < 0 or field[-1] >= universe):
-            ordered = pairs if type(pairs) is frozenset else frozenset(map(tuple, pairs))
-            for a, b in ordered:
+            for a, b in frozenset(map(tuple, pairs)):
                 if not (0 <= a < universe and 0 <= b < universe):
                     raise ValueError(f"pair ({a}, {b}) outside universe of size {universe}")
         weight = {v: 1 << i for i, v in enumerate(field)}
@@ -319,8 +310,9 @@ class Relation:
 
 
 def pairs_key(relation: Relation) -> tuple[Pair, ...]:
-    """Deterministic sort key for relations sharing a universe."""
-    return tuple(sorted(relation.pairs))
+    """Deterministic sort key for relations sharing a universe: the
+    pairs, ascending."""
+    return tuple(relation)
 
 
 def _rows(keys: Sequence[int], relation: Relation) -> list[int]:

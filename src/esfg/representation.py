@@ -117,21 +117,22 @@ def extend_with_terminal(
     ``is_representation``.  Public API: the builder's inductive step on
     its own, which ``build_representation`` runs on masks instead.
     """
-    if (s, s) not in causality.pairs or not causality.image((s,)) <= {s}:
+    # at position 0, a terminal s holds only itself, is peeled first and
+    # attached last, so its own mask is exactly the labels of that last step
+    events = (s, *(v for v in causality.field if v != s))
+    if _rows(events, causality)[0] != 1:
         raise ValueError(f"event {s} is not terminal in the causality order")
     if s in family:
         raise ValueError(f"event {s} is already a key of the family")
-    if (s, s) in conflict.pairs:
+    partners = _rows(events, conflict)
+    if partners[0] & 1:
         raise ValueError(f"event {s} conflicts with itself")
     if not set(conflict.field) <= set(causality.field):
         raise ValueError("conflict names a vertex that is not an event")
     if 0 in family.masks:
         raise ValueError("family maps some event to the empty set")
 
-    # terminal and at position 0, s is peeled first and attached last,
-    # so its own mask is exactly the labels of that last step
-    events = (s, *(v for v in causality.field if v != s))
-    masks, count = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
+    masks, count = _label_masks(_strict_rows(events, causality), partners)
     first = (masks[0] & -masks[0]).bit_length() - 1
     used = family.labels
     fresh = used[-1] + 1 if used else 0

@@ -31,14 +31,14 @@ def _as_masks(sets: Mapping[int, Iterable[int]]) -> tuple[list[int], list[int], 
     the label count rather than a big-int sum per label."""
     keys = sorted(sets)
     labels = sorted(set(chain.from_iterable(sets.values())))
-    position = dict(zip(labels, range(len(labels))))
+    place = dict(zip(labels, range(len(labels), 0, -1)))  # the digit of each label's bit
     blank = bytearray(b"0") * (len(labels) + 1)
     masks = []
     for key in keys:
         digits = blank[:]
         for label in sets[key]:
-            digits[position[label]] = 49  # ord("1")
-        masks.append(int(digits[::-1], 2))
+            digits[place[label]] = 49  # ord("1")
+        masks.append(int(digits, 2))
     return keys, masks, labels
 
 
@@ -57,12 +57,12 @@ class SetFamily:
         entries: Mapping[int, Iterable[int]] | Iterable[tuple[int, Iterable[int]]] = (),
     ):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        store: dict[int, frozenset[int]] = {}
+        store: dict[int, list[int]] = {}
         for key, labels in items:
             key = int(key)
             if key < 0:
                 raise ValueError(f"vertex id {key} is not a natural number")
-            value = frozenset(map(int, labels))
+            value = list(map(int, labels))
             if value and min(value) < 0:
                 raise ValueError(f"labels of {key} must be natural numbers")
             if key in store:

@@ -131,7 +131,7 @@ def run_theorem_suite(n: int) -> SuiteReport:
             scanned += 1
             found = find_representation_bruteforce(base, conflict, k * k)
             if (found is not None) != is_event_structure(base, conflict):
-                oracle_bad.append(f"D={sorted(base.pairs)} U={sorted(conflict.pairs)}")
+                oracle_bad.append(f"D={list(base)} U={list(conflict)}")
 
     def result(name: str, bad: list[str], ok_detail: str) -> CheckResult:
         if bad:

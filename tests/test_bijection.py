@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import esfg.setfamily as setfamily_mod
 from esfg import (
+    BijectionReport,
     EventStructure,
     EventStructureError,
     FullGraph,
@@ -140,6 +141,13 @@ def test_verify_bijection_examples():
     assert report.x_size == 1 and report.y_size == 1 and report.all_hold
     report = verify_bijection(Relation(2, {(0, 1)}))
     assert report.x_size == 0 and report.y_size == 0 and report.all_hold
+
+
+def test_a_report_of_a_bijection_keeps_the_size():
+    order = Relation(2, {(0, 0), (1, 1)})
+    with pytest.raises(ValueError, match="cannot change cardinality"):
+        BijectionReport(order, 2, 1, True, True, True, True)
+    assert not BijectionReport(order, 2, 1, True, False, True, True).all_hold
 
 
 def test_verify_bijection_enforces_the_size_limit():

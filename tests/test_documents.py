@@ -8,6 +8,7 @@ from esfg import (
     DocumentError,
     EventStructure,
     Relation,
+    SetFamily,
     StructureDocument,
     build_representation,
     export_dot,
@@ -74,6 +75,36 @@ def test_schema_errors():
     with pytest.raises(DocumentError) as err:
         parse_document('{"kind":"representation","universe":0,"causality":[],"conflict":[]}')
     assert err.value.code == "schema"
+
+
+def test_a_document_built_directly_is_checked():
+    """The constructor refuses what the parser would: an unknown kind, a
+    relation on another universe, a family key outside the universe."""
+    point = Relation(1, {(0, 0)})
+    cases = [
+        (("mixed", 1, point, Relation(1)), "schema", "unknown kind 'mixed'"),
+        (("es", 2, point, Relation(2)), "schema", "relations must use the declared universe"),
+        (
+            ("representation", 1, point, Relation(1), SetFamily({0: {0}, 1: {1}})),
+            "bounds",
+            "family key 1 outside universe 1",
+        ),
+    ]
+    for fields, code, message in cases:
+        with pytest.raises(DocumentError, match=f"^{code}: {message}$") as err:
+            StructureDocument(*fields)
+        assert err.value.code == code
+
+
+def test_a_document_converts_only_to_its_own_kind():
+    point = Relation(1, {(0, 0)})
+    with pytest.raises(DocumentError, match="fg documents do not hold an event structure"):
+        StructureDocument("fg", 1, point, Relation(1)).to_event_structure()
+    for kind in ("es", "representation"):
+        family = SetFamily({0: {0}}) if kind == "representation" else None
+        doc = StructureDocument(kind, 1, point, Relation(1), family)
+        with pytest.raises(DocumentError, match=f"{kind} documents are not full graphs"):
+            doc.to_full_graph()
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ for itself but the lazy OEIS download, the package reads no environment
 variable it does not list, every module parses at the declared Python
 floor, the oracle and the tests' reference import nothing from the
 package, ``import esfg`` loads no module it does not list, every probe
-of the benchmark tracer names a callable that exists, and every oracle
-reaches the search probe."""
+of the benchmark tracer names a callable that exists, every oracle
+reaches the search probe, and the package builds no relation through
+its public constructor and reads no ``pairs`` view outside
+``relation.py``."""
 
 import ast
 import importlib
@@ -154,6 +156,22 @@ def test_every_private_function_is_called_by_the_package():
     defs = [f for tree in trees for f in tree.body if isinstance(f, ast.FunctionDef)]
     unused = [f.name for f in defs if f.name[0] == "_" and named[f.name] == _names(f)[f.name]]
     assert unused == []
+
+
+def test_the_package_builds_relations_from_rows():
+    """Inside the package a relation is built from its rows or from pairs
+    a document holds, never through the public constructor from pairs the
+    package wrote itself, and only ``relation.py`` reads the ``pairs``
+    view: the frozenset is for callers outside the package."""
+    built, read = [], []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Relation":
+                built.append((path.name, node.lineno))
+            if isinstance(node, ast.Attribute) and node.attr == "pairs":
+                if path.name != "relation.py":
+                    read.append((path.name, node.lineno))
+    assert (built, read) == ([], [])
 
 
 def test_every_size_limit_is_enforced():

@@ -103,6 +103,15 @@ def test_bounds_are_enforced():
         Relation(-1)
 
 
+def test_a_relation_is_immutable():
+    rel = Relation(2, {(0, 1)})
+    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+        rel.rows = (0, 0)
+    with pytest.raises(AttributeError, match="cannot delete field 'universe'"):
+        del rel.universe
+    assert rel == Relation(2, {(0, 1)})
+
+
 @pytest.mark.parametrize("wrap", [list, frozenset], ids=["list", "frozenset"])
 def test_the_constructor_normalises_pairs_and_checks_bounds(wrap):
     """Pairs come out as tuples of exact ints, whether or not they come in

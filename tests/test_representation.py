@@ -80,6 +80,30 @@ def test_extend_with_terminal_precondition_errors():
         extend_with_terminal(SetFamily({0: set()}), chain, Relation(2), 1)
 
 
+def test_extend_with_terminal_rejects_a_cyclic_causality():
+    """0 and 1 cause each other, so once the terminal 2 is peeled off no
+    event is left with nothing above it."""
+    cycle = Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})
+    with pytest.raises(ValueError, match="^the causality order has a cycle$"):
+        extend_with_terminal(SetFamily({0: {0}, 1: {1}}), cycle, Relation(3), 2)
+
+
+def test_extend_with_terminal_rejects_a_family_of_another_structure():
+    """0 causes 1, but the family puts 1's set around 0's; the labels that
+    attaching 2 adds cannot turn that round."""
+    chain = Relation(3, {(0, 0), (1, 1), (2, 2), (0, 1)})
+    with pytest.raises(ValueError, match="did not yield a representation"):
+        extend_with_terminal(SetFamily({0: {0}, 1: {0, 1}}), chain, Relation(3), 2)
+
+
+def test_a_certificate_refuses_a_label_at_its_bound():
+    chain = Relation(2, {(0, 0), (1, 1), (0, 1)})
+    cert = build_representation(chain, Relation(2))
+    assert cert.family.labels == (0, 1) and cert.fresh_label_bound == 2
+    with pytest.raises(ValueError, match="at or above the stated bound"):
+        RepresentationCertificate(cert.family, chain, Relation(2), 1)
+
+
 def test_extend_with_terminal_rejects_a_conflict_on_no_event():
     discrete = Relation(3, {(0, 0), (1, 1)})
     with pytest.raises(ValueError, match="not an event"):

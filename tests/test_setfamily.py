@@ -35,6 +35,11 @@ def test_rejects_negative_labels_and_keys():
         SetFamily({0: {-2}})
 
 
+def test_rejects_a_duplicate_key():
+    with pytest.raises(ValueError, match="^duplicate key 0$"):
+        SetFamily([(0, {1}), (0, {2})])
+
+
 @given(st.permutations(range(6)))
 def test_accessors_come_out_in_key_order(keys):
     """Whatever order the entries arrive in, ``keys``, ``items()`` and

@@ -194,6 +194,23 @@ def test_suite_catches_a_builder_family_that_is_no_family(monkeypatch, spoil):
     assert built.detail.startswith("D=[(0, 0), (1, 1)] U=[];")
 
 
+def test_suite_catches_an_oracle_that_misses_every_conflict(monkeypatch):
+    """An oracle that finds no family once there is a conflict misses the
+    one event structure on at most 2 points with one, and the oracle check
+    names it by its sorted pairs, and only it fails."""
+    original = verify_mod.find_representation_bruteforce
+
+    def conflict_blind(causality, conflict, label_bound):
+        return None if len(conflict) else original(causality, conflict, label_bound)
+
+    monkeypatch.setattr(verify_mod, "find_representation_bruteforce", conflict_blind)
+    outcome = run_theorem_suite(2)
+    failed = {check.name: check.detail for check in outcome.checks if not check.passed}
+    assert failed == {
+        "oracle-agrees-with-validity-check": "D=[(0, 0), (1, 1)] U=[(0, 1), (1, 0)]"
+    }
+
+
 def test_suite_rejects_oversized_requests():
     with pytest.raises(ValueError):
         run_theorem_suite(7)

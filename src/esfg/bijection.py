@@ -4,7 +4,8 @@ For a fixed directed relation D, complementing within the incomparability
 square swaps valid conflict relations with valid undirected edge sets:
 U = incomparable-but-not-T and T = incomparable-but-not-U.  The same
 set family witnesses both sides, because disjointness and proper overlap
-partition the incomparable pairs once containment is pinned down.
+partition the incomparable pairs once containment is pinned down; the
+builder's family is the canonical full-graph family of (D, T).
 
 Both sides filter one mask encoding per order: bit i of a candidate is
 the i-th incomparable pair with its mirror, so symmetry, irreflexivity,
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 from .event_structure import EventStructure
 from .familysearch import search_set_family
 from .fullgraph import FullGraph, FullGraphError, fg_failures
-from .relation import Pair, Relation, _strict_rows, pairs_key
+from .relation import Pair, Relation, _strict_rows
 from .representation import build_representation
 
 Rules = tuple[tuple[int, int], ...]
@@ -155,7 +156,7 @@ def _relations(
     """The symmetric relation of each mask over ``base``'s field, sorted by pair list."""
     k = len(base.field)
     found = (Relation._of_rows(base.universe, base.field, _pair_rows(k, pairs, m)) for m in masks)
-    return tuple(sorted(found, key=pairs_key))
+    return tuple(sorted(found, key=tuple))
 
 
 def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:

@@ -45,7 +45,7 @@ from .bijection import (
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
-from .relation import Relation, pairs_key
+from .relation import Relation
 
 #: A step of the order walk: ``(above, below, low, high, downs)``, see
 #: ``_joins``.  ``downs`` lists the down-sets of the order on 0..k-1 that
@@ -293,7 +293,7 @@ def enumerate_partial_orders(n: int) -> Iterator[Relation]:
     exactly {0..n-1}, each once, sorted by pair list."""
     check_size(n, "list")
     reflexive = ([up | 1 << v for v, up in enumerate(above)] for above in _posets(n))
-    yield from sorted((Relation._of_rows(n, range(n), rows) for rows in reflexive), key=pairs_key)
+    yield from sorted((Relation._of_rows(n, range(n), rows) for rows in reflexive), key=tuple)
 
 
 def _weighted_sum(n: int, counts: Iterable[tuple[int, int]]) -> int:

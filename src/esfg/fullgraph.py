@@ -8,7 +8,8 @@ with proper two-sided overlap.
 Recognition reduces to the event-structure check: T works exactly when it
 sits inside the incomparability square of D and the leftover of that
 square (everything incomparable and not in T) is a valid conflict for D.
-The family built for that conflict then certifies the full graph as well.
+The family built for that conflict is the definition's canonical family
+(``representation._label_masks``), so it certifies the full graph too.
 """
 
 from __future__ import annotations

@@ -309,12 +309,6 @@ class Relation:
         return f"Relation({self.universe}, {_row_pairs(self.field, self.rows)!r})"
 
 
-def pairs_key(relation: Relation) -> tuple[Pair, ...]:
-    """Deterministic sort key for relations sharing a universe: the
-    pairs, ascending."""
-    return tuple(relation)
-
-
 def _rows(keys: Sequence[int], relation: Relation) -> list[int]:
     """``relation`` over the positions of ``keys``: bit y of row x for the
     pair (keys[x], keys[y]).  Pairs outside ``keys`` are left out."""

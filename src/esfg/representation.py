@@ -8,13 +8,13 @@ disjointness:
     (x, y) in U  <=>  f(x) & f(y) == {}
 
 ``build_representation`` constructs such a family for any valid event
-structure by peeling terminal events off and re-attaching them one at a
-time, with fresh labels placed so that exactly the right containments,
-overlaps and disjointnesses appear.  Its core, ``_label_masks``, works on
-vertex masks over positions 0..k-1 and gives each a label mask, bit i for
-label i; the public functions map the field to positions and hand the
-masks to the family unchanged.  The finished family is checked once, as
-a ``RepresentationCertificate``, rather than trusted.
+structure.  Its core, ``_label_masks``, works on masks over positions
+0..k-1 and builds the canonical full-graph family of (D, T), for
+T = incomparability square - U: one family that certifies (D, U) by
+disjointness and (D, T) by proper overlap.  The public functions map the
+field to positions and hand the masks to the family unchanged.  The
+finished family is checked once, as a ``RepresentationCertificate``,
+rather than trusted.
 
 ``find_representation_bruteforce`` is the independent existence oracle:
 an exhaustive search that never consults the builder.
@@ -23,11 +23,12 @@ an exhaustive search that never consults the builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Sequence
 
 from .event_structure import EventStructureError, es_failures, is_conflict_propagating
-from .relation import Relation, _bits, _rows, _strict_rows, _transpose
+from .relation import Relation, _bits, _rows, _strict_rows
 from .setfamily import SetFamily, _find_family
 from .setfamily import family_failures, represents
 
@@ -37,10 +38,12 @@ def is_representation(family: SetFamily, causality: Relation, conflict: Relation
     return represents(family, causality, conflict, overlap=False)
 
 
-def _peel_order(above: Sequence[int]) -> list[int]:
+@lru_cache(maxsize=1)
+def _peel_order(above: tuple[int, ...]) -> tuple[int, ...]:
     """The positions in the order the builder peels them off: each time
     the smallest one with nothing left above it.  ``above`` holds each
-    position's strict up-set mask."""
+    position's strict up-set mask.  The last order's answer is kept, so
+    that many calls on one order peel it once."""
     k = len(above)
     peeled = []
     remaining = (1 << k) - 1
@@ -52,41 +55,30 @@ def _peel_order(above: Sequence[int]) -> list[int]:
             raise ValueError("the causality order has a cycle")
         remaining ^= 1 << s
         peeled.append(s)
-    return peeled
+    return tuple(peeled)
 
 
-def _label_masks(
-    above: Sequence[int],
-    partners: Sequence[int],
-    peeled: Sequence[int] | None = None,
-    below: Sequence[int] | None = None,
-) -> tuple[list[int], int]:
-    """Each position's label mask in the builder's family, and the label
-    count; ``above`` holds each position's strict up-set mask and
-    ``partners`` its conflict partners.  ``peeled`` is
-    ``_peel_order(above)`` and ``below`` the strict down-set masks, each
-    computed here when not given, so that callers with many conflicts on
-    one order compute them once.
+def _label_masks(above: Sequence[int], edges: Sequence[int]) -> tuple[list[int], int]:
+    """Each position's label mask in the canonical full-graph family of
+    the order with strict up-sets ``above`` and the symmetric T with rows
+    ``edges``, and the label count.
 
     Terminal positions are peeled off, smallest first, and attached again
     in reverse.  Attaching s gives a fresh label to s and to each attached
-    x (ascending) neither below s nor its partner, then a closing label to
-    s alone; a position holds its own labels and those of all above it.
-    So ancestors of s contain its set, conflicting positions miss it, and
-    concurrent ones properly overlap it.  Both steps walk the set bits of
-    a mask, never all k positions.
+    x (ascending) joined to it in T, then a closing label to s alone; a
+    position holds its own labels and those of all above it.  No attached
+    position is above s, so each event v has one label, held by all below
+    v, and each edge {a, b} of T one, held by all below a or b.  With T =
+    square - U, ancestors of s contain its set, conflicting positions miss
+    it, and concurrent ones properly overlap it.  Both steps walk the set
+    bits of a mask, never all k positions.
     """
-    k = len(above)
-    if peeled is None:
-        peeled = _peel_order(above)
-    if below is None:
-        below = _transpose(above)
-    positions = range(k)
-    own = [0] * k
+    positions = range(len(above))
+    own = [0] * len(above)
     label = attached = 0
-    for s in reversed(peeled):
+    for s in reversed(_peel_order(tuple(above))):
         start = label
-        fresh = attached & ~partners[s] & ~below[s]
+        fresh = attached & edges[s]
         if fresh:
             for x in compress(positions, _bits(fresh)):
                 own[x] |= 1 << label
@@ -120,7 +112,8 @@ def extend_with_terminal(
     # at position 0, a terminal s holds only itself, is peeled first and
     # attached last, so its own mask is exactly the labels of that last step
     events = (s, *(v for v in causality.field if v != s))
-    if _rows(events, causality)[0] != 1:
+    contains = _rows(events, causality)
+    if contains[0] != 1:
         raise ValueError(f"event {s} is not terminal in the causality order")
     if s in family:
         raise ValueError(f"event {s} is already a key of the family")
@@ -132,7 +125,9 @@ def extend_with_terminal(
     if 0 in family.masks:
         raise ValueError("family maps some event to the empty set")
 
-    masks, count = _label_masks(_strict_rows(events, causality), partners)
+    above = [row & ~(1 << p) for p, row in enumerate(contains)]
+    square = _rows(events, causality.sym_complement())
+    masks, count = _label_masks(above, [inside & ~row for inside, row in zip(square, partners)])
     first = (masks[0] & -masks[0]).bit_length() - 1
     used = family.labels
     fresh = used[-1] + 1 if used else 0
@@ -190,7 +185,9 @@ def build_representation(causality: Relation, conflict: Relation) -> Representat
     if failures:
         raise EventStructureError(failures)
     events = causality.field
-    masks, count = _label_masks(_strict_rows(events, causality), _rows(events, conflict))
+    square = _rows(events, causality.sym_complement())
+    edges = [inside & ~row for inside, row in zip(square, _rows(events, conflict))]
+    masks, count = _label_masks(_strict_rows(events, causality), edges)
     return RepresentationCertificate(
         family=SetFamily._of_masks(events, masks),
         for_causality=causality,

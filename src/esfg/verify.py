@@ -9,8 +9,8 @@ incomparable pairs, and ``full`` holds every such pair.  A relation on
 positions is in ``relation``'s row form: bit y of row x for the pair
 (x, y); ``bijection._pair_rows`` writes a pair mask in it.
 
-- built: ``_label_masks`` gives one nonempty label mask per position, no
-  two equal, all below its label count;
+- built: ``_label_masks`` on the rows of ``full ^ m`` gives one nonempty
+  label mask per position, no two equal, all below its label count;
 - certifies both sides: ``_mask_relations`` reads those masks once, and
   its containment, disjointness and overlap rows are the order's up-sets
   with the diagonal, the rows of m and the rows of ``full ^ m``;
@@ -34,8 +34,8 @@ from typing import Sequence
 from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, _pair_rows, check_size
 from .enumeration import _posets, count_es
 from .event_structure import is_event_structure
-from .relation import Relation, _row_pairs, _transpose
-from .representation import _label_masks, _peel_order, find_representation_bruteforce
+from .relation import Relation, _row_pairs
+from .representation import _label_masks, find_representation_bruteforce
 from .setfamily import _mask_relations
 
 
@@ -105,12 +105,11 @@ def run_theorem_suite(n: int) -> SuiteReport:
             if {full ^ t for t in edge_sets} != set(conflicts):
                 bijection_bad.append(f"order {_row_pairs(range(k), contains)}")
             square = _pair_rows(k, pairs, full)
-            peeled, below = _peel_order(above), _transpose(above)
             for m in conflicts:
                 structures += 1
                 partners = _pair_rows(k, pairs, m)
                 edges = _pair_rows(k, pairs, full ^ m)
-                masks, count = _label_masks(above, partners, peeled, below)
+                masks, count = _label_masks(above, edges)
                 if len(set(masks)) != k or 0 in masks or max(masks, default=0) >> count:
                     build_bad.append(_tag(contains, partners))
                 if _mask_relations(masks) != (contains, partners, edges):

@@ -131,6 +131,11 @@ def test_a_wide_label_bound_is_not_materialised():
     assert dict(found.items()) == {0: frozenset({0})}
 
 
+def test_no_labels_give_no_family():
+    assert search_set_family([1], [0], second_overlap=False, label_bound=0) is None
+    assert search_set_family([1], [0], second_overlap=True, label_bound=0) is None
+
+
 def realised_patterns(k, label_bound, overlap):
     """The patterns that some k distinct nonempty masks below
     ``2 ** label_bound`` realise, read off every ordered choice of masks:

@@ -50,6 +50,31 @@ def test_malformed_bfile(capsys, tmp_path):
         assert cached.read_bytes() == body  # left where it is
 
 
+def test_a_value_that_is_not_an_integer_is_malformed():
+    with pytest.raises(OeisError, match="^malformed: line 2: '4x'$") as err:
+        oeis_mod.parse_bfile("1 1\n2 4x\n")
+    assert err.value.code == "malformed"
+
+
+def test_a_cut_off_response_is_a_network_error(tmp_path, monkeypatch):
+    """``_download`` turns an ``http.client`` failure into ``OSError``,
+    which ``fetch_bfile`` reports as ``network``; ``urlopen`` is replaced,
+    so nothing is fetched."""
+    import http.client
+    import urllib.request
+
+    def cut_off(url, timeout):
+        raise http.client.IncompleteRead(b"1 1\n2")
+
+    monkeypatch.setattr(urllib.request, "urlopen", cut_off)
+    with pytest.raises(OSError, match="^bad response: IncompleteRead"):
+        oeis_mod._download("https://oeis.org/A123456/b123456.txt")
+    with pytest.raises(OeisError) as err:
+        oeis_crosscheck("A123456", [1], cache_dir=tmp_path)
+    assert err.value.code == "network"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_sequence_id(tmp_path):
     for bad in ("000001", "A12", "A0000010x", "B000001"):
         with pytest.raises(OeisError) as err:

@@ -112,6 +112,13 @@ def test_a_relation_is_immutable():
     assert rel == Relation(2, {(0, 1)})
 
 
+def test_a_relation_never_equals_a_foreign_value():
+    rel = Relation(2, {(0, 1)})
+    assert (rel == {(0, 1)}) is False
+    assert (rel == [(0, 1)]) is False
+    assert rel != rel.pairs
+
+
 @pytest.mark.parametrize("wrap", [list, frozenset], ids=["list", "frozenset"])
 def test_the_constructor_normalises_pairs_and_checks_bounds(wrap):
     """Pairs come out as tuples of exact ints, whether or not they come in

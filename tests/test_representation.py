@@ -12,6 +12,7 @@ from esfg import (
     RepresentationCertificate,
     SetFamily,
     build_representation,
+    enumerate_partial_orders,
     es_failures,
     extend_with_terminal,
     find_fg_representation_bruteforce,
@@ -22,8 +23,8 @@ from esfg import (
     structure_from_representation,
     terminal_events,
 )
-from esfg.relation import _rows, _strict_rows, _transpose
-from esfg.representation import _label_masks, _peel_order
+from esfg.relation import _rows, _strict_rows
+from esfg.representation import _label_masks
 
 from . import reference
 from .strategies import small_structures
@@ -273,19 +274,48 @@ def test_certificates_match_the_golden_digest():
 
 
 def test_label_masks_agree_with_the_reference_loop():
-    """The builder's bit walks against the loop over all k positions they
-    replaced, on every structure with n <= 4 and one random structure of
-    each size from 8 to 40 events, with and without the peel order and
-    down-sets handed in."""
+    """The builder's bit walks, handed T = square - U, against the loop
+    over all k positions they replaced, which reads U, on every structure
+    with n <= 4 and one random structure of each size from 8 to 40
+    events."""
     rng = random.Random(2306)
     drawn = [reference.random_structure(rng, n) + (n,) for n in range(8, 41)]
     cases = [*small_structures(4), *((Relation(n, d), Relation(n, u)) for d, u, n in drawn)]
     for order, conflict in cases:
         events = order.field
         above, partners = _strict_rows(events, order), _rows(events, conflict)
-        expected = reference.label_masks(above, partners)
-        assert _label_masks(above, partners) == expected
-        assert _label_masks(above, partners, _peel_order(above), _transpose(above)) == expected
+        square = _rows(events, order.sym_complement())
+        edges = [inside & ~row for inside, row in zip(square, partners)]
+        assert _label_masks(above, edges) == reference.label_masks(above, partners)
+
+
+def _holders(keys, sets):
+    """The multiset of label-holder sets: for each label, the keys whose
+    set holds it, as a sorted list of sorted tuples."""
+    labels = set().union(*sets)
+    return sorted(tuple(k for k, held in zip(keys, sets) if label in held) for label in labels)
+
+
+def test_the_builder_family_is_the_canonical_full_graph_family():
+    """Every order D with n <= 4 against every symmetric T inside its
+    incomparable pairs, full graph or not: ``_label_masks(above, T)``
+    gives ``reference.canonical_family(D, T)`` up to label names, one
+    label per event and per edge of T."""
+    seen = 0
+    for n in range(5):
+        for order in enumerate_partial_orders(n):
+            events = order.field
+            above = _strict_rows(events, order)
+            for undirected in reference.symmetric_relations(n, order.sym_complement().pairs):
+                masks, count = _label_masks(above, _rows(events, Relation(n, undirected)))
+                assert count == n + len(undirected) // 2
+                built = [{i for i in range(count) if mask >> i & 1} for mask in masks]
+                canonical = reference.canonical_family(order.pairs, undirected)
+                assert _holders(events, built) == _holders(
+                    events, [canonical[v] for v in events]
+                ), (order, undirected)
+                seen += 1
+    assert seen == 1840
 
 
 def test_the_family_is_checked_once(monkeypatch):

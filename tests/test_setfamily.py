@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from esfg import (
+    Relation,
     SetFamily,
     build_representation,
     enumerate_admissible_conflicts,
@@ -38,6 +39,12 @@ def test_rejects_negative_labels_and_keys():
 def test_rejects_a_duplicate_key():
     with pytest.raises(ValueError, match="^duplicate key 0$"):
         SetFamily([(0, {1}), (0, {2})])
+
+
+def test_a_family_never_equals_a_foreign_value():
+    family = SetFamily({0: {1}})
+    assert (family == {0: frozenset({1})}) is False
+    assert (family == Relation(2, {(0, 1)})) is False
 
 
 @given(st.permutations(range(6)))

@@ -151,22 +151,20 @@ def test_suite_catches_a_broken_round_trip(monkeypatch):
 
 
 def test_suite_catches_a_family_that_does_not_certify_the_pair(monkeypatch):
-    """A builder that ignores the conflict partners hands back the family
-    of the order without conflict (so every incomparable pair overlaps).
-    It certifies no structure with a conflict, and that must fail the
-    witness check, and only it."""
+    """A builder that ignores T hands back the family with no edge labels
+    (so every incomparable pair is disjoint).  It certifies no structure
+    with a concurrent pair, and that must fail the witness check, and
+    only it."""
     original = verify_mod._label_masks
 
-    def conflict_free(above, partners, *peeled):
-        return original(above, [0] * len(partners), *peeled)
+    def edge_free(above, edges):
+        return original(above, [0] * len(edges))
 
-    monkeypatch.setattr(verify_mod, "_label_masks", conflict_free)
+    monkeypatch.setattr(verify_mod, "_label_masks", edge_free)
     outcome = run_theorem_suite(2)
     failed = {check.name: check.detail for check in outcome.checks if not check.passed}
     assert list(failed) == ["one-family-certifies-both-sides"]
-    assert failed["one-family-certifies-both-sides"].startswith(
-        "D=[(0, 0), (1, 1)] U=[(0, 1), (1, 0)]"
-    )
+    assert failed["one-family-certifies-both-sides"].startswith("D=[(0, 0), (1, 1)] U=[]")
 
 
 @pytest.mark.parametrize(
@@ -182,8 +180,8 @@ def test_suite_catches_a_builder_family_that_is_no_family(monkeypatch, spoil):
     build check on the first structure with two events."""
     original = verify_mod._label_masks
 
-    def spoiled(above, partners, *peeled):
-        masks, count = original(above, partners, *peeled)
+    def spoiled(above, edges):
+        masks, count = original(above, edges)
         return (spoil(masks) if len(masks) == 2 else masks), count
 
     monkeypatch.setattr(verify_mod, "_label_masks", spoiled)

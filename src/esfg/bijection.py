@@ -11,12 +11,13 @@ Both sides filter one mask encoding per order: bit i of a candidate is
 the i-th incomparable pair with its mirror, so symmetry, irreflexivity,
 conflict inside the field and T inside the square hold by construction;
 a per-order guard covers causality, and each pair lists the pairs
-propagation requires with it.  The conflict filter tests a mask,
-the edge-set filter ``full ^ mask``.  That map is a bijection between
-the two accepted sets, so the two filters' per-order sizes agree by
-construction.  The filters are checked by the brute-force oracle and by
-the structural ``enumeration.count_es``, which shares the order side of
-``count_fg`` (natural orders, n!/e(P)) but not its conflict side.
+propagation requires with it.  The conflict filter tests a mask, the
+edge-set filter ``full ^ mask``, a bijection between the accepted sets:
+the filters share these rules, so their per-order sizes agree by
+construction.  Recognition (``fullgraph.fg_failures``, on the canonical
+family) shares none of them.  The filters are checked against it, the
+brute-force oracle and the structural ``enumeration.count_es``, which
+shares only the order side of ``count_fg`` (natural orders, n!/e(P)).
 
 The scalar filters here are the reference for the bit-parallel count
 of ``enumeration``, whose docstring describes the walk over the orders.
@@ -73,10 +74,10 @@ def es_to_fg(structure: EventStructure) -> FullGraph:
 def fg_to_es(graph: FullGraph) -> EventStructure:
     """Convert a full graph back to its event structure.
 
-    A graph without a certificate is recognized first (``FullGraphError``
-    if that fails).  A certificate's family realises D as containment and
-    T as proper overlap, so it represents (D, square - T): incomparable
-    sets that do not properly overlap are disjoint.
+    A graph without a certificate is first recognized by its canonical
+    family (``FullGraphError`` if that fails).  Either family realises D
+    as containment and T as proper overlap, so it represents (D, square - T):
+    incomparable sets that do not properly overlap are disjoint.
     """
     if graph.certificate is None:
         failures = fg_failures(graph.directed, graph.undirected)

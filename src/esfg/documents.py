@@ -19,7 +19,7 @@ from typing import Any
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
 from .relation import Relation, _row_pairs, _strict_rows
-from .setfamily import SetFamily
+from .setfamily import SetFamily, _as_masks
 
 KINDS = ("es", "fg", "representation")
 
@@ -211,7 +211,7 @@ def parse_document(data: bytes | str) -> StructureDocument:
             if min(labels, default=0) < 0:
                 raise DocumentError("bounds", "family labels must be naturals")
             entries[key] = labels
-        family = SetFamily._of(entries)
+        family = SetFamily._of_masks(*_as_masks(entries))
 
     return StructureDocument(kind, universe, causality, conflict, family)
 

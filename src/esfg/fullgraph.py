@@ -5,19 +5,19 @@ forms a full graph when some injective family of nonempty finite sets
 certifies it: directed edges coincide with containment, undirected edges
 with proper two-sided overlap.
 
-Recognition reduces to the event-structure check: T works exactly when it
-sits inside the incomparability square of D and the leftover of that
-square (everything incomparable and not in T) is a valid conflict for D.
-The family built for that conflict is the definition's canonical family
-(``representation._label_masks``), so it certifies the full graph too.
+Recognition reads that definition, with no event-structure axiom: D must
+be an order and T sit inside its incomparability square, and then the
+canonical family (``representation._label_masks``: a label per vertex v
+held by all below v, one per edge {a, b} held by all below a or b) must
+certify (D, T).  It needs of T only what every certificate needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .event_structure import es_failures
-from .relation import Relation
+from .relation import Relation, _rows, _strict_rows
+from .representation import _label_masks
 from .setfamily import SetFamily, _find_family, family_failures, represents
 
 
@@ -49,13 +49,19 @@ def _shape_failures(directed: Relation, undirected: Relation) -> list[str]:
 
 
 def fg_failures(directed: Relation, undirected: Relation) -> tuple[str, ...]:
-    """Diagnostics for full-graph recognition, empty when (D, T) is one."""
+    """Diagnostics for full-graph recognition, empty when (D, T) is one.
+    The canonical family is checked only on an order with T in its square."""
     failed = _shape_failures(directed, undirected)
-    square = directed.sym_complement()
-    if len(undirected - square):
+    if len(undirected - directed.sym_complement()):
         failed.append("undirected-not-within-incomparable-pairs")
-    complement = square - undirected
-    return (*failed, *("complement-" + r for r in es_failures(directed, complement)))
+    if not directed.is_partial_order:
+        failed.append("directed-not-a-partial-order")
+    if failed:
+        return tuple(failed)
+    field = directed.field
+    masks = _label_masks(_strict_rows(field, directed), _rows(field, undirected))[0]
+    family = family_failures(SetFamily._of_masks(field, masks), directed, undirected, overlap=True)
+    return tuple("canonical-family-" + problem for problem in family)
 
 
 def is_full_graph(directed: Relation, undirected: Relation) -> bool:

@@ -71,13 +71,6 @@ class SetFamily:
         self._fill(*_as_masks(store))
 
     @classmethod
-    def _of(cls, entries: Mapping[int, Iterable[int]]) -> SetFamily:
-        """The family of ``entries``, whose keys and labels the caller has
-        checked: distinct natural keys, each to natural ints, which may
-        repeat."""
-        return cls._of_masks(*_as_masks(entries))
-
-    @classmethod
     def _of_masks(
         cls, keys: Sequence[int], masks: Sequence[int], labels: Sequence[int] | None = None
     ) -> SetFamily:

@@ -89,7 +89,7 @@ def test_check_malformed(capsys, tmp_path):
         (
             '{"kind":"fg","universe":2,"directed":[[0,0],[0,1],[1,0],[1,1]],'
             '"undirected":[],"family":[[0,[1]],[1,[1]]]}',
-            ["complement-causality-not-antisymmetric", "family-not-injective"],
+            ["directed-not-a-partial-order", "family-not-injective"],
         ),
         (
             '{"kind":"fg","universe":1,"directed":[[0,0]],"undirected":[],'

@@ -61,8 +61,9 @@ def test_is_full_graph_examples():
 
 
 def test_short_circuit_recognition_agrees_with_the_diagnostics():
-    """``is_full_graph`` stops at the first failed conjunct; it must give
-    the verdict of the full diagnostic list on every pair with n <= 2."""
+    """Every relation pair with n <= 2, cycles and non-orders included:
+    the diagnostics never raise (the canonical family is built only on an
+    order with T in its square), and ``is_full_graph`` gives their verdict."""
     for n in range(3):
         rels = [Relation(n, r) for r in reference.all_relations(n)]
         for directed, undirected in product(rels, rels):
@@ -174,13 +175,17 @@ def test_recognition_agrees_with_the_canonical_family(n, candidates, accepted):
     """Every order D against every symmetric T inside its incomparable
     pairs: (D, T) is a full graph exactly when the canonical family
     certifies it as containment plus proper overlap, a check read off the
-    definition with no event-structure axiom in it."""
+    definition with no event-structure axiom in it.  The paper's theorem
+    is the same verdict reached the other way: the complement of T in
+    the incomparability square is a valid conflict for D."""
     seen = found = 0
     for order in enumerate_partial_orders(n):
         for undirected in reference.symmetric_relations(n, order.sym_complement().pairs):
             family = reference.canonical_family(order.pairs, undirected)
             certifies = reference.certifies(family, order.pairs, undirected, overlap=True)
             assert is_full_graph(order, Relation(n, undirected)) == certifies, (order, undirected)
+            conflict = reference.incomparable_complement(order.pairs, undirected)
+            assert certifies == reference.is_event_structure(order.pairs, conflict)
             seen += 1
             found += certifies
     assert (seen, found) == (candidates, accepted)

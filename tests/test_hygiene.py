@@ -3,7 +3,8 @@ private function is called by the package, no package function imports
 for itself but the lazy OEIS download, the package reads no environment
 variable it does not list, every module parses at the declared Python
 floor, the oracle and the tests' reference import nothing from the
-package, ``import esfg`` loads no module it does not list, every probe
+package, full-graph recognition imports nothing from the event-structure
+module, ``import esfg`` loads no module it does not list, every probe
 of the benchmark tracer names a callable that exists, every oracle
 reaches the search probe, and the package builds no relation through
 its public constructor and reads no ``pairs`` view outside
@@ -136,6 +137,20 @@ def test_the_oracle_imports_nothing_from_the_package(path):
         for alias in node.names
     }
     assert "esfg" not in sources
+
+
+def test_full_graph_recognition_imports_nothing_from_event_structure():
+    """Recognition checks the canonical family, not the event-structure
+    axioms on the complement, so that the complement theorem the tests
+    check links two sides derived apart."""
+    tree = ast.parse((ROOT / "src" / "esfg" / "fullgraph.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named |= {*(node.module or "").split("."), *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            named |= {part for alias in node.names for part in alias.name.split(".")}
+    assert "event_structure" not in named
 
 
 def _names(tree):

@@ -16,16 +16,16 @@ second relation in disjointness mode; in overlap mode the pairs related
 no way, as nonempty sets neither nested nor properly overlapping are
 disjoint).  It returns one label mask per position, bit b for label b.
 Candidate sets are bitmasks over ``range(label_bound)``, assigned depth
-first in position order.  A candidate is kept when it is nonempty and
-its rows against the assigned prefix (the masks that hold it, that it
-holds, that it misses or properly overlaps) equal the expected rows on
-that prefix, with no mask both holding and held (no repeat), so a
-returned family is exact.
+first in the visiting order below.  A candidate is kept when it is
+nonempty and its rows against the positions already visited (the masks
+that hold it, that it holds, that it misses or properly overlaps) equal
+the expected rows on them, with no mask both holding and held (no
+repeat), so a returned family is exact.
 
 Four pruning rules drop only branches without a solution, so the first
-solution in ascending-mask order stays first.  It is the one returned,
-which makes results deterministic.  ``None`` means unsatisfiable within
-the bound.
+solution in ascending-mask order, read along the visit, stays first.
+It is the one returned, which makes results deterministic.  ``None``
+means unsatisfiable within the bound.
 
 - **Venn tables.**  k sets cut their labels into 2 ** k - 1 nonempty
   Venn regions, and which regions are empty decides every containment,
@@ -63,24 +63,25 @@ the bound.
   and overlap, keeps the sets nonempty and distinct and the labels
   numbered in order of first use, and makes the first mask that changes
   smaller.  So the first solution never has two labels in one region.  A
-  fresh label of position i lies in a region R whose smallest position
-  is i, in which no two members are ``apart`` and which holds every
-  holder of each member.  Those regions are counted once per search, up
-  to ``label_bound`` (``_region_count``), and position i tries no more
-  fresh labels than that.  A position held by another tries none, as
-  the holder comes earlier and R would miss it; any other position has
-  had only used labels taken out of its bound, so every fresh label it
-  tries lies inside that bound.
+  fresh label of position i lies in a region R whose first visited
+  position is i, in which no two members are ``apart`` and which holds
+  every holder of each member.  Those regions are counted once per
+  search, up to ``label_bound`` (``_region_count``), and position i
+  tries no more fresh labels than that.  A position held by another tries
+  none, as the holder is visited earlier and R would miss it; any other
+  position has had only used labels taken out of its bound, so every
+  fresh label it tries lies inside that bound.
 
-A search that passes the refusals renumbers its positions causes-first:
-each time, it takes the smallest waiting position that no other waiting
-position holds.  By then containment is a partial order on the
-positions (reflexivity is checked directly, the pair table refuses two
-sets that hold each other and the triple table a non-transitive
-triple), so every position is taken.  The rows are permuted into that
-order bit by bit, and the masks handed back in the caller's order.
-Each set is then assigned after every set that holds it, so its
-candidates are drawn from inside those sets and need no lower bound.
+A search that passes the refusals visits its positions causes-first, in
+the caller's numbering: each time, it takes the smallest waiting
+position that no other waiting position holds.  By then containment is
+a partial order on the positions (reflexivity is checked directly, the
+pair table refuses two sets that hold each other and the triple table a
+non-transitive triple), so every position is taken.  Each set is then
+assigned after every set that holds it, so its candidates are drawn
+from inside those sets and need no lower bound.  A step reads its rows
+against the mask of the positions visited before it, and writes its
+mask in the caller's place, so the masks come back as they stand.
 The order is measured: the 4-point oracle sweeps at bound 10 try
 78,219 candidates per side in it, and 126,787 in its reverse.
 """
@@ -137,15 +138,15 @@ def _venn_widths(k: int, overlap: bool) -> dict[int, int]:
     return widths
 
 
-def _region_count(i: int, sub: list[int], apart: list[int], limit: int) -> int:
+def _region_count(i: int, earlier: int, sub: list[int], apart: list[int], limit: int) -> int:
     """How many regions R a fresh label of position i can lie in, counted
-    up to ``limit``: R holds i and only later positions, no two members of
-    R are ``apart``, and R holds every holder (``sub``) of each member."""
+    up to ``limit``: R holds i and only positions outside the mask
+    ``earlier``, no two members of R are ``apart``, and R holds every
+    holder (``sub``) of each member."""
     bit = 1 << i
-    earlier = bit - 1
     free = 0
-    for j in range(i + 1, len(sub)):
-        if not (apart[i] >> j & 1 or sub[j] & earlier):
+    for j in range(len(sub)):
+        if not ((earlier | bit | apart[i]) >> j & 1 or sub[j] & earlier):
             free |= 1 << j
     # the subsets of ``free`` are walked here, not with _ascending_submasks,
     # whose yields the tests count as candidates
@@ -182,8 +183,9 @@ def search_set_family(
       bit y of rel[x]  <=>  family[x] and family[y] are disjoint
                             (or overlap, with ``second_overlap``)
 
-    Returns the first solution in ascending-mask order, one label mask per
-    position, or ``None``.
+    Returns the first solution in ascending-mask order, read along the
+    causes-first visit of the positions, one label mask per position, or
+    ``None``.
     """
     n = len(sup)
     if n == 0:
@@ -228,59 +230,41 @@ def search_set_family(
             i += 1
         order.append(i)
         waiting &= ~(1 << i)
-    place = [0] * n  # the bit of each position's new number
-    for p, i in enumerate(order):
-        place[i] = 1 << p
-
-    def permuted(rows: Sequence[int]) -> list[int]:
-        moved = []
-        for i in order:
-            row = rows[i]
-            new = 0
-            for j in range(n):
-                if row >> j & 1:
-                    new |= place[j]
-            moved.append(new)
-        return moved
-
-    sup, sub, rel = permuted(sup), permuted(sub), permuted(rel)
     if second_overlap:
         apart = [everyone & ~(sup[i] | sub[i] | rel[i]) for i in range(n)]
     else:
         apart = rel
-    # per position: its expected rows on the prefix, the regions a fresh
-    # label of it can open (counted up to the bound), and for each later
-    # position the bound updates an assignment at it makes
-    expected = []
-    caps = []
-    steps = []
-    for i in range(n):
-        prefix = (1 << i) - 1
-        expected.append((sub[i] & prefix, sup[i] & prefix, rel[i] & prefix))
-        caps.append(_region_count(i, sub, apart, label_bound))
-        steps.append(
-            [
-                (j, sup[i] >> j & 1, apart[i] >> j & 1)
-                for j in range(i + 1, n)
-                if (sup[i] | apart[i]) >> j & 1
-            ]
-        )
+    # per step: the position it visits, its expected rows on the positions
+    # visited before it (``before``), the regions a fresh label of it can
+    # open (counted up to the bound), the visited positions, and for each
+    # unvisited position the bound updates an assignment at it makes
+    plan = []
+    before = 0
+    for k, i in enumerate(order):
+        expected = (sub[i] & before, sup[i] & before, rel[i] & before)
+        steps = [
+            (j, sup[i] >> j & 1, apart[i] >> j & 1)
+            for j in order[k + 1 :]
+            if (sup[i] | apart[i]) >> j & 1
+        ]
+        cap = _region_count(i, before, sub, apart, label_bound)
+        plan.append((i, before, expected, cap, order[:k], steps))
+        before |= 1 << i
     masks = [0] * n
 
-    def extend(i: int, used: int, highs: list[int]) -> bool:
-        if i == n:
+    def extend(k: int, used: int, highs: list[int]) -> bool:
+        if k == n:
             return True
+        i, before, (holders, held, seconds), cap, visited, steps = plan[k]
         high = highs[i]
-        holders, held, seconds = expected[i]
-        prefix = (1 << i) - 1
         first_fresh = used.bit_length()
-        for top in range(first_fresh, min(label_bound, first_fresh + caps[i]) + 1):
+        for top in range(first_fresh, min(label_bound, first_fresh + cap) + 1):
             fresh = ((1 << top) - 1) & ~used  # the lowest unused labels
             for candidate in _ascending_submasks(fresh, (high & used) | fresh):
                 if candidate == 0:
                     continue
-                inside = outside = missed = 0  # prefix masks holding, held, missed
-                for x in range(i):
+                inside = outside = missed = 0  # visited masks holding, held, missed
+                for x in visited:
                     mask = masks[x]
                     inter = candidate & mask
                     if inter == candidate:
@@ -292,11 +276,11 @@ def search_set_family(
                 if inside != holders or outside != held or inside & outside:
                     continue
                 if second_overlap:
-                    missed = prefix & ~(inside | outside | missed)  # properly overlapped
+                    missed = before & ~(inside | outside | missed)  # properly overlapped
                 if missed != seconds:
                     continue
                 next_highs = highs[:]
-                for j, within, away in steps[i]:
+                for j, within, away in steps:
                     hi = next_highs[j]
                     if within:
                         hi &= candidate
@@ -307,13 +291,8 @@ def search_set_family(
                     next_highs[j] = hi
                 else:
                     masks[i] = candidate
-                    if extend(i + 1, used | candidate, next_highs):
+                    if extend(k + 1, used | candidate, next_highs):
                         return True
         return False
 
-    if not extend(0, 0, [(1 << label_bound) - 1] * n):
-        return None
-    found = [0] * n
-    for i, mask in zip(order, masks):
-        found[i] = mask
-    return found
+    return masks if extend(0, 0, [(1 << label_bound) - 1] * n) else None

@@ -33,6 +33,7 @@ of a row, so that ``itertools.compress`` can pick what they select, and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, count
 from operator import and_, or_
@@ -76,9 +77,12 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     return columns
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Relation:
     """An immutable set of ordered pairs over ``range(universe)``, stored
-    as its ``field`` and one bit row per field vertex.
+    as its ``field`` and one bit row per field vertex: a frozen dataclass
+    of those three fields, whose cached views (``pairs``, the predicates,
+    the square) sit beside them in the instance dict.
 
     The universe is part of the value: two relations with equal pair sets
     but different universes are distinct (serialization declares the
@@ -136,32 +140,14 @@ class Relation:
         made.__dict__.update(universe=universe, field=tuple(field), rows=tuple(rows))
         return made
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Relation")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Relation")
-
     @cached_property
     def pairs(self) -> frozenset[Pair]:
         """The pairs, as a frozenset view of the rows."""
         return frozenset(_row_pairs(self.field, self.rows))
 
     # ------------------------------------------------------------------
-    # value and container protocol
+    # container protocol
     # ------------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.universe, self.field, self.rows) == (
-            other.universe,
-            other.field,
-            other.rows,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.field, self.rows))
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs

@@ -58,6 +58,12 @@ def _peel_order(above: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(peeled)
 
 
+def _complement_rows(square: Sequence[int], rows: Sequence[int]) -> list[int]:
+    """Each row's complement inside the incomparability square: the edge
+    rows T = square - U of the conflict rows U, and U of T."""
+    return [inside & ~row for inside, row in zip(square, rows)]
+
+
 def _label_masks(above: Sequence[int], edges: Sequence[int]) -> tuple[list[int], int]:
     """Each position's label mask in the canonical full-graph family of
     the order with strict up-sets ``above`` and the symmetric T with rows
@@ -127,7 +133,7 @@ def extend_with_terminal(
 
     above = [row & ~(1 << p) for p, row in enumerate(contains)]
     square = _rows(events, causality.sym_complement())
-    masks, count = _label_masks(above, [inside & ~row for inside, row in zip(square, partners)])
+    masks, count = _label_masks(above, _complement_rows(square, partners))
     first = (masks[0] & -masks[0]).bit_length() - 1
     used = family.labels
     fresh = used[-1] + 1 if used else 0
@@ -186,7 +192,7 @@ def build_representation(causality: Relation, conflict: Relation) -> Representat
         raise EventStructureError(failures)
     events = causality.field
     square = _rows(events, causality.sym_complement())
-    edges = [inside & ~row for inside, row in zip(square, _rows(events, conflict))]
+    edges = _complement_rows(square, _rows(events, conflict))
     masks, count = _label_masks(_strict_rows(events, causality), edges)
     return RepresentationCertificate(
         family=SetFamily._of_masks(events, masks),

@@ -15,9 +15,10 @@ the search behind both brute-force oracles.
 
 from __future__ import annotations
 
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import chain, compress
-from operator import attrgetter, or_
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .familysearch import search_set_family
@@ -42,15 +43,15 @@ def _as_masks(sets: Mapping[int, Iterable[int]]) -> tuple[list[int], list[int], 
     return keys, masks, labels
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class SetFamily:
-    """Immutable finite map from vertex ids to finite label sets, stored
-    as its keys, its labels and one label mask per key."""
+    """Immutable finite map from vertex ids to finite label sets: a frozen
+    dataclass of its ascending ``keys``, its ascending ``labels`` (every
+    label in use) and ``masks``, one per key with bit i for labels[i]."""
 
-    __slots__ = ("_keys", "_labels", "_masks", "_read")
-
-    keys = property(attrgetter("_keys"), doc="The keys, ascending.")
-    labels = property(attrgetter("_labels"), doc="Every label in use, ascending.")
-    masks = property(attrgetter("_masks"), doc="Per key, bit i for labels[i].")
+    keys: tuple[int, ...]
+    labels: tuple[int, ...]
+    masks: tuple[int, ...]
 
     def __init__(
         self,
@@ -92,18 +93,16 @@ class SetFamily:
             weight = _packing(used)
             labels = tuple(compress(labels, _bits(used)))
             masks = [_remap(mask, weight) for mask in masks]
-        self._keys, self._labels, self._masks, self._read = tuple(keys), labels, tuple(masks), None
+        self.__dict__.update(keys=tuple(keys), labels=labels, masks=tuple(masks))
 
-    @property
+    @cached_property
     def _relations(self) -> tuple[list[int], list[int], list[int]]:
         """``_mask_relations`` of the masks, read on first use and kept."""
-        if self._read is None:
-            self._read = _mask_relations(self._masks)
-        return self._read
+        return _mask_relations(self.masks)
 
     def _label_lists(self) -> list[list[int]]:
         """Each key's labels, ascending, read off its mask."""
-        return [list(compress(self._labels, _bits(mask))) for mask in self._masks]
+        return [list(compress(self.labels, _bits(mask))) for mask in self.masks]
 
     # ------------------------------------------------------------------
 
@@ -111,42 +110,30 @@ class SetFamily:
         return tuple(map(frozenset, self._label_lists()))
 
     def items(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        return tuple(zip(self._keys, self.values()))
+        return tuple(zip(self.keys, self.values()))
 
     def __contains__(self, key: int) -> bool:
-        return key in self._keys
+        return key in self.keys
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._keys)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetFamily):
-            return NotImplemented
-        return (self._keys, self._labels, self._masks) == (
-            other._keys,
-            other._labels,
-            other._masks,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._keys, self._labels, self._masks))
+        return iter(self.keys)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {v}" for k, v in zip(self._keys, self._label_lists()))
+        body = ", ".join(f"{k}: {v}" for k, v in zip(self.keys, self._label_lists()))
         return f"SetFamily({{{body}}})"
 
     # ------------------------------------------------------------------
 
     def is_injective(self) -> bool:
         """No two distinct keys share the same value set."""
-        return len(set(self._masks)) == len(self._masks)
+        return len(set(self.masks)) == len(self.masks)
 
     def union_of_range(self) -> frozenset[int]:
         """All labels used anywhere in the family."""
-        return frozenset(self._labels)
+        return frozenset(self.labels)
 
 
 def overlaps(a: frozenset[int] | set[int], b: frozenset[int] | set[int]) -> bool:

@@ -35,7 +35,7 @@ from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, _pair_row
 from .enumeration import _posets, count_es
 from .event_structure import is_event_structure
 from .relation import Relation, _row_pairs
-from .representation import _label_masks, find_representation_bruteforce
+from .representation import _complement_rows, _label_masks, find_representation_bruteforce
 from .setfamily import _mask_relations
 
 
@@ -70,11 +70,6 @@ def _tag(contains: Sequence[int], partners: Sequence[int]) -> str:
     """A structure's order and conflict rows worded as sorted pairs."""
     keys = range(len(contains))
     return f"D={_row_pairs(keys, contains)} U={_row_pairs(keys, partners)}"
-
-
-def _complement_rows(square: Sequence[int], rows: Sequence[int]) -> list[int]:
-    """Each row's complement inside the square, as ``fg_to_es`` maps edges."""
-    return [inside & ~row for inside, row in zip(square, rows)]
 
 
 def run_theorem_suite(n: int) -> SuiteReport:

@@ -7,8 +7,9 @@ package, full-graph recognition imports nothing from the event-structure
 module, ``import esfg`` loads no module it does not list, every probe
 of the benchmark tracer names a callable that exists, every oracle
 reaches the search probe, and the package builds no relation through
-its public constructor and reads no ``pairs`` view outside
-``relation.py``."""
+its public constructor, reads no ``pairs`` view outside ``relation.py``
+and hand-writes no equality, hashing or immutability that a frozen
+dataclass would derive."""
 
 import ast
 import importlib
@@ -187,6 +188,32 @@ def test_the_package_builds_relations_from_rows():
                 if path.name != "relation.py":
                     read.append((path.name, node.lineno))
     assert (built, read) == ([], [])
+
+
+#: What ``@dataclass(frozen=True)`` writes for a value type from its fields.
+VALUE_PROTOCOL = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__slots__"}
+
+
+def test_no_class_hand_writes_the_value_protocol():
+    """Every value type is a frozen dataclass: a class that writes its own
+    equality, hashing, immutability or slots keeps a second copy of what
+    the dataclass derives from the fields."""
+    written = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = {item.name}
+                elif isinstance(item, ast.Assign):
+                    names = {getattr(target, "id", None) for target in item.targets}
+                elif isinstance(item, ast.AnnAssign):
+                    names = {getattr(item.target, "id", None)}
+                else:
+                    continue
+                written += [(path.name, node.name, name) for name in sorted(names & VALUE_PROTOCOL)]
+    assert written == []
 
 
 def test_every_size_limit_is_enforced():

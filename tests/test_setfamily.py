@@ -41,6 +41,19 @@ def test_rejects_a_duplicate_key():
         SetFamily([(0, {1}), (0, {2})])
 
 
+def test_a_set_family_is_immutable():
+    """No field can be assigned or deleted, and each is part of the value:
+    the same masks over other labels are another family."""
+    family = SetFamily({0: {1}, 1: {2}})
+    for name in ("keys", "labels", "masks"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(family, name, ())
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(family, name)
+    assert family == SetFamily({0: {1}, 1: {2}})
+    assert family != SetFamily({0: {1}, 1: {3}})
+
+
 def test_a_family_never_equals_a_foreign_value():
     family = SetFamily({0: {1}})
     assert (family == {0: frozenset({1})}) is False

@@ -7,35 +7,37 @@ set family witnesses both sides, because disjointness and proper overlap
 partition the incomparable pairs once containment is pinned down; the
 builder's family is the canonical full-graph family of (D, T).
 
-Both sides filter one mask encoding per order: bit i of a candidate is
-the i-th incomparable pair with its mirror, so symmetry, irreflexivity,
+Both sides read one mask encoding per order: bit i of a mask is the
+i-th incomparable pair with its mirror, so symmetry, irreflexivity,
 conflict inside the field and T inside the square hold by construction;
-a per-order guard covers causality, and each pair lists the pairs
-propagation requires with it.  The conflict filter tests a mask, the
-edge-set filter ``full ^ mask``, a bijection between the accepted sets:
-the filters share these rules, so their per-order sizes agree by
+a per-order guard covers causality.  ``_pair_kernel`` numbers the pairs
+along the builder's peel order, maximal positions first, so that every
+pair propagation requires with a pair sits on a lower bit.  The conflict
+side lists its masks, deciding the pairs in bit order, so it makes no
+invalid candidate; the edge-set side still tests ``full ^ mask`` for
+every mask.  Both read the same needs, so complementing is a bijection
+between the accepted sets and their per-order sizes agree by
 construction.  Recognition (``fullgraph.fg_failures``, on the canonical
-family) shares none of them.  The filters are checked against it, the
+family) shares none of the needs.  The sides are checked against it, the
 brute-force oracle and the structural ``enumeration.count_es``, which
 shares only the order side of ``count_fg`` (natural orders, n!/e(P)).
 
-The scalar filters here are the reference for the bit-parallel count
-of ``enumeration``, whose docstring describes the walk over the orders.
+The filter over every mask that the conflict listing replaced is kept in
+``tests/reference.py``, as the listing's reference.  The edge-set filter
+here is the reference for the bit-parallel count of ``enumeration``,
+whose docstring describes the walk over the orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .event_structure import EventStructure
 from .familysearch import search_set_family
 from .fullgraph import FullGraph, FullGraphError, fg_failures
 from .relation import Pair, Relation, _strict_rows
-from .representation import build_representation
-
-Rules = tuple[tuple[int, int], ...]
+from .representation import _peel_order, build_representation
 
 #: Largest event count each kind of exhaustive work accepts: the counts
 #: and the order walk behind them (``count_es``, ``count_fg``), listing
@@ -87,58 +89,86 @@ def fg_to_es(graph: FullGraph) -> EventStructure:
     return EventStructure(graph.directed, conflict)
 
 
-def _pair_kernel(above: Sequence[int]) -> tuple[tuple[Pair, ...], Rules]:
-    """One order's incomparable pairs a < b of its positions 0..k-1, in
-    bit order, and for each pair that requires others its bit and the
-    mask of those; ``above`` holds the strict up-set mask of each
-    position.  A pair outside the square gets a bit no mask holds."""
-    k = len(above)
-    pairs = [
-        (a, b) for a, b in combinations(range(k), 2) if not (above[a] >> b | above[b] >> a) & 1
-    ]
-    bit = [[1 << len(pairs)] * k for _ in range(k)]
-    for i, (a, b) in enumerate(pairs):
-        bit[a][b] = bit[b][a] = 1 << i
-    members = [[y for y in range(k) if m >> y & 1] for m in above]
-    rules = []
-    for i, (a, b) in enumerate(pairs):
-        need = 0
-        for y in members[a]:
-            need |= bit[y][b]
-        for y in members[b]:
-            need |= bit[y][a]
-        if need:
-            rules.append((1 << i, need))
-    return tuple(pairs), tuple(rules)
+def _pair_kernel(above: Sequence[int]) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
+    """One order's incomparable pairs and, for each, the mask of the pairs
+    it requires; ``above`` holds the strict up-set mask of each position.
+
+    The pairs are numbered along ``_peel_order``, maximal positions
+    first: by the position of the pair peeled later, then by the one
+    peeled earlier.  A pair (a, b) requires (y, b) for each y above a and
+    (y, a) for each y above b.  Each such y is peeled before the position
+    it replaces, so every pair a pair requires sits on a lower bit.  A
+    pair whose positions have a common upper bound also requires the bit
+    just past the pairs, which no mask holds.  ``touching[v]`` holds the
+    bits of v's pairs and ``reach[v]`` those of the positions above v,
+    both built by walking set bits, so the pairs (y, b) with y above a are
+    the bits ``touching[b]`` and ``reach[a]`` share."""
+    peeled = _peel_order(tuple(above))
+    pairs: list[Pair] = []
+    touching = [0] * len(above)
+    for j, b in enumerate(peeled):
+        for a in peeled[:j]:
+            if not above[b] >> a & 1:
+                bit = 1 << len(pairs)
+                touching[a] |= bit
+                touching[b] |= bit
+                pairs.append((a, b))
+    reach = []
+    for up in above:
+        bits = 0
+        while up:
+            low = up & -up
+            bits |= touching[low.bit_length() - 1]
+            up ^= low
+        reach.append(bits)
+    out = 1 << len(pairs)
+    needs = tuple(
+        touching[b] & reach[a] | touching[a] & reach[b] | (out if above[a] & above[b] else 0)
+        for a, b in pairs
+    )
+    return tuple(pairs), needs
 
 
 def _pair_rows(k: int, pairs: Sequence[Pair], mask: int) -> list[int]:
     """The symmetric relation of a mask over ``_pair_kernel``'s pairs, as k rows."""
     rows = [0] * k
-    for i, (a, b) in enumerate(pairs):
-        if mask >> i & 1:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
+    while mask:
+        low = mask & -mask
+        a, b = pairs[low.bit_length() - 1]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+        mask ^= low
     return rows
 
 
-def _propagates(mask: int, rules: Rules) -> bool:
+def _conflict_masks(needs: Sequence[int]) -> list[int]:
+    """The event-structure listing: every mask that holds, with each of
+    its pairs, the pairs that pair requires, ascending.  Pair i is decided
+    after all the pairs it requires, which sit below it: each mask listed
+    so far is taken with pair i too when it holds ``needs[i]``.  Every
+    mask made is valid, and each comes once.  ``tests/reference.py`` keeps
+    the filter over all 2^s masks that this listing replaced."""
+    masks = [0]
+    for i, need in enumerate(needs):
+        bit = 1 << i
+        masks += [m | bit for m in masks if not need & ~m]
+    return masks
+
+
+def _edge_set_masks(needs: Sequence[int]) -> Iterator[int]:
+    """The full-graph filter: masks whose complement holds, with each of
+    its pairs, the pairs that pair requires."""
+    rules = [(1 << i, need) for i, need in enumerate(needs) if need]
+    full = (1 << len(needs)) - 1
+    return (m for m in range(full + 1) if _propagates(full ^ m, rules))
+
+
+def _propagates(mask: int, rules: Sequence[tuple[int, int]]) -> bool:
     """Every pair in ``mask`` has every pair it requires in ``mask``."""
     for bit, need in rules:
         if mask & bit and need & ~mask:
             return False
     return True
-
-
-def _conflict_masks(size: int, rules: Rules) -> Iterator[int]:
-    """The event-structure filter: candidate masks that propagate."""
-    return (m for m in range(1 << size) if _propagates(m, rules))
-
-
-def _edge_set_masks(size: int, rules: Rules) -> Iterator[int]:
-    """The full-graph filter: masks whose complement propagates."""
-    full = (1 << size) - 1
-    return (m for m in range(full + 1) if _propagates(full ^ m, rules))
 
 
 def _truth_tables(size: int) -> tuple[int, ...]:
@@ -167,8 +197,8 @@ def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
     check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
-    pairs, rules = _pair_kernel(_strict_rows(base.field, base))
-    return _relations(base, pairs, _conflict_masks(len(pairs), rules))
+    pairs, needs = _pair_kernel(_strict_rows(base.field, base))
+    return _relations(base, pairs, _conflict_masks(needs))
 
 
 def enumerate_fullgraph_edge_sets(
@@ -183,9 +213,9 @@ def enumerate_fullgraph_edge_sets(
     check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
-    pairs, rules = _pair_kernel(_strict_rows(base.field, base))
+    pairs, needs = _pair_kernel(_strict_rows(base.field, base))
     if not oracle:
-        return _relations(base, pairs, _edge_set_masks(len(pairs), rules))
+        return _relations(base, pairs, _edge_set_masks(needs))
     k = len(base.field)
 
     def vetted(t: int) -> bool:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from typing import Sequence
 
 from .event_structure import EventStructureError, es_failures, is_conflict_propagating
-from .relation import Relation, _bits, _rows, _strict_rows
+from .relation import Relation, _rows, _strict_rows
 from .setfamily import SetFamily, _find_family
 from .setfamily import family_failures, represents
 
@@ -79,16 +78,16 @@ def _label_masks(above: Sequence[int], edges: Sequence[int]) -> tuple[list[int],
     it, and concurrent ones properly overlap it.  Both steps walk the set
     bits of a mask, never all k positions.
     """
-    positions = range(len(above))
     own = [0] * len(above)
     label = attached = 0
     for s in reversed(_peel_order(tuple(above))):
         start = label
         fresh = attached & edges[s]
-        if fresh:
-            for x in compress(positions, _bits(fresh)):
-                own[x] |= 1 << label
-                label += 1
+        while fresh:
+            low = fresh & -fresh
+            own[low.bit_length() - 1] |= 1 << label
+            label += 1
+            fresh ^= low
         own[s] = (2 << label) - (1 << start)  # its fresh labels and the closing one
         label += 1
         attached |= 1 << s

@@ -3,9 +3,12 @@ to a given size and report per-check outcomes.
 
 This is the library behind ``esfg verify``.  Each check covers sizes 0..n
 exhaustively, on masks.  ``enumeration._posets`` yields each order as
-the strict up-set mask of each position, the scalar filters list its
-conflict masks m and edge-set masks t over ``bijection._pair_kernel``'s
-incomparable pairs, and ``full`` holds every such pair.  A relation on
+the strict up-set mask of each position.  ``bijection._pair_kernel``
+numbers its incomparable pairs along the builder's peel order, which
+leaves that peel cached for the builder on each structure of the order;
+``bijection._conflict_masks`` lists the conflict masks m pair by pair,
+the scalar filter ``_edge_set_masks`` tests every mask for the edge-set
+masks t, and ``full`` holds every pair.  A relation on
 positions is in ``relation``'s row form: bit y of row x for the pair
 (x, y); ``bijection._pair_rows`` writes a pair mask in it.
 
@@ -91,10 +94,10 @@ def run_theorem_suite(n: int) -> SuiteReport:
         fg_total = 0
         for above in _posets(k):
             orders += 1
-            pairs, rules = _pair_kernel(above)
+            pairs, needs = _pair_kernel(above)
             full = (1 << len(pairs)) - 1
-            conflicts = list(_conflict_masks(len(pairs), rules))
-            edge_sets = list(_edge_set_masks(len(pairs), rules))
+            conflicts = _conflict_masks(needs)
+            edge_sets = list(_edge_set_masks(needs))
             fg_total += len(edge_sets)
             contains = [up | 1 << v for v, up in enumerate(above)]
             if {full ^ t for t in edge_sets} != set(conflicts):

@@ -364,6 +364,23 @@ def closed_directly(sets):
     ]
 
 
+def conflict_masks(needs):
+    """The event-structure filter over one order's incomparable pairs:
+    every mask below 2^s, for s pairs, that holds ``needs[i]`` whenever it
+    holds pair i, ascending.  ``needs[i]`` is the mask of the pairs pair i
+    requires, with bit s, which no mask holds, for a pair whose events have
+    a common upper bound."""
+    rules = [(1 << i, need) for i, need in enumerate(needs) if need]
+
+    def holds(m):
+        for bit, need in rules:
+            if m & bit and need & ~m:
+                return False
+        return True
+
+    return [m for m in range(1 << len(needs)) if holds(m)]
+
+
 def count_conflict_upsets(below):
     """The valid conflicts as the up-sets of Q(P), counted from scratch for
     the order with these strict down-set masks: Q(P) is its pairs {x,z}

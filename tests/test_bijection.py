@@ -25,7 +25,9 @@ from esfg import (
     serialize_document,
     verify_bijection,
 )
+from esfg.bijection import _conflict_masks, _pair_kernel
 from esfg.cli import main
+from esfg.enumeration import _posets
 
 from . import reference
 from .strategies import event_structures, posets, small_structures
@@ -52,6 +54,27 @@ def test_filters_agree_with_the_reference_per_order():
         assert enumerate_fullgraph_edge_sets(order) == tuple(
             t for t in candidates if is_full_graph(order, t)
         )
+
+
+def _assert_listing_matches_the_reference_filter(n):
+    for above in _posets(n):
+        needs = _pair_kernel(above)[1]
+        past = 1 << len(needs)
+        assert all(need & ~past < 1 << i for i, need in enumerate(needs)), above
+        assert _conflict_masks(needs) == reference.conflict_masks(needs), above
+
+
+def test_conflict_listing_matches_the_reference_filter_per_order():
+    """On every labeled order up to five events, each pair requires only
+    pairs on lower bits (and the bit past the pairs), and the listing gives
+    the reference filter's masks, in its ascending order, one for one."""
+    for n in range(6):
+        _assert_listing_matches_the_reference_filter(n)
+
+
+@pytest.mark.slow
+def test_conflict_listing_matches_the_reference_filter_at_six():
+    _assert_listing_matches_the_reference_filter(6)
 
 
 def test_incomparable_complement_examples():

@@ -348,6 +348,31 @@ def test_document_commands_keep_their_bytes(capsysbinary, tmp_path):
     assert digest.hexdigest() == DOCUMENT_COMMANDS_DIGEST
 
 
+#: sha256 of the documents ``esfg enumerate --n N --kind K`` writes to
+#: stdout, by (N, K): the emitted structures and their order.
+ENUMERATE_DIGESTS = {
+    (4, "es"): "79b3bb6c33344cd0093b2f949d2434f9aa49c21d208126a77847af9b4caf931c",
+    (4, "fg"): "0111900bb97fc1da5cf9ab4bc5463c3168d0a606cba1c0834a29e2f525e5d5c9",
+    (5, "es"): "ff7d31327f9bf90a8da71289807e9baa54819a9b6846e066d1c235683336c23c",
+    (5, "fg"): "08ed09cd69d937c082b8c20064e914a1bb6918ef2b547512a9b3dea7d9d3508b",
+}
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [
+        (4, "es"),
+        (4, "fg"),
+        pytest.param(5, "es", marks=pytest.mark.slow),
+        pytest.param(5, "fg", marks=pytest.mark.slow),
+    ],
+)
+def test_enumerate_keeps_its_bytes(capsysbinary, n, kind):
+    assert main(["enumerate", "--n", str(n), "--kind", kind, "--slow"]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == ENUMERATE_DIGESTS[n, kind]
+
+
 #: One event at the top of a universe of 10^12: nothing may be sized by it.
 ES_LARGE_UNIVERSE = (
     '{"kind":"es","universe":1000000000000,'

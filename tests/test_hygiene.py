@@ -1,19 +1,21 @@
 """Every name a package module imports is used in that module, every
-private function is called by the package, no package function imports
-for itself but the lazy OEIS download, the package reads no environment
-variable it does not list, every module parses at the declared Python
-floor, the oracle and the tests' reference import nothing from the
-package, full-graph recognition imports nothing from the event-structure
-module, ``import esfg`` loads no module it does not list, every probe
-of the benchmark tracer names a callable that exists, every oracle
-reaches the search probe, and the package builds no relation through
-its public constructor, reads no ``pairs`` view outside ``relation.py``
-and hand-writes no equality, hashing or immutability that a frozen
-dataclass would derive."""
+private function but an interpreter's ``__dunder__`` hook is called by
+the package, no package function imports for itself but the lazy OEIS
+download, the package reads no environment variable it does not list,
+every module parses at the declared Python floor, the oracle and the
+tests' reference import nothing from the package, full-graph recognition
+imports nothing from the event-structure module, ``import esfg`` loads
+the package index and nothing else, every export the index hands out is
+the object its home module defines, every probe of the benchmark tracer
+names a callable that exists, every oracle reaches the search probe, and
+the package builds no relation through its public constructor, reads no
+``pairs`` view outside ``relation.py`` and hand-writes no equality,
+hashing or immutability that a frozen dataclass would derive."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -83,8 +85,11 @@ def test_every_oracle_reaches_the_search_probe(monkeypatch):
     """The tracer counts searches by wrapping ``search_set_family`` in
     every ``esfg`` module that binds it.  An ES oracle call, an FG oracle
     call and an oracle-mode listing must each reach that wrapper, or the
-    benchmark's search count reads 0 on them."""
+    benchmark's search count reads 0 on them.  ``esfg.cli`` loads every
+    module first, as the benchmark does, so that none binds the search
+    while it is wrapped."""
     import esfg
+    import esfg.cli  # noqa: F401
     from esfg import familysearch
 
     search = familysearch.search_set_family
@@ -166,11 +171,13 @@ def _names(tree):
 def test_every_private_function_is_called_by_the_package():
     """A module-level ``_private`` function that no package module names
     outside its own body serves only the tests, and belongs with them.
-    Public names are API, and exempt."""
+    Public names are API, and exempt, as are ``__dunder__`` hooks such as
+    the index's ``__getattr__``: the interpreter calls those."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE]
     named = sum(map(_names, trees), Counter())
     defs = [f for tree in trees for f in tree.body if isinstance(f, ast.FunctionDef)]
-    unused = [f.name for f in defs if f.name[0] == "_" and named[f.name] == _names(f)[f.name]]
+    private = [f for f in defs if f.name[0] == "_" and not re.fullmatch(r"__\w+__", f.name)]
+    unused = [f.name for f in private if named[f.name] == _names(f)[f.name]]
     assert unused == []
 
 
@@ -331,29 +338,81 @@ def test_environment_reads_are_listed():
     assert unlisted == []
 
 
-#: What ``import esfg`` adds to ``sys.modules`` in a fresh CPython 3.11
-#: interpreter.  Every launch pays for each of these, so a module joins
-#: the list on purpose or not at all.
-IMPORTED_MODULES = {
-    *("__future__", "_ast", "_json", "_opcode", "ast", "copy", "dataclasses", "dis"),
-    *("importlib.machinery", "inspect", "json", "json.decoder", "json.encoder"),
-    *("json.scanner", "linecache", "opcode", "token", "tokenize"),
-    *("esfg", "esfg.bijection", "esfg.documents", "esfg.enumeration"),
-    *("esfg.event_structure", "esfg.familysearch", "esfg.fullgraph", "esfg.oeis"),
-    *("esfg.relation", "esfg.representation", "esfg.setfamily", "esfg.verify"),
-}
-
-
-def test_import_esfg_loads_only_the_listed_modules():
-    """One fresh interpreter diffs ``sys.modules`` around ``import esfg``;
-    a module outside ``IMPORTED_MODULES`` fails."""
-    script = (
-        "import sys; before = set(sys.modules); import esfg; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
+def _fresh_interpreter(script):
+    """The standard output of ``script`` run by a new interpreter that
+    finds the package under ``src``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert sorted(set(run.stdout.split()) - IMPORTED_MODULES) == []
+    return run.stdout
+
+
+#: What ``import esfg`` adds to ``sys.modules`` in a fresh CPython 3.11
+#: interpreter: the package index alone, which loads each submodule on
+#: first use.  Every launch pays for each of these, so a module joins the
+#: list on purpose or not at all.
+IMPORTED_MODULES = {"esfg"}
+
+
+def test_import_esfg_loads_only_the_listed_modules():
+    """One fresh interpreter diffs ``sys.modules`` around ``import esfg``;
+    a module outside ``IMPORTED_MODULES`` fails.  ``importlib``, through
+    which the index loads its submodules, is imported first: it is the
+    interpreter's own import system, which site start-up already loads on
+    most launches."""
+    script = (
+        "import importlib, sys; before = set(sys.modules); import esfg; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    assert sorted(set(_fresh_interpreter(script).split()) - IMPORTED_MODULES) == []
+
+
+EXPORT_CONTRACT = """
+import inspect, json
+from importlib import import_module
+import esfg
+table = esfg._EXPORTS
+homes = {name: "esfg." + home for home, names in table.items() for name in names}
+different = sorted(
+    name for name, home in homes.items()
+    if getattr(esfg, name) is not getattr(import_module(home), name)
+)
+cached = sorted(name for name in homes if vars(esfg).get(name) is not getattr(esfg, name))
+misplaced = sorted(
+    (name, value.__module__) for name, value in ((name, getattr(esfg, name)) for name in homes)
+    if (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ != homes[name]
+)
+star = {}
+exec("from esfg import *", star)
+print(json.dumps({
+    "all": sorted(esfg.__all__) == sorted(name for names in table.values() for name in names),
+    "different": different,
+    "cached": cached,
+    "misplaced": misplaced,
+    "not_starred": sorted(set(homes) - set(star)),
+    "not_in_dir": sorted(set(homes) - set(dir(esfg))),
+    "unknown": hasattr(esfg, "no_such_name"),
+    "version": esfg.__version__,
+}))
+"""
+
+
+def test_every_export_is_its_home_modules_object():
+    """In a fresh interpreter, so that no earlier test has filled the
+    index's cache: ``__all__`` is the export table, each export is the
+    very object its home module defines and stays cached as that object,
+    the table names the defining module and not a re-binder,
+    ``from esfg import *`` and ``dir(esfg)`` cover every export, and an
+    unknown name is an ``AttributeError``."""
+    assert json.loads(_fresh_interpreter(EXPORT_CONTRACT)) == {
+        "all": True,
+        "different": [],
+        "cached": [],
+        "misplaced": [],
+        "not_starred": [],
+        "not_in_dir": [],
+        "unknown": False,
+        "version": "0.1.0",
+    }

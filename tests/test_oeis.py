@@ -126,7 +126,12 @@ def test_a_body_that_does_not_parse_is_never_cached(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_http_client():
-    probe = "import sys, esfg; print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    """The modules that own the download and the ``oeis`` subcommand load
+    no HTTP client until a download runs."""
+    probe = (
+        "import sys, esfg.oeis, esfg.cli; "
+        "print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )

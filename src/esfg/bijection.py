@@ -11,27 +11,28 @@ Both sides read one mask encoding per order: bit i of a mask is the
 i-th incomparable pair with its mirror, so symmetry, irreflexivity,
 conflict inside the field and T inside the square hold by construction;
 a per-order guard covers causality.  ``_pair_kernel`` numbers the pairs
-along the builder's peel order, maximal positions first, so that every
-pair propagation requires with a pair sits on a lower bit.  The conflict
-side lists its masks, deciding the pairs in bit order, so it makes no
-invalid candidate; the edge-set side still tests ``full ^ mask`` for
-every mask.  Both read the same needs, so complementing is a bijection
-between the accepted sets and their per-order sizes agree by
-construction.  Recognition (``fullgraph.fg_failures``, on the canonical
-family) shares none of the needs.  The sides are checked against it, the
-brute-force oracle and the structural ``enumeration.count_es``, which
-shares only the order side of ``count_fg`` (natural orders, n!/e(P)).
+along the builder's peel order, maximal positions first, and gives each
+side its own needs: the conflict side's from the up-sets, so every pair
+a pair requires sits on a lower bit, and the edge-set side's from the
+strict down-sets and the pairs with a common upper bound, so every pair
+an edge requires sits on a higher bit.  ``_closed_masks`` lists each
+side's masks, deciding the pairs so that each comes after the pairs it
+requires, and makes no invalid candidate.  The sides share only the
+pair numbering, so whether complementing maps one listing onto the
+other, and whether their per-order sizes agree, is checked, not built in.
+Recognition (``fullgraph.fg_failures``, on the canonical family) shares
+none of the needs.  The sides are checked against it, the brute-force
+oracle and the structural ``enumeration.count_es``, which shares only
+the order side of ``count_fg`` (natural orders, n!/e(P)).
 
-The filter over every mask that the conflict listing replaced is kept in
-``tests/reference.py``, as the listing's reference.  The edge-set filter
-here is the reference for the bit-parallel count of ``enumeration``,
-whose docstring describes the walk over the orders.
+The filters over every mask that the listings replaced are kept in
+``tests/reference.py``, as the listings' references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .event_structure import EventStructure
 from .familysearch import search_set_family
@@ -89,20 +90,26 @@ def fg_to_es(graph: FullGraph) -> EventStructure:
     return EventStructure(graph.directed, conflict)
 
 
-def _pair_kernel(above: Sequence[int]) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
-    """One order's incomparable pairs and, for each, the mask of the pairs
-    it requires; ``above`` holds the strict up-set mask of each position.
+def _pair_kernel(
+    above: Sequence[int],
+) -> tuple[tuple[Pair, ...], tuple[int, ...], tuple[int, ...], int]:
+    """One order's incomparable pairs, the mask of the pairs each requires
+    as a conflict and as an edge, and the mask of the forced edges;
+    ``above`` holds the strict up-set mask of each position.
 
     The pairs are numbered along ``_peel_order``, maximal positions
     first: by the position of the pair peeled later, then by the one
-    peeled earlier.  A pair (a, b) requires (y, b) for each y above a and
-    (y, a) for each y above b.  Each such y is peeled before the position
-    it replaces, so every pair a pair requires sits on a lower bit.  A
-    pair whose positions have a common upper bound also requires the bit
-    just past the pairs, which no mask holds.  ``touching[v]`` holds the
-    bits of v's pairs and ``reach[v]`` those of the positions above v,
-    both built by walking set bits, so the pairs (y, b) with y above a are
-    the bits ``touching[b]`` and ``reach[a]`` share."""
+    peeled earlier.  As a conflict, a pair (a, b) requires (y, b) for
+    each y above a and (a, y) for each y above b.  Each such y is peeled
+    before the position it replaces, so every pair a conflict requires
+    sits on a lower bit.  A pair whose positions have a common upper
+    bound also requires the bit just past the pairs, which no mask holds;
+    as an edge it is forced.  As an edge, (a, b) requires (y, b) for each
+    y below a and (a, y) for each y below b, each on a higher bit.
+    ``touching[v]`` holds the bits of v's pairs, ``reach[v]`` those of
+    the positions above v and ``fall[v]`` those of the positions below
+    it, all built in one walk over set bits, so the pairs (y, b) with y
+    above a are the bits ``touching[b]`` and ``reach[a]`` share."""
     peeled = _peel_order(tuple(above))
     pairs: list[Pair] = []
     touching = [0] * len(above)
@@ -113,20 +120,23 @@ def _pair_kernel(above: Sequence[int]) -> tuple[tuple[Pair, ...], tuple[int, ...
                 touching[a] |= bit
                 touching[b] |= bit
                 pairs.append((a, b))
-    reach = []
-    for up in above:
-        bits = 0
+    reach = [0] * len(above)
+    fall = [0] * len(above)
+    for v, up in enumerate(above):
         while up:
             low = up & -up
-            bits |= touching[low.bit_length() - 1]
+            u = low.bit_length() - 1
+            reach[v] |= touching[u]
+            fall[u] |= touching[v]
             up ^= low
-        reach.append(bits)
-    out = 1 << len(pairs)
-    needs = tuple(
-        touching[b] & reach[a] | touching[a] & reach[b] | (out if above[a] & above[b] else 0)
-        for a, b in pairs
-    )
-    return tuple(pairs), needs
+    out, forced = 1 << len(pairs), 0
+    needs, edge_needs = [], []
+    for i, (a, b) in enumerate(pairs):
+        common = above[a] & above[b]
+        forced |= bool(common) << i
+        needs.append(touching[b] & reach[a] | touching[a] & reach[b] | (out if common else 0))
+        edge_needs.append(touching[b] & fall[a] | touching[a] & fall[b])
+    return tuple(pairs), tuple(needs), tuple(edge_needs), forced
 
 
 def _pair_rows(k: int, pairs: Sequence[Pair], mask: int) -> list[int]:
@@ -141,44 +151,20 @@ def _pair_rows(k: int, pairs: Sequence[Pair], mask: int) -> list[int]:
     return rows
 
 
-def _conflict_masks(needs: Sequence[int]) -> list[int]:
-    """The event-structure listing: every mask that holds, with each of
-    its pairs, the pairs that pair requires, ascending.  Pair i is decided
-    after all the pairs it requires, which sit below it: each mask listed
-    so far is taken with pair i too when it holds ``needs[i]``.  Every
-    mask made is valid, and each comes once.  ``tests/reference.py`` keeps
-    the filter over all 2^s masks that this listing replaced."""
-    masks = [0]
-    for i, need in enumerate(needs):
-        bit = 1 << i
-        masks += [m | bit for m in masks if not need & ~m]
+def _closed_masks(needs: Sequence[int], order: Iterable[int], start: int = 0) -> list[int]:
+    """Every mask that holds ``start`` and, with each of its pairs, the
+    pairs that pair requires.  The pairs outside ``start`` are decided in
+    ``order``, each after all the pairs it requires: each mask listed so
+    far is taken with pair i too when it holds ``needs[i]``.  Every mask
+    made is valid, and each comes once.  The conflict side runs ascending
+    from 0, which lists its masks ascending; the edge-set side runs
+    descending from its forced edges."""
+    masks = [start]
+    for i in order:
+        if not start >> i & 1:
+            bit, need = 1 << i, needs[i]
+            masks += [m | bit for m in masks if not need & ~m]
     return masks
-
-
-def _edge_set_masks(needs: Sequence[int]) -> Iterator[int]:
-    """The full-graph filter: masks whose complement holds, with each of
-    its pairs, the pairs that pair requires."""
-    rules = [(1 << i, need) for i, need in enumerate(needs) if need]
-    full = (1 << len(needs)) - 1
-    return (m for m in range(full + 1) if _propagates(full ^ m, rules))
-
-
-def _propagates(mask: int, rules: Sequence[tuple[int, int]]) -> bool:
-    """Every pair in ``mask`` has every pair it requires in ``mask``."""
-    for bit, need in rules:
-        if mask & bit and need & ~mask:
-            return False
-    return True
-
-
-def _truth_tables(size: int) -> tuple[int, ...]:
-    """T_0 .. T_{size-1} over the 2^size candidate masks: bit m of T_i is
-    bit i of m.  T_i repeats 2^i zeros then 2^i ones."""
-    full = (1 << (1 << size)) - 1
-    return tuple(
-        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-        for i in range(size)
-    )
 
 
 def _relations(
@@ -197,25 +183,27 @@ def enumerate_admissible_conflicts(base: Relation) -> tuple[Relation, ...]:
     check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
-    pairs, needs = _pair_kernel(_strict_rows(base.field, base))
-    return _relations(base, pairs, _conflict_masks(needs))
+    pairs, needs, _, _ = _pair_kernel(_strict_rows(base.field, base))
+    return _relations(base, pairs, _closed_masks(needs, range(len(pairs))))
 
 
 def enumerate_fullgraph_edge_sets(
     base: Relation, *, oracle: bool = False
 ) -> tuple[Relation, ...]:
     """All undirected edge sets T making (base, T) a full graph, sorted by
-    pair list; empty for a ``base`` that is not an order.  ``oracle=True``
-    (desk scale only) vets every candidate mask instead of the filter: the
-    exhaustive search for an fg-representation with labels below k * k,
-    for k vertices, reads the order's rows and the mask's.  A field above
-    the ``list`` size limit raises ``ValueError``."""
+    pair list; empty for a ``base`` that is not an order.  They are listed
+    from the full-graph rules, the edge needs and forced edges of
+    ``_pair_kernel``, and never read off the conflicts.  ``oracle=True``
+    (desk scale only) vets every candidate mask instead: the exhaustive
+    search for an fg-representation with labels below k * k, for k
+    vertices, reads the order's rows and the mask's.  A field above the
+    ``list`` size limit raises ``ValueError``."""
     check_size(len(base.field), "list")
     if not base.is_partial_order:
         return ()
-    pairs, needs = _pair_kernel(_strict_rows(base.field, base))
+    pairs, _, edge_needs, forced = _pair_kernel(_strict_rows(base.field, base))
     if not oracle:
-        return _relations(base, pairs, _edge_set_masks(needs))
+        return _relations(base, pairs, _closed_masks(edge_needs, reversed(range(len(pairs))), forced))
     k = len(base.field)
 
     def vetted(t: int) -> bool:

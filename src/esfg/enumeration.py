@@ -7,10 +7,11 @@ if i < j), each weighted by the n!/e(P) labeled orders it stands for,
 e(P) being its number of linear extensions.  Their conflict sides are
 independent.  ``count_es`` counts the up-sets of the poset Q(P) of event
 pairs with no common upper bound, ordered componentwise: by the conflict
-axioms, those are exactly the valid conflicts on P.  ``count_fg`` runs
-the full-graph mask filter of ``bijection`` on all of an order's
-candidates bit-parallel.  Each entry point rejects n above its
-``SIZE_LIMITS`` entry.
+axioms, those are exactly the valid conflicts on P.  ``count_fg`` tests
+all of an order's candidate edge sets bit-parallel, against the conflict
+axioms read on the pairs each one leaves out: the event-structure rules
+on the complement, not the full-graph rules ``bijection`` lists by.
+Each entry point rejects n above its ``SIZE_LIMITS`` entry.
 
 Every exhaustive path walks the orders depth first through ``_joins``:
 vertex k joins an order on 0..k-1 above a down-closed set B and below
@@ -36,12 +37,7 @@ from functools import cache
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator
 
-from .bijection import (
-    _truth_tables,
-    check_size,
-    enumerate_admissible_conflicts,
-    enumerate_fullgraph_edge_sets,
-)
+from .bijection import check_size, enumerate_admissible_conflicts, enumerate_fullgraph_edge_sets
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
@@ -139,14 +135,27 @@ def _extensions(n: int) -> Iterator[tuple[Step, int]]:
         yield step, pre[(top << 1) - 1]
 
 
+def _truth_tables(size: int) -> tuple[int, ...]:
+    """T_0 .. T_{size-1} over the 2^size candidate masks: bit m of T_i is
+    bit i of m.  T_i repeats 2^i zeros then 2^i ones."""
+    full = (1 << (1 << size)) - 1
+    return tuple(
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        for i in range(size)
+    )
+
+
 def _filter_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[int, int]]:
-    """How many edge sets the full-graph filter accepts on each order on
+    """How many edge sets the edge-set filter accepts on each order on
     {0..n-1} the walk reaches, each with the number its leaf step has.
+    The filter reads the event-structure rules on each candidate's
+    complement; ``tests/reference.py::edge_set_masks`` is its scalar
+    reference.
 
     ``carried[k]`` holds, for the order on 0..k-1 the walk is at, its
     number of incomparable pairs and the truth table of the masks it
     rejects (bit m set when mask m fails a rule; see
-    ``bijection._truth_tables``).  A mask holds the edges, so a rule of
+    ``_truth_tables``).  A mask holds the edges, so a rule of
     pair i rejects the masks that lack i and hold a pair i requires, or
     all that lack i if it requires a comparable pair.  The new pairs
     (v, k) take the next bits, and the table is copied across each new
@@ -319,9 +328,10 @@ def count_es(n: int) -> int:
 
 
 def count_fg(n: int) -> int:
-    """Number of labeled full graphs on exactly n vertices: the filter's
-    count on each naturally labeled order times n!/e(P), the order side
-    ``count_es`` has too; the conflict side is the filter's rules."""
+    """Number of labeled full graphs on exactly n vertices: the edge-set
+    filter's count on each naturally labeled order times n!/e(P), the
+    order side ``count_es`` has too.  The filter still reads the
+    event-structure rules on the complement, not the full-graph rules."""
     return _weighted_sum(n, _filter_counts(_extensions(n), n))
 
 

@@ -5,12 +5,13 @@ This is the library behind ``esfg verify``.  Each check covers sizes 0..n
 exhaustively, on masks.  ``enumeration._posets`` yields each order as
 the strict up-set mask of each position.  ``bijection._pair_kernel``
 numbers its incomparable pairs along the builder's peel order, which
-leaves that peel cached for the builder on each structure of the order;
-``bijection._conflict_masks`` lists the conflict masks m pair by pair,
-the scalar filter ``_edge_set_masks`` tests every mask for the edge-set
-masks t, and ``full`` holds every pair.  A relation on
-positions is in ``relation``'s row form: bit y of row x for the pair
-(x, y); ``bijection._pair_rows`` writes a pair mask in it.
+leaves that peel cached for the builder on each structure of the order,
+and gives each side its own needs; ``bijection._closed_masks`` lists the
+conflict masks m from the event-structure needs and the edge-set masks t
+from the full-graph needs and forced edges, and ``full`` holds every
+pair.  A relation on positions is in ``relation``'s row form: bit y of
+row x for the pair (x, y); ``bijection._pair_rows`` writes a pair mask
+in it.
 
 - built: ``_label_masks`` on the rows of ``full ^ m`` gives one nonempty
   label mask per position, no two equal, all below its label count;
@@ -19,7 +20,7 @@ positions is in ``relation``'s row form: bit y of row x for the pair
   with the diagonal, the rows of m and the rows of ``full ^ m``;
 - round trip: the rows of ``full ^ m``, complemented inside the
   incomparability square, are the rows of m;
-- bijection: ``full ^ t`` over the edge-set masks is the set of m;
+- bijection: ``full ^ t`` over the edge-set listing is the conflict listing;
 - counts: the edge-set masks on k events number ``count_es(k)``;
 - oracle: at very small sizes the brute-force existence oracle is played
   against the validity predicate over every pair of relations.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .bijection import _conflict_masks, _edge_set_masks, _pair_kernel, _pair_rows, check_size
+from .bijection import _closed_masks, _pair_kernel, _pair_rows, check_size
 from .enumeration import _posets, count_es
 from .event_structure import is_event_structure
 from .relation import Relation, _row_pairs
@@ -94,10 +95,10 @@ def run_theorem_suite(n: int) -> SuiteReport:
         fg_total = 0
         for above in _posets(k):
             orders += 1
-            pairs, needs = _pair_kernel(above)
+            pairs, needs, edge_needs, forced = _pair_kernel(above)
             full = (1 << len(pairs)) - 1
-            conflicts = _conflict_masks(needs)
-            edge_sets = list(_edge_set_masks(needs))
+            conflicts = _closed_masks(needs, range(len(pairs)))
+            edge_sets = _closed_masks(edge_needs, reversed(range(len(pairs))), forced)
             fg_total += len(edge_sets)
             contains = [up | 1 << v for v, up in enumerate(above)]
             if {full ^ t for t in edge_sets} != set(conflicts):

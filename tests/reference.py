@@ -381,6 +381,17 @@ def conflict_masks(needs):
     return [m for m in range(1 << len(needs)) if holds(m)]
 
 
+def edge_set_masks(needs):
+    """The edge-set filter over one order's incomparable pairs: every mask
+    below 2^s whose complement ``conflict_masks`` accepts, ascending.  It
+    reads the event-structure needs on the pairs a mask leaves out, not
+    the full-graph rules, so the graph side's listing is checked against
+    the theorem, not against itself."""
+    full = (1 << len(needs)) - 1
+    conflicts = set(conflict_masks(needs))
+    return [m for m in range(full + 1) if full ^ m in conflicts]
+
+
 def count_conflict_upsets(below):
     """The valid conflicts as the up-sets of Q(P), counted from scratch for
     the order with these strict down-set masks: Q(P) is its pairs {x,z}

@@ -25,7 +25,7 @@ from esfg import (
     serialize_document,
     verify_bijection,
 )
-from esfg.bijection import _conflict_masks, _pair_kernel
+from esfg.bijection import _closed_masks, _pair_kernel
 from esfg.cli import main
 from esfg.enumeration import _posets
 
@@ -61,7 +61,18 @@ def _assert_listing_matches_the_reference_filter(n):
         needs = _pair_kernel(above)[1]
         past = 1 << len(needs)
         assert all(need & ~past < 1 << i for i, need in enumerate(needs)), above
-        assert _conflict_masks(needs) == reference.conflict_masks(needs), above
+        masks = _closed_masks(needs, range(len(needs)))
+        assert masks == reference.conflict_masks(needs), above
+
+
+def _assert_edge_listing_matches_the_reference_filter(n):
+    for above in _posets(n):
+        _, needs, edge_needs, forced = _pair_kernel(above)
+        assert all(not need & ((2 << i) - 1) for i, need in enumerate(edge_needs)), above
+        masks = _closed_masks(edge_needs, reversed(range(len(needs))), forced)
+        assert all(not forced & ~m for m in masks), above
+        assert len(set(masks)) == len(masks), above
+        assert sorted(masks) == reference.edge_set_masks(needs), above
 
 
 def test_conflict_listing_matches_the_reference_filter_per_order():
@@ -72,9 +83,23 @@ def test_conflict_listing_matches_the_reference_filter_per_order():
         _assert_listing_matches_the_reference_filter(n)
 
 
+def test_edge_set_listing_matches_the_reference_filter_per_order():
+    """On every labeled order up to five events, each edge requires only
+    pairs on higher bits, and the listing from the full-graph needs holds
+    the forced edges in every mask, makes no mask twice, and gives the
+    masks whose complements the event-structure filter accepts."""
+    for n in range(6):
+        _assert_edge_listing_matches_the_reference_filter(n)
+
+
 @pytest.mark.slow
 def test_conflict_listing_matches_the_reference_filter_at_six():
     _assert_listing_matches_the_reference_filter(6)
+
+
+@pytest.mark.slow
+def test_edge_set_listing_matches_the_reference_filter_at_six():
+    _assert_edge_listing_matches_the_reference_filter(6)
 
 
 def test_incomparable_complement_examples():

@@ -105,19 +105,21 @@ def test_mask_pass_agrees_with_the_object_loop(n):
 def test_suite_catches_a_dropped_edge_set(monkeypatch):
     """The count check sums the lists the bijection check uses; losing one
     graph-side edge set must fail both, not neither.  The edge set is
-    dropped on the first order with a rule, 2 below 0 on three events,
-    and the bijection failure names that order by its sorted pairs."""
-    original = verify_mod._edge_set_masks
+    dropped from the graph side's listing, the one run from the top bit
+    down, on the first order with a rule, 2 below 0 on three events, and
+    the bijection failure names that order by its sorted pairs."""
+    original = verify_mod._closed_masks
     dropped = []
 
-    def drop_one(needs):
-        found = list(original(needs))
-        if any(needs) and not dropped:
+    def drop_one(needs, order, start=0):
+        order = list(order)
+        found = original(needs, order, start)
+        if any(needs) and order[0] > order[-1] and not dropped:
             dropped.append(found[-1])
             return found[:-1]
         return found
 
-    monkeypatch.setattr(verify_mod, "_edge_set_masks", drop_one)
+    monkeypatch.setattr(verify_mod, "_closed_masks", drop_one)
     outcome = run_theorem_suite(3)
     assert len(dropped) == 1
     failed = {check.name: check.detail for check in outcome.checks if not check.passed}

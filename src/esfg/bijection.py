@@ -22,11 +22,9 @@ pair numbering, so whether complementing maps one listing onto the
 other, and whether their per-order sizes agree, is checked, not built in.
 Recognition (``fullgraph.fg_failures``, on the canonical family) shares
 none of the needs.  The sides are checked against it, the brute-force
-oracle and the structural ``enumeration.count_es``, which shares only
-the order side of ``count_fg`` (natural orders, n!/e(P)).
-
-The filters over every mask that the listings replaced are kept in
-``tests/reference.py``, as the listings' references.
+oracle and the counts: ``enumeration.count_fg`` counts from the edge-set
+side's needs and ``count_es`` from Q(P).  ``tests/reference.py`` keeps
+the filters over every mask that the listings and ``count_fg`` replaced.
 """
 
 from __future__ import annotations

@@ -7,10 +7,9 @@ if i < j), each weighted by the n!/e(P) labeled orders it stands for,
 e(P) being its number of linear extensions.  Their conflict sides are
 independent.  ``count_es`` counts the up-sets of the poset Q(P) of event
 pairs with no common upper bound, ordered componentwise: by the conflict
-axioms, those are exactly the valid conflicts on P.  ``count_fg`` tests
-all of an order's candidate edge sets bit-parallel, against the conflict
-axioms read on the pairs each one leaves out: the event-structure rules
-on the complement, not the full-graph rules ``bijection`` lists by.
+axioms, those are exactly the valid conflicts on P.  ``count_fg`` counts
+the edge sets holding the forced pairs and closed under the edge needs,
+the full-graph rules ``bijection`` lists by, and reads nothing of Q(P).
 Each entry point rejects n above its ``SIZE_LIMITS`` entry.
 
 Every exhaustive path walks the orders depth first through ``_joins``:
@@ -23,12 +22,11 @@ parent's, so it never searches for them, hands them to its readers, and
 takes the up-sets as their complements.  ``_posets`` yields each labeled
 order as the strict up-set mask of each vertex.  The counts carry tables
 down the walk, so each join only adds what vertex k brings: to the
-candidates an order rejects, to the linear extensions of its down-sets,
-and to Q(P), whose pairs inside k's down-set leave it as the pairs
-{v, k} join.  Q(P) goes down to the parents of the leaves only: a leaf's
-up-sets are counted on its parent's Q(P), one term for each of the
-parent's down-sets that holds B, with one memo for all the parent's
-leaves.
+linear extensions of its down-sets, and to Q(P), whose pairs inside k's
+down-set leave it as the pairs {v, k} join.  Both conflict sides stop at
+the parents of the leaves: a leaf is counted on its parent's Q(P) or
+pairs, one term for each of the parent's down-sets that holds B, with
+one memo for all the parent's leaves.
 """
 
 from __future__ import annotations
@@ -37,7 +35,12 @@ from functools import cache
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator
 
-from .bijection import check_size, enumerate_admissible_conflicts, enumerate_fullgraph_edge_sets
+from .bijection import (
+    _pair_kernel,
+    check_size,
+    enumerate_admissible_conflicts,
+    enumerate_fullgraph_edge_sets,
+)
 from .documents import from_event_structure, from_full_graph, serialize_document
 from .event_structure import EventStructure
 from .fullgraph import FullGraph
@@ -135,79 +138,6 @@ def _extensions(n: int) -> Iterator[tuple[Step, int]]:
         yield step, pre[(top << 1) - 1]
 
 
-def _truth_tables(size: int) -> tuple[int, ...]:
-    """T_0 .. T_{size-1} over the 2^size candidate masks: bit m of T_i is
-    bit i of m.  T_i repeats 2^i zeros then 2^i ones."""
-    full = (1 << (1 << size)) - 1
-    return tuple(
-        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-        for i in range(size)
-    )
-
-
-def _filter_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[int, int]]:
-    """How many edge sets the edge-set filter accepts on each order on
-    {0..n-1} the walk reaches, each with the number its leaf step has.
-    The filter reads the event-structure rules on each candidate's
-    complement; ``tests/reference.py::edge_set_masks`` is its scalar
-    reference.
-
-    ``carried[k]`` holds, for the order on 0..k-1 the walk is at, its
-    number of incomparable pairs and the truth table of the masks it
-    rejects (bit m set when mask m fails a rule; see
-    ``_truth_tables``).  A mask holds the edges, so a rule of
-    pair i rejects the masks that lack i and hold a pair i requires, or
-    all that lack i if it requires a comparable pair.  The new pairs
-    (v, k) take the next bits, and the table is copied across each new
-    bit.  An old pair {a, b} keeps its rules and gains the need {k, b}
-    when k is above a.  A new pair (v, k) needs {y, k} for each y above v,
-    and {v, w} for each w above k.  Every candidate still meets every
-    rule, so the conflict side is independent of the structural count."""
-    check_size(n, "count")
-    if n == 0:
-        yield 1, 1  # the one order on no events has one edge set, one extension
-    members = _members(n)
-    # bit[v][w]: the bit of the incomparable pair {v, w}.  A vertex
-    # placed at depth k writes row and column k afresh, and deeper
-    # vertices write only higher ones, so the walk shares one grid.
-    bit = [[0] * n for _ in range(n)]
-    tables: dict[int, tuple[int, tuple[int, ...]]] = {}
-    carried = [(0, 0)] * n
-    for (above, below, low, high, _), e in walk:
-        k = len(above)
-        size, r = carried[k]
-        everything = (1 << k) - 1
-        new = members[everything & ~(low | high)]
-        grown = size + len(new)
-        if grown not in tables:
-            tables[grown] = (1 << (1 << grown)) - 1, _truth_tables(grown)
-        full, holding = tables[grown]
-        for j in range(size, grown):
-            r |= r << (1 << j)
-        for j, v in enumerate(new, size):
-            bit[v][k] = bit[k][v] = j
-        for a in members[low]:
-            for b in members[everything & ~(above[a] | below[a] | 1 << a)]:
-                if low >> b & 1:
-                    r |= full ^ holding[bit[a][b]]  # {k, b} is comparable
-                else:
-                    r |= holding[bit[k][b]] & ~holding[bit[a][b]]
-        for j, v in enumerate(new, size):
-            if (above[v] | below[v]) & high:
-                r |= full ^ holding[j]  # some {v, w} with w above k is comparable
-                continue
-            holds = 0
-            for y in members[above[v]]:
-                holds |= holding[bit[y][k]]
-            for w in members[high]:
-                holds |= holding[bit[v][w]]
-            r |= holds & ~holding[j]
-        if k + 1 == n:
-            yield (1 << grown) - r.bit_count(), e
-        else:
-            carried[k + 1] = grown, r
-
-
 def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[int, int]]:
     """How many up-sets Q(P) has on each naturally labeled order on
     {0..n-1} the walk reaches, each with the number its leaf step has.
@@ -259,17 +189,15 @@ def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[in
         for s in range(1 << k):
             inside[s | 1 << k] = inside[s] | row[s]
     carried = [(0, [0] * (n * n))] * n
-    # upsets reads the ``above`` of the leaf's parent and the memo of that
-    # parent, which starts afresh each time the walk reaches a new parent.
-    memo: dict[int, int] = {0: 1}
 
+    # upsets reads the ``above`` of the leaf's parent, and its memo starts
+    # afresh each time the walk reaches a new parent.
+    @cache
     def upsets(rest: int) -> int:
-        count = memo.get(rest)
-        if count is None:
-            lowest = rest & -rest
-            count = upsets(rest & ~above[lowest.bit_length() - 1]) + upsets(rest ^ lowest)
-            memo[rest] = count
-        return count
+        if not rest:
+            return 1
+        lowest = rest & -rest
+        return upsets(rest & ~above[lowest.bit_length() - 1]) + upsets(rest ^ lowest)
 
     for (up, _, low, high, downs), e in walk:
         if high:
@@ -294,7 +222,79 @@ def _upset_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[in
                     above[i] |= gained
         carried[k + 1] = alive, above
         if k + 2 == n:
-            memo = {0: 1}
+            upsets.cache_clear()
+
+
+def _closed_edge_set_counts(walk: Iterable[tuple[Step, int]], n: int) -> Iterator[tuple[int, int]]:
+    """How many edge sets T make a full graph on each naturally labeled
+    order on {0..n-1} the walk reaches, each with the number its leaf
+    step has, from the full-graph rules of ``_pair_kernel``: T holds the
+    ``forced`` pairs, and with each pair its ``edge_needs``, all on higher
+    bits.  Forced pairs need only forced ones, so T is them plus a set of
+    the ``free`` pairs closed under needs.
+
+    Each parent P of the leaves builds, once for its leaves, ``closure[i]``
+    (pair i and every free pair it needs, transitively, built descending),
+    ``outside[s]`` (the pairs with an end outside s, for each vertex set s)
+    and the memo of ``closed(rest)``, the closed sets inside ``rest``.  No
+    pair needs the lowest pair of ``rest``: a closed set leaves it, or
+    takes its closure, and is closed in what is left.
+
+    A leaf P' is P with k = n - 1 joined above ``low``:
+
+        count(P') = sum over down-sets D of P holding ``low`` of
+                    closed(free - (outside[D - low] - outside[D]))
+
+    - k is maximal, so no new pair {v, k} is forced, and the old pairs
+      keep their needs, none of them new.  The old pairs inside ``low``
+      gain k as a common upper bound and are forced.
+    - {v, k} needs {y, k} for each y below v outside ``low``, so the new
+      pairs of T are {v, k} for v in D - ``low``, D a down-set holding ``low``.
+    - Each needs {v, w} for w in ``low``, so T holds the pairs inside D
+      with an end in ``low``, the newly forced ones too:
+      ``outside[D - low] - outside[D]``.  Those need only pairs of their
+      kind, so the rest of T is a closed set of the free pairs left."""
+    check_size(n, "count")
+    if n == 0:
+        yield 1, 1  # the one order on no vertices has one edge set, the empty one
+
+    @cache
+    def closed(rest: int) -> int:
+        if not rest:
+            return 1
+        lowest = rest & -rest
+        return closed(rest ^ lowest) + closed(rest & ~closure[lowest.bit_length() - 1])
+
+    parent = None
+    for (above, _, low, high, downs), e in walk:
+        if high:
+            raise ValueError("the edge-set count needs naturally labeled orders")
+        if len(above) + 1 < n:
+            continue
+        if above is not parent:  # the walk hands a parent's leaves one list
+            parent = above
+            pairs, _, edge_needs, forced = _pair_kernel(above)
+            free = (1 << len(pairs)) - 1 & ~forced
+            closure = [0] * len(pairs)
+            for i in reversed(range(len(pairs))):
+                reached, need = 1 << i, edge_needs[i] & free
+                while need:
+                    j = need & -need
+                    reached |= closure[j.bit_length() - 1]
+                    need ^= j
+                closure[i] = reached
+            touching = [0] * len(above)
+            for i, (a, b) in enumerate(pairs):
+                touching[a] |= 1 << i
+                touching[b] |= 1 << i
+            spread = [0]  # spread[s]: the pairs with an end in s
+            for t in touching:
+                spread += [m | t for m in spread]
+            outside = spread[::-1]
+            closed.cache_clear()
+        yield sum(
+            [closed(free & ~(outside[d & ~low] ^ outside[d])) for d in downs if not low & ~d]
+        ), e
 
 
 def enumerate_partial_orders(n: int) -> Iterator[Relation]:
@@ -328,11 +328,12 @@ def count_es(n: int) -> int:
 
 
 def count_fg(n: int) -> int:
-    """Number of labeled full graphs on exactly n vertices: the edge-set
-    filter's count on each naturally labeled order times n!/e(P), the
-    order side ``count_es`` has too.  The filter still reads the
-    event-structure rules on the complement, not the full-graph rules."""
-    return _weighted_sum(n, _filter_counts(_extensions(n), n))
+    """Number of labeled full graphs on exactly n vertices: the edge sets
+    closed under the full-graph rules on each naturally labeled order
+    times n!/e(P), the order side ``count_es`` has too.  Each leaf's edge
+    sets are counted on its parent's pairs, from ``_pair_kernel``'s edge
+    needs and forced pairs; nothing of Q(P) is read."""
+    return _weighted_sum(n, _closed_edge_set_counts(_extensions(n), n))
 
 
 def emit_structures(n: int, kind: str, write: Callable[[bytes], None]) -> int:

@@ -2,7 +2,7 @@
 and literally, its docstring opening with the definition it transcribes.
 Relations are frozensets of pairs over ``range(n)``, families map vertices
 to frozensets of labels, and the mask-form counts at the end take an order
-as its strict down-set masks.  Nothing here comes from ``esfg``
+as its strict down-set masks, or a walk of orders.  Nothing here comes from ``esfg``
 (``test_hygiene.py`` checks), so that agreeing with it proves something."""
 
 import random
@@ -390,6 +390,79 @@ def edge_set_masks(needs):
     full = (1 << len(needs)) - 1
     conflicts = set(conflict_masks(needs))
     return [m for m in range(full + 1) if full ^ m in conflicts]
+
+
+def truth_tables(size):
+    """T_0 .. T_{size-1} over the 2^size candidate masks: bit m of T_i is
+    bit i of m.  T_i repeats 2^i zeros then 2^i ones."""
+    full = (1 << (1 << size)) - 1
+    return tuple(
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        for i in range(size)
+    )
+
+
+def filter_counts(walk, n):
+    """The edge-set filter, carried down a walk of the orders on
+    {0..n-1}: how many masks ``edge_set_masks`` accepts on each order the
+    walk reaches, each with the number its leaf step has.  A step is
+    ``((above, below, low, high, downs), number)``: the strict up-set and
+    down-set masks of an order on 0..k-1, and vertex k joining it above
+    ``low`` and below ``high``; the steps with k = n - 1 are the leaves.
+    The walk refuses the sizes it does not take.
+
+    ``carried[k]`` holds, for the order on 0..k-1 the walk is at, its
+    number of incomparable pairs and the truth table of the masks it
+    rejects (bit m set when mask m fails a rule; see ``truth_tables``).
+    A mask holds the edges, so a rule of pair i rejects the masks that
+    lack i and hold a pair i requires, or all that lack i if it requires a
+    comparable pair: the event-structure rules on the complement.  The
+    new pairs (v, k) take the next bits, and the table is copied across
+    each new bit.  An old pair {a, b} keeps its rules and gains the need
+    {k, b} when k is above a.  A new pair (v, k) needs {y, k} for each y
+    above v, and {v, w} for each w above k."""
+    if n == 0:
+        yield 1, 1  # the one order on no events has one edge set, one extension
+    members = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+    # bit[v][w]: the bit of the incomparable pair {v, w}.  A vertex
+    # placed at depth k writes row and column k afresh, and deeper
+    # vertices write only higher ones, so the walk shares one grid.
+    bit = [[0] * n for _ in range(n)]
+    tables = {}
+    carried = [(0, 0)] * n
+    for (above, below, low, high, _), e in walk:
+        k = len(above)
+        size, r = carried[k]
+        everything = (1 << k) - 1
+        new = members[everything & ~(low | high)]
+        grown = size + len(new)
+        if grown not in tables:
+            tables[grown] = (1 << (1 << grown)) - 1, truth_tables(grown)
+        full, holding = tables[grown]
+        for j in range(size, grown):
+            r |= r << (1 << j)
+        for j, v in enumerate(new, size):
+            bit[v][k] = bit[k][v] = j
+        for a in members[low]:
+            for b in members[everything & ~(above[a] | below[a] | 1 << a)]:
+                if low >> b & 1:
+                    r |= full ^ holding[bit[a][b]]  # {k, b} is comparable
+                else:
+                    r |= holding[bit[k][b]] & ~holding[bit[a][b]]
+        for j, v in enumerate(new, size):
+            if (above[v] | below[v]) & high:
+                r |= full ^ holding[j]  # some {v, w} with w above k is comparable
+                continue
+            holds = 0
+            for y in members[above[v]]:
+                holds |= holding[bit[y][k]]
+            for w in members[high]:
+                holds |= holding[bit[v][w]]
+            r |= holds & ~holding[j]
+        if k + 1 == n:
+            yield (1 << grown) - r.bit_count(), e
+        else:
+            carried[k + 1] = grown, r
 
 
 def count_conflict_upsets(below):

@@ -19,7 +19,6 @@ from esfg import (
     parse_document,
 )
 from esfg.bijection import _pair_kernel
-from esfg.enumeration import _truth_tables
 
 from . import reference
 
@@ -31,10 +30,11 @@ def _count_conflicts(above):
 
 
 def _edge_set_counts(n):
-    """The filter's count on each labeled order on {0..n-1}, in the order
-    ``_posets(n)`` yields the orders: the reference for ``count_fg``."""
+    """The reference filter's count on each labeled order on {0..n-1}, in
+    the order ``_posets(n)`` yields the orders: the reference for
+    ``count_fg``."""
     walk = zip(esfg.enumeration._joins(n), repeat(1))
-    return (count for count, _ in esfg.enumeration._filter_counts(walk, n))
+    return (count for count, _ in reference.filter_counts(walk, n))
 
 
 def _natural_posets(n):
@@ -78,8 +78,9 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 def test_limit_is_enforced():
     """Each kind of work has its own largest n: 7 for the counts, which
     share the natural orders and their n!/e(P) weights but not the
-    conflict side (Q(P) up-sets on one, the filter on the other), and for
-    the labeled walk, 5 for listing."""
+    conflict side (Q(P) up-sets on one, edge sets closed under the
+    full-graph rules on the other), and for the labeled walk, 5 for
+    listing."""
     with pytest.raises(ValueError):
         list(enumerate_partial_orders(6))
     with pytest.raises(ValueError):
@@ -224,9 +225,38 @@ def test_upset_counts_need_naturally_labeled_orders():
     assert list(esfg.enumeration._upset_counts(esfg.enumeration._extensions(0), 0)) == [(1, 1)]
 
 
+def test_closed_edge_set_counts_need_naturally_labeled_orders():
+    """The closed-set count pivots on the lowest free pair left, which no
+    pair needs, and counts each leaf on its parent's pairs with k maximal,
+    so a step joining below a vertex is refused; on no vertices it counts
+    the one empty edge set."""
+    counts = esfg.enumeration._closed_edge_set_counts
+    with pytest.raises(ValueError):
+        list(counts(zip(esfg.enumeration._joins(3), repeat(1)), 3))
+    assert list(counts(esfg.enumeration._extensions(0), 0)) == [(1, 1)]
+
+
+def test_counts_share_no_conflict_side(monkeypatch):
+    """``count_fg`` runs with the up-set count broken, and ``count_es``
+    with the pair kernel that ``enumeration`` binds broken, while each
+    break stops the count it belongs to: the two counts share the order
+    side and nothing that builds a pair order."""
+
+    def broken(*args):
+        raise LookupError("a broken conflict side was called")
+
+    sides = (("_upset_counts", count_fg, count_es), ("_pair_kernel", count_es, count_fg))
+    for name, kept, stopped in sides:
+        with monkeypatch.context() as patched:
+            patched.setattr(esfg.enumeration, name, broken)
+            assert kept(5) == 41099
+            with pytest.raises(LookupError):
+                stopped(1)
+
+
 def test_truth_table_bit_m_is_bit_i_of_m():
     for size in range(6):
-        tables = _truth_tables(size)
+        tables = reference.truth_tables(size)
         assert len(tables) == size
         for i, table in enumerate(tables):
             assert table >> (1 << size) == 0
@@ -240,9 +270,10 @@ def _assert_table_count_matches_the_scalar_filter(n):
 
 
 def test_table_count_matches_the_scalar_filter_per_order():
-    """The walk's carried table accepts, on every labeled order up to five
-    events, as many masks as the one-mask-at-a-time filter on that order's
-    own kernel, and it yields one count per order in ``_posets`` order."""
+    """The reference's table carried down the labeled walk accepts, on
+    every labeled order up to five events, as many masks as the
+    one-mask-at-a-time filter on that order's own kernel, and it yields
+    one count per order in ``_posets`` order."""
     for n in range(6):
         _assert_table_count_matches_the_scalar_filter(n)
 
@@ -302,16 +333,17 @@ def test_weighted_sum_refuses_a_fraction():
 
 def _assert_natural_counts_match_the_labeled_counts(n):
     labeled = dict(zip(esfg.enumeration._posets(n), _edge_set_counts(n), strict=True))
-    natural = esfg.enumeration._filter_counts(esfg.enumeration._extensions(n), n)
+    natural = esfg.enumeration._closed_edge_set_counts(esfg.enumeration._extensions(n), n)
     for below, (count, _) in zip(_natural_posets(n), natural, strict=True):
         above = tuple(reference.strict_down_sets(below))  # transposing down-sets gives up-sets
         assert count == labeled[above], below
 
 
 def test_natural_filter_counts_match_the_labeled_counts():
-    """The filter run down the natural walk accepts, on each naturally
-    labeled order up to five events, as many edge sets as the labeled
-    walk does on the same order."""
+    """The closed edge sets ``count_fg`` counts on each naturally labeled
+    order up to five events, from the full-graph rules, are as many as
+    the reference filter accepts on the same order down the labeled walk,
+    reading the event-structure rules on the complement."""
     for n in range(6):
         _assert_natural_counts_match_the_labeled_counts(n)
 
@@ -410,15 +442,16 @@ def test_structural_count_at_seven():
 
 @pytest.mark.slow
 def test_filter_count_at_seven():
-    """The filter over the 96,428 naturally labeled orders on seven
-    events agrees with the structural count.  The two share the order
-    side (the natural orders and their n!/e(P) weights) but not the
-    conflict side: the filter's rules against the up-sets of Q(P)."""
+    """The closed edge sets over the 96,428 naturally labeled orders on
+    seven events agree with the structural count.  The two share the
+    order side (the natural orders and their n!/e(P) weights) but not the
+    conflict side: the full-graph rules against the up-sets of Q(P)."""
     assert count_fg(7) == 561_658_287
 
 
 @pytest.mark.slow
 def test_labeled_filter_count_at_seven():
-    """The filter over all 6,129,859 labeled orders on seven events, which
-    shares neither side with the structural count, still gives the term."""
+    """The reference filter over all 6,129,859 labeled orders on seven
+    events, which shares neither side with either count, still gives the
+    term."""
     assert sum(_edge_set_counts(7)) == 561_658_287
